@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import canonical_form, eta, qp_type, QpType
+from .classify import QpType, canonical_form, qp_type_of_eta
 from .errors import InvalidParameters, NotAnIdeal
 from .lattice import (
     Algebra,
@@ -140,7 +140,7 @@ def group_report(alg):
     """
     cf = canonical_form(alg)
     ctx = alg.ctx
-    report = sigma_bounds(cf)
+    report = sigma_bounds(cf, ctx)
     resnil = residually_nilpotent(cf.s)
     failing = None if resnil else sorted(cf.s)[1]
     s0, s1, s2 = cf.s
@@ -157,7 +157,7 @@ def group_report(alg):
         name = f"G{cf.family}({', '.join(str(t) for t in params)})"
     threshold = 5
     notes = []
-    ty = qp_type(alg.matrix)
+    ty = qp_type_of_eta(report.eta)
     if ty is QpType.SL2:
         notes.append(
             "eta = 0: the group embeds as an open subgroup of the Sylow "

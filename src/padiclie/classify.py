@@ -78,20 +78,40 @@ class CanonicalForm:
         return Algebra(self.matrix(ctx))
 
 
-def _family_from_diagonal(entries, ctx):
-    """(family, s, eps) from a sorted well-diagonalized diagonal."""
+def diagonalize_structure(alg):
+    """congruent_diagonalize of the structure matrix, with the errors of
+    canonical_form: NotLie when it is not symmetric (an unsolvable Lie
+    bracket forces symmetry) and Degenerate when det A = 0."""
+    A = alg.matrix
+    if not A.is_symmetric():
+        raise NotLie("structure matrix of an unsolvable Lie lattice must be symmetric")
+    try:
+        return congruent_diagonalize(A)
+    except Degenerate:
+        # det A is computed once, inside congruent_diagonalize
+        raise Degenerate("structure matrix is degenerate") from None
+
+
+def canonical_from_diagonal(D):
+    """Canonical form read off a sorted well-diagonalized structure matrix."""
+    ctx = D.ctx
+    entries = D.diagonal_entries()
+    for x in entries:
+        ctx.guard_decidable(x.valuation())
     vals = [x.valuation() for x in entries]
     chi = [x.square_class() for x in entries]
     delta = ctx.delta
     s0, s1, s2 = vals
     if s0 < s1 < s2:
-        return 1, (s0, s1, s2), ((chi[1] + chi[0]) % 2, (chi[2] + chi[0]) % 2)
-    if s0 == s1 < s2:
+        family, eps = 1, ((chi[1] + chi[0]) % 2, (chi[2] + chi[0]) % 2)
+    elif s0 == s1 < s2:
         # eps1 is the class of -u0*u1
-        return 2, (s0, s1, s2), ((delta + chi[0] + chi[1]) % 2, None)
-    if s0 < s1 == s2:
-        return 3, (s0, s1, s2), (None, (delta + chi[1] + chi[2]) % 2)
-    return 4, (s0, s1, s2), (None, None)
+        family, eps = 2, ((delta + chi[0] + chi[1]) % 2, None)
+    elif s0 < s1 == s2:
+        family, eps = 3, (None, (delta + chi[1] + chi[2]) % 2)
+    else:
+        family, eps = 4, (None, None)
+    return CanonicalForm(family, (s0, s1, s2), eps, ctx.p)
 
 
 def canonical_form(alg):
@@ -100,18 +120,8 @@ def canonical_form(alg):
     Raises NotLie when the structure matrix is not symmetric (an unsolvable
     Lie bracket forces symmetry) and Degenerate when det A = 0.
     """
-    A = alg.matrix
-    ctx = alg.ctx
-    if not A.is_symmetric():
-        raise NotLie("structure matrix of an unsolvable Lie lattice must be symmetric")
-    if A.det().is_zero():
-        raise Degenerate("structure matrix is degenerate")
-    D, _V = congruent_diagonalize(A)
-    entries = D.diagonal_entries()
-    for x in entries:
-        ctx.guard_decidable(x.valuation())
-    family, s, eps = _family_from_diagonal(entries, ctx)
-    return CanonicalForm(family, s, eps, ctx.p)
+    D, _V = diagonalize_structure(alg)
+    return canonical_from_diagonal(D)
 
 
 def is_isomorphic(a, b):
@@ -160,6 +170,19 @@ def _eta_closed_route(entries, ctx):
     return total % 2
 
 
+def _diagonal_pivots(A):
+    """The diagonal of an already-diagonal A, checked as congruent_diagonalize
+    checks its pivots: Degenerate on a zero entry, then each valuation
+    through guard_decidable in ascending order."""
+    entries = A.diagonal_entries()
+    if any(x.is_zero() for x in entries):
+        raise Degenerate("matrix is degenerate")
+    entries = sorted(entries, key=lambda x: x.valuation())
+    for x in entries:
+        A.ctx.guard_decidable(x.valuation())
+    return entries
+
+
 def eta(A):
     """eta invariant of a symmetric nondegenerate matrix over Q_p.
 
@@ -168,8 +191,11 @@ def eta(A):
     if isinstance(A, Algebra):
         A = A.matrix
     ctx = A.ctx
-    D, _ = congruent_diagonalize(A)  # raises NotSymmetric / Degenerate
-    entries = D.diagonal_entries()
+    if A.nrows == A.ncols and A.is_diagonal():
+        entries = _diagonal_pivots(A)
+    else:
+        D, _ = congruent_diagonalize(A)  # raises NotSymmetric / Degenerate
+        entries = D.diagonal_entries()
     via_symbols, disc_parity, e_sum = _eta_symbol_route(entries, ctx)
     via_formula = _eta_closed_route(entries, ctx)
     if via_symbols != via_formula:
@@ -179,6 +205,11 @@ def eta(A):
     return EtaBreakdown(disc_parity, e_sum, via_symbols)
 
 
-def qp_type(A):
+def qp_type_of_eta(value):
     """Q_p isomorphism type: sl2 when eta = 0, the division algebra when 1."""
-    return QpType.SL2 if eta(A).eta == 0 else QpType.SL1D
+    return QpType.SL2 if value == 0 else QpType.SL1D
+
+
+def qp_type(A):
+    """Q_p isomorphism type of a symmetric nondegenerate matrix."""
+    return qp_type_of_eta(eta(A).eta)

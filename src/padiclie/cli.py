@@ -53,14 +53,16 @@ def _mat_json(M):
     return M.to_rows()
 
 
-def _cf_json(cf):
+def _cf_json(cf, ctx):
+    M = cf.matrix(ctx)
+    eta_value = classify.eta(M).eta
     return {
         "family": cf.family,
         "s": list(cf.s),
         "eps": list(cf.eps),
-        "eta": classify.eta(cf.matrix()).eta,
-        "qp_type": classify.qp_type(cf.matrix()).value,
-        "canonical_matrix": _mat_json(cf.matrix()),
+        "eta": eta_value,
+        "qp_type": classify.qp_type_of_eta(eta_value).value,
+        "canonical_matrix": _mat_json(M),
     }
 
 
@@ -80,7 +82,7 @@ def _sigma_json(report):
 def cmd_classify(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
-    return _cf_json(classify.canonical_form(alg))
+    return _cf_json(classify.canonical_form(alg), ctx)
 
 
 def cmd_eta(args):
@@ -91,7 +93,7 @@ def cmd_eta(args):
         "disc_valuation_parity": br.disc_valuation_parity,
         "hilbert_sum": br.hilbert_sum,
         "eta": br.eta,
-        "qp_type": classify.qp_type(A).value,
+        "qp_type": classify.qp_type_of_eta(br.eta).value,
     }
 
 
@@ -99,8 +101,8 @@ def cmd_selfsim(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
     cf = classify.canonical_form(alg)
-    report = selfsim.sigma_bounds(cf)
-    out = {"canonical": _cf_json(cf), "selfsim": _sigma_json(report)}
+    report = selfsim.sigma_bounds(cf, ctx)
+    out = {"canonical": _cf_json(cf, ctx), "selfsim": _sigma_json(report)}
     if report.index_p_self_similar:
         ve = selfsim.construct_simple_ve(alg)
         out["certificate"] = {
@@ -196,11 +198,11 @@ def cmd_named(args):
         }
     alg = _named(args, ctx)
     cf = classify.canonical_form(alg)
-    report = selfsim.sigma_bounds(cf)
+    report = selfsim.sigma_bounds(cf, ctx)
     return {
         "name": args.name,
         "matrix": _mat_json(alg.matrix),
-        "canonical": _cf_json(cf),
+        "canonical": _cf_json(cf, ctx),
         "selfsim": _sigma_json(report),
         "conjectured": report.sigma_upper == selfsim.CONJECTURED_INFINITE,
     }
@@ -212,8 +214,8 @@ def cmd_report(args):
     cf = classify.canonical_form(alg)
     gr = catalog.group_report(alg)
     out = {
-        "canonical": _cf_json(cf),
-        "selfsim": _sigma_json(selfsim.sigma_bounds(cf)),
+        "canonical": _cf_json(cf, ctx),
+        "selfsim": _sigma_json(selfsim.sigma_bounds(cf, ctx)),
         "group": {
             "name": gr.group_name,
             "family": gr.family,
@@ -237,8 +239,9 @@ def cmd_selftest(args):
     from .normal_forms import is_unimodular
 
     results = {}
-    # orbit invariance on a reduced trial count
-    trials = 25
+    trials = args.trials
+    if trials < 1:
+        raise InvalidInput("--trials must be at least 1")
     ok = 0
     for _ in range(trials):
         A = _random_symmetric(rng, ctx)
@@ -339,6 +342,7 @@ def build_parser():
     p_self.add_argument("--prime", type=int, required=True)
     p_self.add_argument("--precision", type=int, default=32)
     p_self.add_argument("--seed", type=int, default=0)
+    p_self.add_argument("--trials", type=int, default=25)
     p_self.add_argument("--pretty", action="store_true")
     return ap
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Degenerate, InvalidParameters, NotSubalgebra
+from .errors import Degenerate, InvalidParameters, NotSubalgebra, PathDisagreement
 from .normal_forms import Mat, hnf_columns, lattice_contains, snf
 from .padic_core import INF
 
@@ -120,7 +120,8 @@ def index_and_commutator_index(alg, U):
     """Measure [L : M] and [[L,L] : [M,M]] for the subalgebra M = span U.
 
     Returns (k, c) with p^k the index of M and p^c the commutator index,
-    both read off Hermite forms.  The quadrupling law c = 2k is asserted.
+    both read off Hermite forms.  The quadrupling law c = 2k is checked
+    (PathDisagreement when it fails).
     """
     if not alg.is_unsolvable():
         raise Degenerate("commutator index needs an unsolvable algebra")
@@ -135,7 +136,8 @@ def index_and_commutator_index(alg, U):
     c = sum(x.valuation() for x in comm_M.diagonal_entries()) - sum(
         x.valuation() for x in comm_L.diagonal_entries()
     )
-    assert c == 2 * k, "commutator index must be the square of the index"
+    if c != 2 * k:
+        raise PathDisagreement("commutator index must be the square of the index")
     return k, c
 
 

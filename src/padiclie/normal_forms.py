@@ -108,13 +108,15 @@ class Mat:
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise InvalidParameters("shape mismatch in matrix product")
+        zero = self.ctx.zero()
+        other_cols = other.cols()
         rows = []
-        for i in range(self.nrows):
+        for r in self.data:
             row = []
-            for j in range(other.ncols):
-                acc = self.ctx.zero()
-                for t in range(self.ncols):
-                    acc = acc + self.data[i][t] * other.data[t][j]
+            for c in other_cols:
+                acc = zero
+                for x, y in zip(r, c):
+                    acc = acc + x * y
                 row.append(acc)
             rows.append(row)
         return Mat(self.ctx, rows)
@@ -151,12 +153,17 @@ class Mat:
         if self.nrows != self.ncols:
             raise InvalidParameters("determinant of a non-square matrix")
         n = self.nrows
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = self.data
+            # cofactor expansion along the first row, with the operand order
+            # of the general expansion below, so every scalar and every
+            # PrecisionLoss matches it exactly
+            return a * (e * i - f * h) + -(b * (d * i - f * g)) + c * (d * h - e * g)
+        if n == 2:
+            (a, b), (c, d) = self.data
+            return a * d - b * c
         if n == 1:
             return self.data[0][0]
-        if n == 2:
-            a, b = self.data[0]
-            c, d = self.data[1]
-            return a * d - b * c
         acc = self.ctx.zero()
         sign = 1
         for j in range(n):
@@ -175,6 +182,20 @@ class Mat:
     def adjugate(self):
         """Classical adjugate: self * adjugate = det * identity."""
         n = self.nrows
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = self.data
+            # transposed cofactors, each a 2x2 minor taken in row order
+            return Mat(
+                self.ctx,
+                [
+                    [e * i - f * h, -(b * i - c * h), b * f - c * e],
+                    [-(d * i - f * g), a * i - c * g, -(a * f - c * d)],
+                    [d * h - e * g, -(a * h - b * g), a * e - b * d],
+                ],
+            )
+        if n == 2:
+            (a, b), (c, d) = self.data
+            return Mat(self.ctx, [[d, -b], [-c, a]])
         if n == 1:
             return Mat(self.ctx, [[self.ctx.one()]])
         rows = []
@@ -255,12 +276,6 @@ def is_unimodular(V):
 # ---------------------------------------------------------------------------
 
 
-def _pivot_guard(ctx, val):
-    if val == INF:
-        return
-    ctx.guard_decidable(val)
-
-
 def hnf_columns(M):
     """Canonical column Hermite form over Z_p.
 
@@ -287,7 +302,7 @@ def hnf_columns(M):
             continue
         piv = cols[best]
         d = piv[i].valuation()
-        _pivot_guard(ctx, d)
+        ctx.guard_decidable(d)
         u_inv = piv[i].shift(-d).inv()  # unit part inverse
         piv = [x * u_inv for x in piv]
         piv[i] = ctx.one().shift(d)
@@ -384,7 +399,7 @@ def snf(M):
         swap_rows(k, best[0])
         swap_cols(k, best[1])
         d = A[k][k].valuation()
-        _pivot_guard(ctx, d)
+        ctx.guard_decidable(d)
         u_inv = A[k][k].shift(-d).inv()
         A[k] = [x * u_inv for x in A[k]]
         P[k] = [x * u_inv for x in P[k]]
@@ -493,7 +508,7 @@ def congruent_diagonalize(A):
             i, j = off_best
             add_col_to(i, j, ctx.one())
             piv = i
-        _pivot_guard(ctx, B[piv][piv].valuation())
+        ctx.guard_decidable(B[piv][piv].valuation())
         swap(k, piv)
         d = B[k][k]
         for j in range(k + 1, n):

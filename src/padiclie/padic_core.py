@@ -15,7 +15,9 @@ Exact zero is the distinguished scalar with valuation +infinity.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from itertools import accumulate, repeat
 
 from .errors import (
     DenominatorZero,
@@ -112,6 +114,11 @@ class PrimeContext:
         self.p = p
         self.precision = precision
         self.modulus = p**precision
+        # p**k for 0 <= k <= precision: the moduli of every scalar operation.
+        # Scalars built by from_unit may carry more digits; those fall back
+        # to p**k.
+        self.p_powers = tuple(accumulate(repeat(p, precision), operator.mul, initial=1))
+        self._zero = PadicScalar(self, INF, None, precision)
         self.delta = ((p - 1) // 2) % 2
         r = 2
         while legendre_class(r, p) == 0:
@@ -134,7 +141,7 @@ class PrimeContext:
     # -- constructors -----------------------------------------------------
 
     def zero(self):
-        return PadicScalar(self, INF, None, self.precision)
+        return self._zero
 
     def one(self):
         return PadicScalar(self, 0, 1, self.precision)
@@ -249,52 +256,61 @@ class PadicScalar:
 
     def __add__(self, other):
         a, b = self, other
-        if a.is_zero():
+        if a.val == INF:
             return b
-        if b.is_zero():
+        if b.val == INF:
             return a
         if a.val > b.val:
             a, b = b, a
-        p = a.ctx.p
+        ctx = a.ctx
+        powers = ctx.p_powers
         d = b.val - a.val
-        window = min(a.prec, d + b.prec, a.ctx.precision)
-        w = (a.unit + b.unit * p**d) % p**window if d < window else a.unit % p**window
+        # window <= ctx.precision, so every modulus below is in the table
+        window = min(a.prec, d + b.prec, ctx.precision)
+        if d < window:
+            w = (a.unit + b.unit * powers[d]) % powers[window]
+        else:
+            w = a.unit % powers[window]
         if w == 0:
             # Cancellation through at least half the window proves the sum
             # has valuation outside the decidable range, which every legal
             # decision treats exactly like zero; canonicalize it.  Shallower
             # full cancellations are genuinely unresolvable.
-            if 2 * window >= a.ctx.precision:
-                return a.ctx.zero()
+            if 2 * window >= ctx.precision:
+                return ctx._zero
             raise PrecisionLoss("cancellation exhausted the precision window")
+        p = ctx.p
         t = 0
         while w % p == 0:
             w //= p
             t += 1
-        return PadicScalar(a.ctx, a.val + t, w % p ** (window - t), window - t)
+        # w < p^window / p^t, so it is already reduced mod p^(window - t)
+        return PadicScalar(ctx, a.val + t, w, window - t)
 
     def __neg__(self):
-        if self.is_zero():
+        if self.val == INF:
             return self
-        return PadicScalar(
-            self.ctx, self.val, (-self.unit) % self.ctx.p**self.prec, self.prec
-        )
+        ctx, prec = self.ctx, self.prec
+        mod = ctx.p_powers[prec] if prec <= ctx.precision else ctx.p**prec
+        return PadicScalar(ctx, self.val, (-self.unit) % mod, prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return self.ctx.zero()
-        prec = min(self.prec, other.prec)
-        unit = self.unit * other.unit % self.ctx.p**prec
-        return PadicScalar(self.ctx, self.val + other.val, unit, prec)
+        ctx = self.ctx
+        if self.val == INF or other.val == INF:
+            return ctx._zero
+        prec = self.prec if self.prec < other.prec else other.prec
+        mod = ctx.p_powers[prec] if prec <= ctx.precision else ctx.p**prec
+        return PadicScalar(ctx, self.val + other.val, self.unit * other.unit % mod, prec)
 
     def inv(self):
-        if self.is_zero():
+        if self.val == INF:
             raise ZeroInverse("cannot invert zero")
-        unit = pow(self.unit, -1, self.ctx.p**self.prec)
-        return PadicScalar(self.ctx, -self.val, unit, self.prec)
+        ctx, prec = self.ctx, self.prec
+        mod = ctx.p_powers[prec] if prec <= ctx.precision else ctx.p**prec
+        return PadicScalar(ctx, -self.val, pow(self.unit, -1, mod), prec)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -318,15 +334,18 @@ class PadicScalar:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, PadicScalar) or self.ctx != other.ctx:
+        if not isinstance(other, PadicScalar):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
+        ctx = self.ctx
+        if ctx is not other.ctx and ctx != other.ctx:
+            return NotImplemented
+        if self.val == INF or other.val == INF:
+            return self.val == other.val
         if self.val != other.val:
             return False
-        k = min(self.prec, other.prec)
-        p = self.ctx.p
-        return self.unit % p**k == other.unit % p**k
+        k = self.prec if self.prec < other.prec else other.prec
+        mod = ctx.p_powers[k] if k <= ctx.precision else ctx.p**k
+        return self.unit % mod == other.unit % mod
 
     __hash__ = None
 

@@ -34,18 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import CanonicalForm, canonical_form, eta
+from .classify import CanonicalForm, canonical_from_diagonal, diagonalize_structure, eta
 from .errors import (
     Degenerate,
     InvalidParameters,
     NotIndexPSelfSimilar,
     NotSubalgebra,
+    PathDisagreement,
     PreconditionViolated,
 )
 from .lattice import Algebra, change_of_basis, index_exponent
 from .normal_forms import (
     Mat,
-    congruent_diagonalize,
     cassels_move,
     hnf_columns,
     kernel_basis,
@@ -106,15 +106,23 @@ def is_morphism(ve):
     Raises NotSubalgebra when the domain is not closed under the bracket.
     """
     alg = ve.ambient
-    B = change_of_basis(alg, ve.domain)
+    ctx = alg.ctx
+    # one det and adjugate of the domain serve both change_of_basis's
+    # formula, det(U) U^{-1} A U^{-T}, and the three solves U^{-1} [x, y]
+    d = ve.domain.det()
+    if d.is_zero():
+        raise Degenerate("basis-change matrix is singular")
+    adj = ve.domain.adjugate()
+    d_inv = d.inv()
+    B = (adj * alg.matrix * adj.transpose()).scale(d_inv)
     if not B.is_integral():
         raise NotSubalgebra("domain of a virtual endomorphism must be a subalgebra")
-    d = [ve.domain.col(j) for j in range(3)]
+    dom = [ve.domain.col(j) for j in range(3)]
     im = [ve.phi.col(j) for j in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
-            lhs_vec = alg.bracket(d[i], d[j])  # lies in M since M is closed
-            c = ve.domain.inverse_times(Mat(alg.ctx, [[t] for t in lhs_vec]))
+            lhs_vec = alg.bracket(dom[i], dom[j])  # lies in M since M is closed
+            c = (adj * Mat(ctx, [[t] for t in lhs_vec])).scale(d_inv)
             lhs = (ve.phi * c).col(0)
             rhs = alg.bracket(im[i], im[j])
             if any(a != b for a, b in zip(lhs, rhs)):
@@ -249,16 +257,16 @@ def _hyperbolic_ve(alg):
     return VirtualEndomorphism(alg, domain, phi)
 
 
-def _prepare_hyperbolic(alg):
+def _prepare_hyperbolic(alg, D, V):
     """Basis-change witness W with change_of_basis(alg, W) hyperbolic.
 
-    Diagonalize, find an equal-valuation pair whose negated unit product is
-    a square (one Cassels move with rho creates such a pair for family 4
-    when none exists), move the pair to slots 1 and 2, rescale slot 2 by
+    (D, V) is the congruent diagonalization of the structure matrix.  Find
+    an equal-valuation pair whose negated unit product is a square (one
+    Cassels move with rho creates such a pair for family 4 when none
+    exists), move the pair to slots 1 and 2, rescale slot 2 by
     sqrt(-u1/u2), and finish with [[2,0,0],[0,1,1],[0,-1,1]].
     """
     ctx = alg.ctx
-    D, V = congruent_diagonalize(alg.matrix)
 
     def find_pair(diag):
         for i in range(3):
@@ -305,7 +313,6 @@ def _prepare_hyperbolic(alg):
     u1, u2 = D[1, 1], D[2, 2]
     w = (-(u1 / u2)).sqrt()  # unit: same valuation, square class 0
     scale = Mat.diagonal(ctx, [ctx.one(), ctx.one(), w])
-    D = (scale.transpose() * D) * scale
     V = V * scale
     hyp = Mat.from_ints(ctx, [[2, 0, 0], [0, 1, 1], [0, -1, 1]])
     V = V * hyp
@@ -322,22 +329,24 @@ def construct_simple_ve(alg):
     lattice is rewritten into that shape first.  Raises
     NotIndexPSelfSimilar when the canonical family forbids index p.
     """
-    cf = canonical_form(alg)
+    D, V = diagonalize_structure(alg)
+    cf = canonical_from_diagonal(D)
     if not decide_index_p(cf):
         raise NotIndexPSelfSimilar(
             f"family {cf.family} with eps {cf.eps} admits no simple index-p map"
         )
     if _is_hyperbolic(alg.matrix):
         return _hyperbolic_ve(alg)
-    W = _prepare_hyperbolic(alg)
+    W = _prepare_hyperbolic(alg, D, V)
     # cross-check: the rewritten matrix really is hyperbolic
     H = change_of_basis(alg, W)
-    assert _is_hyperbolic(H), "preparation failed to reach the hyperbolic shape"
-    domain, _ = hnf_columns(W * Mat.p_power_diagonal(alg.ctx, (0, 1, 0)))
-    phi_raw = W * Mat.p_power_diagonal(alg.ctx, (0, 0, 1))
+    if not _is_hyperbolic(H):
+        raise PathDisagreement("preparation failed to reach the hyperbolic shape")
     # rewrite phi on the Hermite domain basis: columns of domain expressed
     # in the prepared basis, mapped through the prepared phi
     prepared_domain = W * Mat.p_power_diagonal(alg.ctx, (0, 1, 0))
+    domain, _ = hnf_columns(prepared_domain)
+    phi_raw = W * Mat.p_power_diagonal(alg.ctx, (0, 0, 1))
     transfer = prepared_domain.inverse_times(domain)
     phi = phi_raw * transfer
     return VirtualEndomorphism(alg, domain, phi)
@@ -409,7 +418,7 @@ def _table_row(cf, eta_value):
     return 9, l + 1, (0, 0, l)
 
 
-def sigma_bounds(cf):
+def sigma_bounds(cf, ctx=None):
     """Bounds on sigma(L) for the canonical form, per the nine-row table.
 
     eta = 0: the form matches exactly one row; rows 1, 2, 4 have sigma = p
@@ -417,9 +426,11 @@ def sigma_bounds(cf):
     subalgebra M of the listed index with sigma(M) = p, giving
     sigma(L) <= p * [L : M].  eta = 1: sigma >= p^2 and the upper bound is
     conjecturally infinite (reported as a sentinel, never a number).
+
+    eta is read in ctx (default: the prime's default precision), so pass the
+    caller's context to keep its precision window.
     """
-    alg = cf.algebra()
-    eta_value = eta(alg.matrix).eta
+    eta_value = eta(cf.matrix(ctx)).eta
     yes = decide_index_p(cf)
     if eta_value == 1:
         return SelfSimReport(

@@ -26,7 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InvalidParameters, NotDiagonal, NotSubalgebra, PreconditionViolated
+from .errors import (
+    InvalidParameters,
+    NotDiagonal,
+    NotSubalgebra,
+    PathDisagreement,
+    PreconditionViolated,
+)
 from .lattice import Algebra, change_of_basis
 from .normal_forms import Mat, hnf_columns, snf
 from .padic_core import INF
@@ -128,7 +134,8 @@ def enumerate_index_p(alg):
         U = xi.u_matrix(ctx)
         B = change_of_basis(alg, U)
         if diag:
-            assert B == b_xi(alg.matrix, xi), "closed form disagrees with base change"
+            if B != b_xi(alg.matrix, xi):
+                raise PathDisagreement("closed form disagrees with base change")
         closed = B.is_integral()
         sub_s = None
         if closed:

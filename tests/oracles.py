@@ -2,7 +2,10 @@
 
 Everything here recomputes quantities by a different route than the
 package: plain integer arithmetic mod p^K, exhaustive enumeration, or
-textbook algorithms with no reliance on the scalar class.
+textbook algorithms with no reliance on the scalar class.  The one
+exception is the Laplace expansion below, which works on the package's
+scalars on purpose: it is the reference the closed-form 3x3 determinant
+and adjugate must match scalar for scalar.
 """
 
 from fractions import Fraction
@@ -98,3 +101,42 @@ def solve_two_square_classes(c, d, t, p):
             if (x or y) and (c * x * x + d * y * y - t) % p == 0:
                 return x, y
     return None
+
+
+def laplace_det(M):
+    """Determinant by recursive cofactor expansion along the first row,
+    built from minor matrices (the package's original algorithm)."""
+    n = M.nrows
+    if n == 1:
+        return M[0, 0]
+    if n == 2:
+        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    acc = M.ctx.zero()
+    sign = 1
+    for j in range(n):
+        minor = type(M)(
+            M.ctx, [[M[i, t] for t in range(n) if t != j] for i in range(1, n)]
+        )
+        term = M[0, j] * laplace_det(minor)
+        acc = acc + (term if sign > 0 else -term)
+        sign = -sign
+    return acc
+
+
+def laplace_adjugate(M):
+    """Transposed matrix of signed minors, each minor by laplace_det."""
+    n = M.nrows
+    if n == 1:
+        return type(M)(M.ctx, [[M.ctx.one()]])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = type(M)(
+                M.ctx,
+                [[M[r, c] for c in range(n) if c != j] for r in range(n) if r != i],
+            )
+            d = laplace_det(minor)
+            row.append(d if (i + j) % 2 == 0 else -d)
+        rows.append(row)
+    return type(M)(M.ctx, rows).transpose()

@@ -223,6 +223,27 @@ def test_selftest_command(capsys):
     assert res["eta_dual_route"]["passed"] == res["eta_dual_route"]["trials"]
 
 
+def test_selftest_trials_flag(capsys):
+    code, out, _ = run(capsys, "selftest", "--prime", "5", "--seed", "11", "--trials", "3")
+    assert code == 0 and out["passed"] is True
+    assert {r["trials"] for r in out["results"].values()} == {3}
+    code, out, err = run(capsys, "selftest", "--prime", "5", "--trials", "0")
+    assert code == 2 and out is None and err["error"] == "InvalidInput"
+
+
+def test_precision_reaches_the_canonical_matrix(capsys):
+    matrix = "--matrix=1,0,0;0,1*p^1,0;0,0,1*p^20"
+    code, out, err = run(capsys, "classify", "--prime", "3", "--precision", "80", matrix)
+    assert code == 0 and err is None
+    assert (out["family"], out["s"], out["eta"]) == (1, [0, 1, 20], 1)
+    for command in ("selfsim", "report"):
+        code, out, _ = run(capsys, command, "--prime", "3", "--precision", "80", matrix)
+        assert code == 0 and out["canonical"]["s"] == [0, 1, 20]
+    code, _, err = run(capsys, "classify", "--prime", "3", "--precision", "32", matrix)
+    assert code == 3
+    assert err["message"] == "valuation 20 too close to precision window 32"
+
+
 def test_pretty_flag_emits_indented_json(capsys):
     code = main(
         ["classify", "--prime", "5", "--matrix", "1,0,0;0,0,2;0,2,0", "--pretty"]

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from padiclie.errors import Degenerate, NotSubalgebra
+from padiclie import lattice
+from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement
 from padiclie.lattice import (
     Algebra,
     Sublattice,
@@ -159,6 +160,16 @@ def test_index_quadrupling():
             assert k == sum(exps)
             assert c == 2 * k
             checked += 1
+
+
+def test_index_quadrupling_cross_check_raises(monkeypatch):
+    ctx = PrimeContext(3)
+    alg = Algebra(parse_matrix("1,0,0;0,0,2;0,2,0", ctx))
+    U = Mat.p_power_diagonal(ctx, (0, 1, 0))
+    assert index_and_commutator_index(alg, U) == (1, 2)
+    monkeypatch.setattr(lattice, "index_exponent", lambda U: 2)
+    with pytest.raises(PathDisagreement):
+        index_and_commutator_index(alg, U)
 
 
 def test_induced_algebra_and_not_subalgebra():

@@ -20,7 +20,7 @@ from padiclie.normal_forms import (
 )
 from padiclie.padic_core import INF, PrimeContext
 
-from oracles import membership_mod, solve_two_square_classes
+from oracles import laplace_adjugate, laplace_det, membership_mod, solve_two_square_classes
 
 
 def random_int_matrix(rng, ctx, span=30, n=3):
@@ -72,6 +72,41 @@ def test_basic_matrix_ops():
             assert prod[i, j] == (d if i == j else ctx.zero())
     X = M.inverse_times(I)
     assert M * X == I
+
+
+def _literal_or_error(f):
+    try:
+        return f().to_literal()
+    except PrecisionLoss as exc:
+        return (type(exc), str(exc))
+
+
+def test_closed_form_det_and_adjugate_match_laplace():
+    # u v^T + p^k E is singular mod p^k: its minors cancel k digits, and the
+    # deeper cancellations exhaust the window, so errors are compared too
+    rng = random.Random(17)
+    raised = 0
+    for p in (3, 5, 7):
+        for precision in (8, 32):
+            ctx = PrimeContext(p, precision)
+            for trial in range(150):
+                if trial % 2:
+                    rows = [[rng.randrange(-40, 41) for _ in range(3)] for _ in range(3)]
+                else:
+                    u = [rng.randrange(-9, 10) for _ in range(3)]
+                    v = [rng.randrange(-9, 10) for _ in range(3)]
+                    k = rng.randrange(1, precision)
+                    rows = [
+                        [u[i] * v[j] + p**k * rng.randrange(-9, 10) for j in range(3)]
+                        for i in range(3)
+                    ]
+                M = Mat.from_ints(ctx, rows)
+                det = _literal_or_error(M.det)
+                assert det == _literal_or_error(lambda: laplace_det(M))
+                adj = _literal_or_error(M.adjugate)
+                assert adj == _literal_or_error(lambda: laplace_adjugate(M))
+                raised += isinstance(det, tuple) + isinstance(adj, tuple)
+    assert raised > 0  # the error path was exercised
 
 
 def test_hnf_shape_and_idempotence():

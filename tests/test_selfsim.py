@@ -2,13 +2,19 @@
 invariant-ideal searches, and the nine-row sigma table."""
 
 import random
+import sys
 
 import pytest
 
+from padiclie import normal_forms, selfsim
+from padiclie.catalog import group_report
 from padiclie.classify import CanonicalForm, canonical_form, eta
 from padiclie.errors import (
+    Degenerate,
     InvalidParameters,
     NotIndexPSelfSimilar,
+    PathDisagreement,
+    PrecisionLoss,
     PreconditionViolated,
 )
 from padiclie.lattice import Algebra, change_of_basis, index_exponent
@@ -307,3 +313,61 @@ def test_random_decide_yes_always_certified():
             assert ve.index_exponent() == 1
             built += 1
     assert built == 40
+
+
+def _counted(monkeypatch, owner, name):
+    """Count calls of owner.name, rebinding every padiclie module that
+    imported the function by name."""
+    orig = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    if isinstance(owner, type):
+        return calls
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("padiclie.") and (
+            getattr(mod, name, None) is orig
+        ):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_one_diagonalization_per_certificate_and_group_report(monkeypatch):
+    ctx = PrimeContext(5)
+    # an orbit representative of diag(1, p, -p): family 3, eps2 = 0, decide-yes
+    D = Mat.from_ints(ctx, [[1, 0, 0], [0, 5, 0], [0, 0, -5]])
+    V = Mat.from_ints(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    alg = Algebra(V.transpose() * D * V)
+    diagonalizations = _counted(monkeypatch, normal_forms, "congruent_diagonalize")
+    ve = construct_simple_ve(alg)
+    assert len(diagonalizations) == 1
+    gr = group_report(alg)
+    assert len(diagonalizations) == 2
+    assert gr.qp_type == "sl2" and gr.index_p_self_similar
+    dets = _counted(monkeypatch, Mat, "det")
+    adjugates = _counted(monkeypatch, Mat, "adjugate")
+    assert is_morphism(ve)
+    assert (len(dets), len(adjugates)) == (1, 1)
+
+
+def test_eta_of_a_diagonal_keeps_the_pivot_checks(monkeypatch):
+    diagonalizations = _counted(monkeypatch, normal_forms, "congruent_diagonalize")
+    ctx = PrimeContext(3, 32)
+    with pytest.raises(PrecisionLoss, match="valuation 20 too close to precision window 32"):
+        eta(Mat.p_power_diagonal(ctx, (0, 1, 20)))
+    with pytest.raises(Degenerate, match="matrix is degenerate"):
+        eta(Mat.diagonal(ctx, [ctx.one(), ctx.zero(), ctx.one()]))
+    assert eta(Mat.p_power_diagonal(PrimeContext(3, 64), (0, 1, 20))).eta == 1
+    assert diagonalizations == []
+
+
+def test_hyperbolic_cross_check_raises_path_disagreement(monkeypatch):
+    ctx = PrimeContext(5)
+    alg = Algebra(Mat.from_ints(ctx, [[1, 0, 0], [0, 5, 0], [0, 0, -5]]))
+    monkeypatch.setattr(selfsim, "_prepare_hyperbolic", lambda alg, D, V: Mat.identity(ctx, 3))
+    with pytest.raises(PathDisagreement):
+        construct_simple_ve(alg)

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from padiclie import subalgebras
 from padiclie.errors import (
     InvalidParameters,
     NotDiagonal,
     NotSubalgebra,
+    PathDisagreement,
     PreconditionViolated,
 )
 from padiclie.lattice import Algebra, change_of_basis
@@ -111,6 +113,14 @@ def test_enumerate_index_p_counts():
         assert r.sub_s is not None
         assert all(v != INF for v in r.sub_s)
     assert any(r.xi.class_index() == 1 for r in closed)
+
+
+def test_enumerate_index_p_cross_check_raises(monkeypatch):
+    ctx = PrimeContext(3)
+    alg = Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in (1, 3, -3)]))
+    monkeypatch.setattr(subalgebras, "b_xi", lambda A, xi: Mat.identity(ctx, 3))
+    with pytest.raises(PathDisagreement):
+        enumerate_index_p(alg)
 
 
 def test_nss_condition_on_decide_no_families():
