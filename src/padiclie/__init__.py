@@ -16,7 +16,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedPrime,
 )
-from .lattice import Algebra, Sublattice, change_of_basis, lcs_exponents, residually_nilpotent
+from .lattice import Algebra, change_of_basis, lcs_exponents, residually_nilpotent
 from .normal_forms import (
     Mat,
     cassels_move,
@@ -59,7 +59,6 @@ __all__ = [
     "PreconditionViolated",
     "PrimeContext",
     "QpType",
-    "Sublattice",
     "UnsupportedPrime",
     "VirtualEndomorphism",
     "XiSymbol",

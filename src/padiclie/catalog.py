@@ -30,12 +30,13 @@ from .errors import InvalidParameters, NotAnIdeal
 from .lattice import (
     Algebra,
     change_of_basis,
+    is_ideal,
     lcs_exponents,
     residually_nilpotent,
 )
 from .normal_forms import Mat, hnf_columns, lattice_contains
 from .padic_core import INF
-from .selfsim import decide_index_p, sigma_bounds
+from .selfsim import SelfSimReport, decide_index_p, sigma_bounds
 
 
 NAMED = (
@@ -129,6 +130,7 @@ class GroupReport:
     sigma_upper: object
     index_transfer: str
     notes: tuple
+    selfsim: SelfSimReport  # the sigma report; its canonical is the canonical form
 
 
 def group_report(alg):
@@ -206,6 +208,7 @@ def group_report(alg):
             "and their subalgebras; simple maps correspond to simple maps"
         ),
         notes=tuple(notes),
+        selfsim=report,
     )
 
 
@@ -238,12 +241,8 @@ def normal_subgroup_sigma(alg, ideal):
     I, rank = hnf_columns(ideal)
     if rank < 3:
         raise InvalidParameters("ideal must be full rank (nonzero closed ideals are)")
-    basis = [tuple(Mat.identity(ctx, 3).col(j)) for j in range(3)]
-    for x in basis:
-        for j in range(3):
-            w = alg.bracket(x, I.col(j))
-            if not I.inverse_times(Mat(ctx, [[t] for t in w])).is_integral():
-                raise NotAnIdeal("submodule is not an ideal of the Sylow lattice")
+    if not is_ideal(alg.bracket, I):
+        raise NotAnIdeal("submodule is not an ideal of the Sylow lattice")
     s = (0, 1, 1)
     level = 0
     while True:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import catalog, classify, selfsim, subalgebras
@@ -154,10 +155,9 @@ def cmd_endo(args):
             "index_exponent": ve.index_exponent(),
         }
     if args.action == "chain":
-        chain = selfsim.domain_chain(ve, args.depth)
         reg = selfsim.regularity_check(ve, args.depth)
         return {
-            "chain": [_mat_json(m) for m in chain],
+            "chain": [_mat_json(m) for m in reg.chain[: args.depth + 1]],
             "index_exponents": list(reg.index_exponents),
             "escapes": list(reg.escapes),
             "regular": reg.regular,
@@ -211,11 +211,10 @@ def cmd_named(args):
 def cmd_report(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
-    cf = classify.canonical_form(alg)
     gr = catalog.group_report(alg)
     out = {
-        "canonical": _cf_json(cf, ctx),
-        "selfsim": _sigma_json(selfsim.sigma_bounds(cf, ctx)),
+        "canonical": _cf_json(gr.selfsim.canonical, ctx),
+        "selfsim": _sigma_json(gr.selfsim),
         "group": {
             "name": gr.group_name,
             "family": gr.family,
@@ -302,7 +301,6 @@ def build_parser():
         sp.add_argument("--prime", type=int, required=True)
         sp.add_argument("--precision", type=int, default=32)
         sp.add_argument("--pretty", action="store_true")
-        sp.add_argument("--json", action="store_true", help="compact JSON (default)")
         if matrix:
             sp.add_argument("--matrix")
             sp.add_argument("--name")
@@ -331,7 +329,6 @@ def build_parser():
     p_named.add_argument("--prime", type=int, required=True)
     p_named.add_argument("--precision", type=int, default=32)
     p_named.add_argument("--pretty", action="store_true")
-    p_named.add_argument("--json", action="store_true")
     p_named.add_argument("--k", type=int)
     p_named.add_argument("--n", type=int)
     p_named.add_argument("--s")
@@ -360,10 +357,26 @@ HANDLERS = {
 }
 
 
+# argparse reads a value that starts with "-" as an option, so a matrix
+# literal such as "-1,0,0;0,5,0;0,0,5" is joined to its option with "="
+MATRIX_OPTIONS = ("--matrix", "--domain", "--phi")
+
+
+def _join_matrix_values(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in MATRIX_OPTIONS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_matrix_values(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -79,9 +79,5 @@ class NotAnIdeal(PreconditionViolated):
     """Submodule is not an ideal of the ambient algebra."""
 
 
-class NotResiduallyNilpotent(PreconditionViolated):
-    """Lower central series does not shrink to zero."""
-
-
 class PathDisagreement(PadicLieError):
     """Two independent computation routes disagreed; indicates a bug."""

@@ -22,8 +22,6 @@ subalgebra, and then B is the structure matrix of the submodule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import Degenerate, InvalidParameters, NotSubalgebra, PathDisagreement
 from .normal_forms import Mat, hnf_columns, lattice_contains, snf
 from .padic_core import INF
@@ -108,6 +106,27 @@ def induced_algebra(alg, U):
     return Algebra(B)
 
 
+def is_ideal(bracket, J):
+    """Whether the column span of the full-rank J is an ideal: [x, j] lies
+    in span J for every standard basis vector x and every column j of J.
+
+    bracket maps two coordinate tuples to one, in any dimension.  One det
+    and one adjugate of J serve every membership solve.
+    """
+    ctx = J.ctx
+    d = J.det()
+    if d.is_zero():
+        raise Degenerate("matrix is singular")
+    adj = J.adjugate()
+    d_inv = d.inv()
+    cols = J.cols()
+    return all(
+        (adj * Mat(ctx, [[t] for t in bracket(x, j)])).scale(d_inv).is_integral()
+        for x in Mat.identity(ctx, J.nrows).cols()
+        for j in cols
+    )
+
+
 def index_exponent(U):
     """v_p(det U): the index of the column span in Z_p^3 is p to this."""
     d = U.det()
@@ -139,47 +158,6 @@ def index_and_commutator_index(alg, U):
     if c != 2 * k:
         raise PathDisagreement("commutator index must be the square of the index")
     return k, c
-
-
-# ---------------------------------------------------------------------------
-# Sublattices
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sublattice:
-    """A full-rank sublattice of Z_p^3 held in Hermite normal form."""
-
-    matrix: Mat
-
-    @classmethod
-    def from_generators(cls, gens):
-        H, rank = hnf_columns(gens)
-        if rank < H.nrows:
-            raise Degenerate("sublattice must have full rank")
-        return cls(H)
-
-    @property
-    def ctx(self):
-        return self.matrix.ctx
-
-    def index_exponent(self):
-        return sum(x.valuation() for x in self.matrix.diagonal_entries())
-
-    def contains_vector(self, v):
-        c = self.matrix.inverse_times(Mat(self.ctx, [[x] for x in v]))
-        return c.is_integral()
-
-    def contains(self, other):
-        return lattice_contains(self.matrix, other.matrix)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sublattice):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def key(self):
-        return self.matrix.key()
 
 
 def saturating_scale(n, s):

@@ -32,6 +32,7 @@ bound is conjectured infinite: the sentinel is never a number.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .classify import CanonicalForm, canonical_from_diagonal, diagonalize_structure, eta
@@ -43,7 +44,7 @@ from .errors import (
     PathDisagreement,
     PreconditionViolated,
 )
-from .lattice import Algebra, change_of_basis, index_exponent
+from .lattice import Algebra, change_of_basis, index_exponent, induced_algebra, is_ideal
 from .normal_forms import (
     Mat,
     cassels_move,
@@ -148,11 +149,15 @@ def domain_chain(ve, depth):
     Returns the list [D_0, ..., D_depth] of Hermite generator matrices in
     ambient coordinates.
     """
-    ctx = ve.ambient.ctx
-    chain = [Mat.identity(ctx, 3)]
+    return _domain_chain(ve.domain, ve.phi, depth)
+
+
+def _domain_chain(domain, phi, depth):
+    """domain_chain for a domain and phi of any size."""
+    chain = [Mat.identity(domain.ctx, domain.nrows)]
     for _ in range(depth):
-        pre_c = _preimage_lattice(ve.phi, chain[-1])
-        nxt, _ = hnf_columns(ve.domain * pre_c)
+        pre_c = _preimage_lattice(phi, chain[-1])
+        nxt, _ = hnf_columns(domain * pre_c)
         chain.append(nxt)
     return chain
 
@@ -162,6 +167,7 @@ class RegularityReport:
     regular: bool
     index_exponents: tuple
     escapes: tuple
+    chain: tuple  # (D_0, ..., D_{depth+1}), the chain the check walked
 
 
 def regularity_check(ve, depth):
@@ -182,7 +188,19 @@ def regularity_check(ve, depth):
         c = ve.domain.inverse_times(d_next)
         images = ve.phi * c
         escapes.append(not lattice_contains(d_next, images))
-    return RegularityReport(all(e == 1 for e in exps), tuple(exps), tuple(escapes))
+    return RegularityReport(all(e == 1 for e in exps), tuple(exps), tuple(escapes), tuple(chain))
+
+
+def _first_invariant_ideal(bracket, domain, phi, candidates):
+    """The first candidate J that is an ideal, lies inside the domain M and
+    satisfies phi(J) inside J; None when no candidate does."""
+    for J in candidates:
+        if not is_ideal(bracket, J):
+            continue
+        c = domain.inverse_times(J)
+        if c.is_integral() and J.inverse_times(phi * c).is_integral():
+            return J
+    return None
 
 
 def invariant_ideal_search(ve, bound):
@@ -198,42 +216,16 @@ def invariant_ideal_search(ve, bound):
     B = change_of_basis(alg, ve.domain)
     if not B.is_integral():
         raise NotSubalgebra("domain must be a subalgebra")
-    chain = domain_chain(ve, bound)
-    d_bound = chain[-1]
+    d_bound = domain_chain(ve, bound)[-1]
     v_bound = sum(x.valuation() for x in d_bound.diagonal_entries())
     if v_bound > bound:
         return None
-    basis = [tuple(Mat.identity(ctx, 3).col(j)) for j in range(3)]
-    candidates = []
-    for rel in range(max(0, 1 - v_bound), bound - v_bound + 1):
-        for H in enumerate_sublattices(ctx, rel):
-            J, _ = hnf_columns(d_bound * H)
-            candidates.append((v_bound + rel, J))
-    candidates.sort(key=lambda t: t[0])
-    for _, J in candidates:
-        cols = [J.col(j) for j in range(3)]
-        # ideal test: [L, J] inside J
-        is_ideal = True
-        for x in basis:
-            for jvec in cols:
-                w = alg.bracket(x, jvec)
-                wmat = Mat(ctx, [[t] for t in w])
-                if not J.inverse_times(wmat).is_integral():
-                    is_ideal = False
-                    break
-            if not is_ideal:
-                break
-        if not is_ideal:
-            continue
-        # J inside M
-        if not ve.domain.inverse_times(J).is_integral():
-            continue
-        # phi(J) inside J
-        c = ve.domain.inverse_times(J)
-        images = ve.phi * c
-        if J.inverse_times(images).is_integral():
-            return J
-    return None
+    candidates = (
+        hnf_columns(d_bound * H)[0]
+        for rel in range(max(0, 1 - v_bound), bound - v_bound + 1)
+        for H in enumerate_sublattices(ctx, rel)
+    )
+    return _first_invariant_ideal(alg.bracket, ve.domain, ve.phi, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +380,7 @@ class SelfSimReport:
     note: str
 
 
-def _table_row(cf, eta_value):
+def _table_row(cf):
     """Row number, upper-bound exponent, witness scaling exponents."""
     s0, s1, s2 = cf.s
     if cf.family == 4:
@@ -446,7 +438,7 @@ def sigma_bounds(cf, ctx=None):
                 "self-similar of any index"
             ),
         )
-    row, upper, witness = _table_row(cf, eta_value)
+    row, upper, witness = _table_row(cf)
     if row in (1, 2, 4):
         return SelfSimReport(
             canonical=cf,
@@ -473,21 +465,19 @@ def sigma_bounds(cf, ctx=None):
     )
 
 
-def witness_subalgebra(cf):
+def witness_subalgebra(cf, ctx=None):
     """The scaled-basis subalgebra certifying the table upper bound.
 
     Returns (U, induced_algebra) for rows with a witness; None for rows
-    whose sigma is exactly p.
+    whose sigma is exactly p.  ctx is the precision window, as in
+    sigma_bounds.
     """
-    report = sigma_bounds(cf)
+    report = sigma_bounds(cf, ctx)
     if report.witness_exponents is None:
         return None
-    alg = cf.algebra()
+    alg = cf.algebra(ctx)
     U = Mat.p_power_diagonal(alg.ctx, report.witness_exponents)
-    B = change_of_basis(alg, U)
-    if not B.is_integral():
-        raise NotSubalgebra("table witness is not a subalgebra; table misread")
-    return U, Algebra(B)
+    return U, induced_algebra(alg, U)
 
 
 # ---------------------------------------------------------------------------
@@ -550,50 +540,23 @@ def lowdim_report(ctx, dim, k, s=None, bound=4):
         phi = Mat.from_ints(ctx, [[0, 1], [1, 0]])
     else:
         phi = Mat.from_ints(ctx, [[1, 0], [0, 1]])
+    bracket = functools.partial(_dim2_bracket, ctx, s)
     # morphism check on the only basis pair
-    d0, d1 = domain.col(0), domain.col(1)
-    lhs_vec = _dim2_bracket(ctx, s, d0, d1)
+    lhs_vec = bracket(domain.col(0), domain.col(1))
     c = domain.inverse_times(Mat(ctx, [[t] for t in lhs_vec]))
     ok = c.is_integral()
     if ok:
         lhs = (phi * c).col(0)
-        rhs = _dim2_bracket(ctx, s, phi.col(0), phi.col(1))
+        rhs = bracket(phi.col(0), phi.col(1))
         ok = all(a == b for a, b in zip(lhs, rhs))
     # bounded invariant-ideal search over 2x2 Hermite forms
-    invariant = False
-    witness = None
-    for expo in range(1, bound + 1):
-        for a in range(expo + 1):
-            b = expo - a
-            for h in range(p**a):
-                J = Mat.from_ints(ctx, [[p**a, h], [0, p**b]])
-                cols = [J.col(0), J.col(1)]
-                basis = [Mat.identity(ctx, 2).col(t) for t in range(2)]
-                ideal = all(
-                    J.inverse_times(
-                        Mat(ctx, [[t] for t in _dim2_bracket(ctx, s, x, jv)])
-                    ).is_integral()
-                    for x in basis
-                    for jv in cols
-                )
-                if not ideal:
-                    continue
-                if not domain.inverse_times(J).is_integral():
-                    continue
-                imgs = phi * domain.inverse_times(J)
-                if J.inverse_times(imgs).is_integral():
-                    invariant = True
-                    witness = J
-                    break
-            if invariant:
-                break
-        if invariant:
-            break
+    candidates = (
+        Mat.from_ints(ctx, [[p**a, h], [0, p ** (expo - a)]])
+        for expo in range(1, bound + 1)
+        for a in range(expo + 1)
+        for h in range(p**a)
+    )
+    invariant = _first_invariant_ideal(bracket, domain, phi, candidates) is not None
     # D_infinity from the chain, stabilized or vanished within 2*bound steps
-    chain = [Mat.identity(ctx, 2)]
-    for _ in range(2 * bound):
-        pre = _preimage_lattice(phi, chain[-1])
-        nxt, _ = hnf_columns(domain * pre)
-        chain.append(nxt)
-    d_inf = chain[-1]
+    d_inf = _domain_chain(domain, phi, 2 * bound)[-1]
     return LowDimReport(2, s, k, domain, phi, ok, d_inf, invariant)

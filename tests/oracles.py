@@ -44,17 +44,27 @@ def membership_mod(vec, cols, p, K):
     cols is a list of three integer 3-vectors.  Solvability mod p^K
     equals Z_p-span membership whenever K >= v_p(det cols).
     """
+    return span_membership(cols, p, K)(vec)
+
+
+def span_membership(cols, p, K):
+    """membership_mod as a predicate on vec, with the table for cols built
+    once."""
     m = p**K
-    left = {}
-    for a in range(m):
-        for b in range(m):
-            key = tuple((a * cols[0][i] + b * cols[1][i]) % m for i in range(3))
-            left[key] = (a, b)
-    for c in range(m):
-        key = tuple((vec[i] - c * cols[2][i]) % m for i in range(3))
-        if key in left:
-            return True
-    return False
+    (u0, u1, u2), (v0, v1, v2), _ = cols
+    left = {
+        ((a * u0 + b * v0) % m, (a * u1 + b * v1) % m, (a * u2 + b * v2) % m)
+        for a in range(m)
+        for b in range(m)
+    }
+
+    def member(vec):
+        return any(
+            tuple((vec[i] - c * cols[2][i]) % m for i in range(3)) in left
+            for c in range(m)
+        )
+
+    return member
 
 
 def bracket_direct(A, x, y):

@@ -1,8 +1,12 @@
 """Command-line interface: JSON shapes, exit codes, error reporting."""
 
 import json
+import pathlib
+import shlex
 
 from padiclie.cli import main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -251,3 +255,29 @@ def test_pretty_flag_emits_indented_json(capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out.startswith("{\n  ")
+
+
+def test_readme_command_lines_succeed(capsys):
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("## Python API")]
+    lines = [
+        line
+        for line in section.replace("\\\n", " ").splitlines()
+        if line.startswith("padiclie ")
+    ]
+    assert lines
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    capsys.readouterr()
+
+
+def test_leading_minus_matrix_values(capsys):
+    matrix, domain, phi = "-1,0,0;0,0,2;0,2,0", "-1,0,0;0,3,0;0,0,1", "-1,0,0;0,-1,0;0,0,-3"
+    code, joined, _ = run(capsys, "classify", "--prime", "5", "--matrix=" + matrix)
+    assert code == 0
+    assert run(capsys, "classify", "--prime", "5", "--matrix", matrix) == (0, joined, None)
+    tail = ["--prime", "3", "--matrix", "1,0,0;0,0,2;0,2,0"]
+    code, joined, _ = run(capsys, "endo", "check", *tail, "--domain=" + domain, "--phi=" + phi)
+    assert code == 0
+    spaced = run(capsys, "endo", "check", *tail, "--domain", domain, "--phi", phi)
+    assert spaced == (0, joined, None)

@@ -9,11 +9,11 @@ from padiclie import lattice
 from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement
 from padiclie.lattice import (
     Algebra,
-    Sublattice,
     change_of_basis,
     index_and_commutator_index,
     index_exponent,
     induced_algebra,
+    is_ideal,
     is_subalgebra,
     lcs_exponents,
     residually_nilpotent,
@@ -22,7 +22,7 @@ from padiclie.lattice import (
 from padiclie.normal_forms import Mat, hnf_columns, lattice_eq, parse_matrix
 from padiclie.padic_core import INF, PrimeContext
 
-from oracles import jacobiator_direct
+from oracles import bracket_direct, jacobiator_direct, span_membership
 
 
 def random_int_matrix(rng, ctx, span=20):
@@ -192,12 +192,54 @@ def test_index_exponent_and_sublattice():
     ctx = PrimeContext(5)
     U = parse_matrix("5,1,0;0,1,0;0,0,25", ctx)
     assert index_exponent(U) == 3
-    S = Sublattice.from_generators(U)
-    assert S.index_exponent() == 3
-    v = (ctx.from_int(5), ctx.zero(), ctx.zero())
-    assert S.contains_vector(v) or not S.contains_vector(v)  # total
+    H, _ = hnf_columns(U)
+    assert sum(x.valuation() for x in H.diagonal_entries()) == 3
     with pytest.raises(Degenerate):
         index_exponent(Mat.from_ints(ctx, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+
+
+def hermite_sublattices(p, k):
+    """Integer column Hermite forms of the sublattices of Z_p^3 of index p^k."""
+    for a in range(k + 1):
+        for b in range(k - a + 1):
+            c = k - a - b
+            for x in range(p**a):
+                for y in range(p**a):
+                    for z in range(p**b):
+                        yield [[p**a, x, y], [0, p**b, z], [0, 0, p**c]]
+
+
+def test_is_ideal_against_integer_membership():
+    """Every sublattice of index <= p^3 at p = 3, on a diagonal and a
+    non-diagonal structure matrix, against brackets and spans in integers."""
+    p = 3
+    ctx = PrimeContext(p)
+    for A in ([[1, 0, 0], [0, 3, 0], [0, 0, -3]], [[2, 1, 0], [1, 3, 3], [0, 3, 9]]):
+        alg = Algebra(Mat.from_ints(ctx, A))
+        e = [[int(i == j) for j in range(3)] for i in range(3)]
+        found = 0
+        for k in range(4):
+            for rows in hermite_sublattices(p, k):
+                cols = [[rows[i][j] for i in range(3)] for j in range(3)]
+                member = span_membership(cols, p, k)
+                expect = all(member(bracket_direct(A, x, c)) for x in e for c in cols)
+                assert is_ideal(alg.bracket, Mat.from_ints(ctx, rows)) == expect
+                found += expect
+        assert 0 < found < 1354
+
+
+def test_is_ideal_takes_one_det_and_adjugate(monkeypatch):
+    ctx = PrimeContext(5)
+    alg = Algebra(Mat.from_ints(ctx, [[1, 0, 0], [0, 5, 0], [0, 0, -5]]))
+    dets, adjugates = [], []
+    for name, calls in (("det", dets), ("adjugate", adjugates)):
+        orig = getattr(Mat, name)
+        monkeypatch.setattr(
+            Mat, name, lambda self, orig=orig, calls=calls: calls.append(self) or orig(self)
+        )
+    # pL is an ideal, so every one of the nine brackets is solved
+    assert is_ideal(alg.bracket, Mat.identity(ctx, 3).shift(1))
+    assert (len(dets), len(adjugates)) == (1, 1)
 
 
 def lcs_oracle(s, n):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from padiclie import normal_forms, selfsim
+from padiclie import cli, normal_forms, selfsim
 from padiclie.catalog import group_report
 from padiclie.classify import CanonicalForm, canonical_form, eta
 from padiclie.errors import (
@@ -224,6 +224,19 @@ def test_table_rows_cover_eta0_forms_exactly_once():
             assert index_exponent(U) == rep.sigma_upper - 1
 
 
+def test_witness_subalgebra_keeps_the_callers_precision():
+    """A valuation-20 entry needs more than the default 32 digits."""
+    ctx = PrimeContext(3, 80)
+    cf = canonical_form(Algebra(parse_matrix("1,0,0;0,1*p^1,0;0,0,1*p^20", ctx)))
+    assert witness_subalgebra(cf, ctx) is None  # eta = 1: no witness row
+    with pytest.raises(PrecisionLoss):
+        witness_subalgebra(cf)
+    cf = canonical_form(Algebra(parse_matrix("1,0,0;0,1*p^2,0;0,0,1*p^20", ctx)))
+    U, sub = witness_subalgebra(cf, ctx)
+    assert sub.ctx is ctx
+    assert index_exponent(U) == sigma_bounds(cf, ctx).sigma_upper - 1
+
+
 def _small_eta0_forms(p, smax):
     out = []
     for s0 in range(smax + 1):
@@ -352,6 +365,29 @@ def test_one_diagonalization_per_certificate_and_group_report(monkeypatch):
     adjugates = _counted(monkeypatch, Mat, "adjugate")
     assert is_morphism(ve)
     assert (len(dets), len(adjugates)) == (1, 1)
+
+
+def test_one_diagonalization_per_report_command(monkeypatch, capsys):
+    diagonalizations = _counted(monkeypatch, normal_forms, "congruent_diagonalize")
+    for matrix in ("1,1,0;1,6,5;0,5,0", "3,0,0;0,-6,0;0,0,27"):
+        del diagonalizations[:]
+        assert cli.main(["report", "--prime", "5", "--matrix", matrix]) == 0
+        assert len(diagonalizations) == 1
+    capsys.readouterr()
+
+
+def test_endo_chain_builds_the_chain_once(monkeypatch, capsys):
+    """depth d: d + 1 preimage steps, D_1 .. D_{d+1}, for chain and escapes."""
+    steps = _counted(monkeypatch, selfsim, "_preimage_lattice")
+    argv = [
+        "endo", "chain", "--prime", "3", "--matrix", "1,0,0;0,0,2;0,2,0",
+        "--domain", "1,0,0;0,3,0;0,0,1", "--phi", "1,0,0;0,1,0;0,0,3",
+    ]
+    for depth in (0, 1, 4):
+        del steps[:]
+        assert cli.main(argv + ["--depth", str(depth)]) == 0
+        assert len(steps) == depth + 1
+    capsys.readouterr()
 
 
 def test_eta_of_a_diagonal_keeps_the_pivot_checks(monkeypatch):
