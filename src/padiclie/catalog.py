@@ -34,7 +34,7 @@ from .lattice import (
     lcs_exponents,
     residually_nilpotent,
 )
-from .normal_forms import Mat, hnf_columns, lattice_contains
+from .normal_forms import Mat, Span, hnf_columns
 from .padic_core import INF
 from .selfsim import SelfSimReport, decide_index_p, sigma_bounds
 
@@ -244,15 +244,15 @@ def normal_subgroup_sigma(alg, ideal):
     if not is_ideal(alg.bracket, I):
         raise NotAnIdeal("submodule is not an ideal of the Sylow lattice")
     s = (0, 1, 1)
+    inside = Span(I)
     level = 0
     while True:
-        G = Mat.p_power_diagonal(ctx, lcs_exponents(s, level))
-        if lattice_contains(I, G):
+        gamma = Mat.p_power_diagonal(ctx, lcs_exponents(s, level))
+        if inside.coordinates(gamma) is not None:
             break
         level += 1
         if level > 4 * ctx.precision:
             raise InvalidParameters("gamma terms never entered the ideal")
-    gamma = Mat.p_power_diagonal(ctx, lcs_exponents(s, level))
     gh, _ = hnf_columns(gamma)
     equals = gh == I
     idx = sum(x.valuation() for x in gh.diagonal_entries()) - sum(

@@ -54,16 +54,14 @@ def _mat_json(M):
     return M.to_rows()
 
 
-def _cf_json(cf, ctx):
-    M = cf.matrix(ctx)
-    eta_value = classify.eta(M).eta
+def _cf_json(cf, ctx, eta_value):
     return {
         "family": cf.family,
         "s": list(cf.s),
         "eps": list(cf.eps),
         "eta": eta_value,
         "qp_type": classify.qp_type_of_eta(eta_value).value,
-        "canonical_matrix": _mat_json(M),
+        "canonical_matrix": _mat_json(cf.matrix(ctx)),
     }
 
 
@@ -83,7 +81,8 @@ def _sigma_json(report):
 def cmd_classify(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
-    return _cf_json(classify.canonical_form(alg), ctx)
+    cf = classify.canonical_form(alg)
+    return _cf_json(cf, ctx, classify.eta(cf.matrix(ctx)).eta)
 
 
 def cmd_eta(args):
@@ -101,11 +100,12 @@ def cmd_eta(args):
 def cmd_selfsim(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
-    cf = classify.canonical_form(alg)
+    D, V = classify.diagonalize_structure(alg)  # for the form and the certificate
+    cf = classify.canonical_from_diagonal(D)
     report = selfsim.sigma_bounds(cf, ctx)
-    out = {"canonical": _cf_json(cf, ctx), "selfsim": _sigma_json(report)}
+    out = {"canonical": _cf_json(cf, ctx, report.eta), "selfsim": _sigma_json(report)}
     if report.index_p_self_similar:
-        ve = selfsim.construct_simple_ve(alg)
+        ve = selfsim.simple_ve_from_diagonal(alg, D, V)
         out["certificate"] = {
             "domain": _mat_json(ve.domain),
             "phi": _mat_json(ve.phi),
@@ -202,7 +202,7 @@ def cmd_named(args):
     return {
         "name": args.name,
         "matrix": _mat_json(alg.matrix),
-        "canonical": _cf_json(cf, ctx),
+        "canonical": _cf_json(cf, ctx, report.eta),
         "selfsim": _sigma_json(report),
         "conjectured": report.sigma_upper == selfsim.CONJECTURED_INFINITE,
     }
@@ -213,7 +213,7 @@ def cmd_report(args):
     alg = _algebra(args, ctx)
     gr = catalog.group_report(alg)
     out = {
-        "canonical": _cf_json(gr.selfsim.canonical, ctx),
+        "canonical": _cf_json(gr.selfsim.canonical, ctx, gr.selfsim.eta),
         "selfsim": _sigma_json(gr.selfsim),
         "group": {
             "name": gr.group_name,
@@ -234,9 +234,6 @@ def cmd_report(args):
 def cmd_selftest(args):
     rng = random.Random(args.seed)
     ctx = PrimeContext(args.prime, args.precision)
-    from .classify import canonical_form, eta, is_isomorphic
-    from .normal_forms import is_unimodular
-
     results = {}
     trials = args.trials
     if trials < 1:
@@ -247,14 +244,14 @@ def cmd_selftest(args):
         V = _random_unimodular(rng, ctx)
         u = ctx.from_int(rng.randrange(1, ctx.p))
         B = (V.transpose() * A * V).scale(u)
-        if canonical_form(Algebra(A)) == canonical_form(Algebra(B)):
+        if classify.canonical_form(Algebra(A)) == classify.canonical_form(Algebra(B)):
             ok += 1
     results["orbit_invariance"] = {"trials": trials, "passed": ok}
     # eta dual route (it raises on disagreement)
     ok = 0
     for _ in range(trials):
         A = _random_symmetric(rng, ctx)
-        eta(A)
+        classify.eta(A)
         ok += 1
     results["eta_dual_route"] = {"trials": trials, "passed": ok}
     passed = all(v["passed"] == v["trials"] for v in results.values())

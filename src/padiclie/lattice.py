@@ -23,7 +23,7 @@ subalgebra, and then B is the structure matrix of the submodule.
 from __future__ import annotations
 
 from .errors import Degenerate, InvalidParameters, NotSubalgebra, PathDisagreement
-from .normal_forms import Mat, hnf_columns, lattice_contains, snf
+from .normal_forms import Mat, Span, hnf_columns, lattice_contains
 from .padic_core import INF
 
 
@@ -67,15 +67,6 @@ class Algebra:
         """Nonzero determinant, equivalently L is an unsolvable Lie lattice."""
         return not self.matrix.det().is_zero()
 
-    def s_invariants(self):
-        """Elementary divisor valuations of A, ascending; L/[L,L] shape."""
-        divisors, _, _ = snf(self.matrix)
-        return divisors
-
-    def commutator_matrix(self):
-        """Generator matrix of [L, L]: the columns of A."""
-        return self.matrix
-
     def __repr__(self):
         return f"<Algebra {self.matrix.to_literal()} (p={self.ctx.p})>"
 
@@ -110,21 +101,12 @@ def is_ideal(bracket, J):
     """Whether the column span of the full-rank J is an ideal: [x, j] lies
     in span J for every standard basis vector x and every column j of J.
 
-    bracket maps two coordinate tuples to one, in any dimension.  One det
-    and one adjugate of J serve every membership solve.
+    bracket maps two coordinate tuples to one, in any dimension.  The n^2
+    brackets go into one membership solve.
     """
-    ctx = J.ctx
-    d = J.det()
-    if d.is_zero():
-        raise Degenerate("matrix is singular")
-    adj = J.adjugate()
-    d_inv = d.inv()
-    cols = J.cols()
-    return all(
-        (adj * Mat(ctx, [[t] for t in bracket(x, j)])).scale(d_inv).is_integral()
-        for x in Mat.identity(ctx, J.nrows).cols()
-        for j in cols
-    )
+    span = Span(J)
+    images = [bracket(x, j) for x in Mat.identity(J.ctx, J.nrows).cols() for j in J.cols()]
+    return span.coordinates(Mat(J.ctx, list(zip(*images)))) is not None
 
 
 def index_exponent(U):
@@ -148,7 +130,7 @@ def index_and_commutator_index(alg, U):
     if not B.is_integral():
         raise NotSubalgebra("not a subalgebra")
     k = index_exponent(U)
-    comm_L, _ = hnf_columns(alg.commutator_matrix())
+    comm_L, _ = hnf_columns(alg.matrix)  # [L, L] is spanned by the columns of A
     comm_M, _ = hnf_columns(U * B)
     if not lattice_contains(comm_L, comm_M):
         raise NotSubalgebra("commutator lattice escaped; inconsistent input")

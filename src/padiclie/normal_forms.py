@@ -13,7 +13,8 @@ power of p.  The three workhorses here are
                    congruence action V^T A V, valuations sorted ascending.
 
 cassels_move shuffles a unit between two diagonal entries of equal
-valuation without leaving the congruence class.
+valuation without leaving the congruence class, and Span answers every
+"does span N lie in span M" question.
 """
 
 from __future__ import annotations
@@ -217,10 +218,7 @@ class Mat:
 
     def inverse_times(self, other):
         """self^{-1} * other, exactly, over Q_p."""
-        d = self.det()
-        if d.is_zero():
-            raise Degenerate("matrix is singular")
-        return (self.adjugate() * other).scale(d.inv())
+        return Span(self).solve(other)
 
     def is_symmetric(self):
         return all(
@@ -343,11 +341,42 @@ def hnf_columns(M):
     return Mat(ctx, result).transpose(), rank
 
 
+class Span:
+    """The column span of a square, full-rank M: one det and one adjugate.
+
+    coordinates(N) is the one membership test: it solves M^{-1} N exactly,
+    guards d_max = v(det M) - min v(adj M), the largest elementary divisor
+    of M (p^(d_max + 1) Z_p^n lies in span M), and reads integrality.  Why
+    this guard: PadicScalar.__add__ makes a sum the exact zero only after
+    it cancelled through half the window, so on integral operands a misread
+    zero has valuation >= precision/2 > d_max, and an error inside span M
+    cannot move a vector in or out of it.  d_max bounds every Hermite pivot.
+    """
+
+    __slots__ = ("adj", "d_inv", "d_max")
+
+    def __init__(self, M):
+        d = M.det()
+        if d.is_zero():
+            raise Degenerate("matrix is singular")
+        self.adj = M.adjugate()
+        self.d_inv = d.inv()
+        self.d_max = d.valuation() - min(x.valuation() for row in self.adj.data for x in row)
+
+    def solve(self, N):
+        """M^{-1} N, exactly, over Q_p; no membership is decided."""
+        return (self.adj * N).scale(self.d_inv)
+
+    def coordinates(self, N):
+        """M^{-1} N when every column of N lies in span M, else None."""
+        X = self.solve(N)
+        self.adj.ctx.guard_decidable(self.d_max)
+        return X if X.is_integral() else None
+
+
 def lattice_contains(M, N):
-    """Column span of M contains column span of N (both integral)."""
-    H, _ = hnf_columns(M)
-    HN, _ = hnf_columns(M.hstack(N))
-    return H == HN
+    """Column span of the full-rank M contains column span of N."""
+    return Span(M).coordinates(N) is not None
 
 
 def lattice_eq(M, N):

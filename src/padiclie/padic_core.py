@@ -32,16 +32,35 @@ from .errors import (
 INF = math.inf
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981  # least strong pseudoprime to them all
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Trial division by _SMALL_PRIMES, then Miller-Rabin on them as bases,
+    deterministic below PRIME_BOUND (Sorenson and Webster, 2015; OEIS
+    A014233).  InvalidParameters at or above PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise InvalidParameters(f"primes must be below {PRIME_BOUND}")
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            return n > 1
+        if n % q == 0:
             return False
-        d += 2
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -98,7 +117,7 @@ def sqrt_unit(u, p, prec):
 
 
 class PrimeContext:
-    """Fixes the odd prime p and the working precision window.
+    """Fixes the odd prime p < PRIME_BOUND and the working precision window.
 
     rho is the smallest positive non-residue mod p and delta is the square
     class of -1, i.e. delta = (p-1)/2 mod 2.

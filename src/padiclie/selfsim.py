@@ -45,13 +45,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .lattice import Algebra, change_of_basis, index_exponent, induced_algebra, is_ideal
-from .normal_forms import (
-    Mat,
-    cassels_move,
-    hnf_columns,
-    kernel_basis,
-    lattice_contains,
-)
+from .normal_forms import Mat, Span, cassels_move, hnf_columns, kernel_basis, lattice_contains
 from .padic_core import INF
 from .subalgebras import all_symbols, enumerate_sublattices, key_identity_check, nss_condition
 
@@ -92,43 +86,26 @@ class VirtualEndomorphism:
     def index_exponent(self):
         return index_exponent(self.domain)
 
-    def apply(self, x):
-        """Image of an ambient vector lying in M."""
-        c = self.domain.inverse_times(Mat(self.ambient.ctx, [[t] for t in x]))
-        if not c.is_integral():
-            raise InvalidParameters("vector is not in the domain")
-        img = self.phi * c
-        return tuple(img[i, 0] for i in range(3))
-
 
 def is_morphism(ve):
-    """Check phi[x, y] = [phi x, phi y] on the domain basis pairs.
+    """Check phi[x, y] = [phi x, phi y] on the domain basis pairs; raises
+    NotSubalgebra when the domain is not closed under the bracket."""
+    return _bracket_law(ve.ambient.bracket, ve.domain, ve.phi)
 
-    Raises NotSubalgebra when the domain is not closed under the bracket.
-    """
-    alg = ve.ambient
-    ctx = alg.ctx
-    # one det and adjugate of the domain serve both change_of_basis's
-    # formula, det(U) U^{-1} A U^{-T}, and the three solves U^{-1} [x, y]
-    d = ve.domain.det()
-    if d.is_zero():
-        raise Degenerate("basis-change matrix is singular")
-    adj = ve.domain.adjugate()
-    d_inv = d.inv()
-    B = (adj * alg.matrix * adj.transpose()).scale(d_inv)
-    if not B.is_integral():
+
+def _bracket_law(bracket, domain, phi):
+    """is_morphism for a bracket, domain and phi of any size.  One solve
+    of the brackets [u_i, u_j] (i < j) of the domain basis decides closure
+    and gives the coordinates that phi maps; in dimension 3 those are the
+    columns of det(U) U^{-1} A U^{-T} up to sign and order."""
+    pairs = [(i, j) for j in range(domain.ncols) for i in range(j)]
+    dom, im = domain.cols(), phi.cols()
+    brackets = Mat(domain.ctx, list(zip(*(bracket(dom[i], dom[j]) for i, j in pairs))))
+    coords = Span(domain).coordinates(brackets)
+    if coords is None:
         raise NotSubalgebra("domain of a virtual endomorphism must be a subalgebra")
-    dom = [ve.domain.col(j) for j in range(3)]
-    im = [ve.phi.col(j) for j in range(3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            lhs_vec = alg.bracket(dom[i], dom[j])  # lies in M since M is closed
-            c = (adj * Mat(ctx, [[t] for t in lhs_vec])).scale(d_inv)
-            lhs = (ve.phi * c).col(0)
-            rhs = alg.bracket(im[i], im[j])
-            if any(a != b for a, b in zip(lhs, rhs)):
-                return False
-    return True
+    lhs = (phi * coords).cols()
+    return all(lhs[t] == bracket(im[i], im[j]) for t, (i, j) in enumerate(pairs))
 
 
 def _preimage_lattice(phi, S):
@@ -178,27 +155,22 @@ def regularity_check(ve, depth):
     condition for regularity to propagate.
     """
     chain = domain_chain(ve, depth + 1)
-    exps = []
-    escapes = []
-    for n in range(depth):
-        k0 = sum(x.valuation() for x in chain[n].diagonal_entries())
-        k1 = sum(x.valuation() for x in chain[n + 1].diagonal_entries())
-        exps.append(k1 - k0)
-        d_next = chain[n + 1]
-        c = ve.domain.inverse_times(d_next)
-        images = ve.phi * c
-        escapes.append(not lattice_contains(d_next, images))
+    vals = [sum(x.valuation() for x in D.diagonal_entries()) for D in chain]
+    exps = [b - a for a, b in zip(vals, vals[1 : depth + 1])]
+    in_domain = Span(ve.domain).solve
+    escapes = [not lattice_contains(D, ve.phi * in_domain(D)) for D in chain[1 : depth + 1]]
     return RegularityReport(all(e == 1 for e in exps), tuple(exps), tuple(escapes), tuple(chain))
 
 
 def _first_invariant_ideal(bracket, domain, phi, candidates):
     """The first candidate J that is an ideal, lies inside the domain M and
     satisfies phi(J) inside J; None when no candidate does."""
+    inside = Span(domain)
     for J in candidates:
         if not is_ideal(bracket, J):
             continue
-        c = domain.inverse_times(J)
-        if c.is_integral() and J.inverse_times(phi * c).is_integral():
+        c = inside.coordinates(J)
+        if c is not None and lattice_contains(J, phi * c):
             return J
     return None
 
@@ -322,6 +294,11 @@ def construct_simple_ve(alg):
     NotIndexPSelfSimilar when the canonical family forbids index p.
     """
     D, V = diagonalize_structure(alg)
+    return simple_ve_from_diagonal(alg, D, V)
+
+
+def simple_ve_from_diagonal(alg, D, V):
+    """construct_simple_ve given (D, V) = classify.diagonalize_structure(alg)."""
     cf = canonical_from_diagonal(D)
     if not decide_index_p(cf):
         raise NotIndexPSelfSimilar(
@@ -541,14 +518,7 @@ def lowdim_report(ctx, dim, k, s=None, bound=4):
     else:
         phi = Mat.from_ints(ctx, [[1, 0], [0, 1]])
     bracket = functools.partial(_dim2_bracket, ctx, s)
-    # morphism check on the only basis pair
-    lhs_vec = bracket(domain.col(0), domain.col(1))
-    c = domain.inverse_times(Mat(ctx, [[t] for t in lhs_vec]))
-    ok = c.is_integral()
-    if ok:
-        lhs = (phi * c).col(0)
-        rhs = bracket(phi.col(0), phi.col(1))
-        ok = all(a == b for a, b in zip(lhs, rhs))
+    ok = _bracket_law(bracket, domain, phi)
     # bounded invariant-ideal search over 2x2 Hermite forms
     candidates = (
         Mat.from_ints(ctx, [[p**a, h], [0, p ** (expo - a)]])

@@ -150,3 +150,67 @@ def laplace_adjugate(M):
             row.append(d if (i + j) % 2 == 0 else -d)
         rows.append(row)
     return type(M)(M.ctx, rows).transpose()
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to sqrt(n) (the package's original
+    test, kept as the reference for its Miller-Rabin replacement)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def p_valuation(x, p):
+    """v_p of a nonzero integer."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def int_det(M):
+    """Determinant of a square integer matrix (list of rows), by expansion."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    return sum(
+        (-1) ** j * M[0][j] * int_det([row[:j] + row[j + 1:] for row in M[1:]])
+        for j in range(n)
+    )
+
+
+def int_adjugate(M):
+    """Adjugate of a square integer matrix: M * adj(M) = det(M) * I."""
+    n = len(M)
+    if n == 1:
+        return [[1]]
+    return [
+        [
+            (-1) ** (i + j) * int_det([row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def int_contains(M, N, p):
+    """Does the Z_p-span of the columns of the nonsingular integer matrix M
+    contain the columns of N?  Exactly: adj(M) N must vanish mod p^v(det M)."""
+    d = int_det(M)
+    if d == 0:
+        raise ValueError("M is singular")
+    v = p_valuation(d, p)
+    adj = int_adjugate(M)
+    return all(
+        sum(adj[i][t] * N[t][j] for t in range(len(N))) % p**v == 0
+        for i in range(len(M))
+        for j in range(len(N[0]))
+    )

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from padiclie import lattice
-from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement
+from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement, PrecisionLoss
 from padiclie.lattice import (
     Algebra,
     change_of_basis,
@@ -22,7 +22,8 @@ from padiclie.lattice import (
 from padiclie.normal_forms import Mat, hnf_columns, lattice_eq, parse_matrix
 from padiclie.padic_core import INF, PrimeContext
 
-from oracles import bracket_direct, jacobiator_direct, span_membership
+from oracles import bracket_direct, int_contains, jacobiator_direct, span_membership
+from test_normal_forms import containment_case, int_unimodular
 
 
 def random_int_matrix(rng, ctx, span=20):
@@ -226,6 +227,36 @@ def test_is_ideal_against_integer_membership():
                 assert is_ideal(alg.bracket, Mat.from_ints(ctx, rows)) == expect
                 found += expect
         assert 0 < found < 1354
+
+
+def test_is_ideal_against_integer_oracle():
+    """Random J = V1 diag(p^a, p^b, p^c) V2, and J = p^a V (always an
+    ideal), at precision 8, 10 and 12: every answer matches exact integer
+    brackets and containment."""
+    rng = random.Random(22)
+    answers = {True: 0, False: 0}
+    for p in (3, 5):
+        structures = ([[1, 0, 0], [0, p, 0], [0, 0, -p]], [[2, 1, 0], [1, p, p], [0, p, p * p]])
+        for precision in (8, 10, 12):
+            ctx = PrimeContext(p, precision)
+            for t in range(100):
+                A = structures[t % 2]
+                if t % 4 >= 2:
+                    a = rng.randrange(0, 5)
+                    J = [[p**a * x for x in row] for row in int_unimodular(rng, p)]
+                else:
+                    J, _ = containment_case(rng, p)
+                cols = list(zip(*J))
+                e = [[int(i == j) for j in range(3)] for i in range(3)]
+                images = [bracket_direct(A, x, c) for x in e for c in cols]
+                expect = int_contains(J, [list(r) for r in zip(*images)], p)
+                try:
+                    got = is_ideal(Algebra(Mat.from_ints(ctx, A)).bracket, Mat.from_ints(ctx, J))
+                except (PrecisionLoss, Degenerate):
+                    continue
+                assert got == expect, (p, precision, A, J)
+                answers[got] += 1
+    assert answers[True] > 20 and answers[False] > 20
 
 
 def test_is_ideal_takes_one_det_and_adjugate(monkeypatch):

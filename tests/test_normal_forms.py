@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from padiclie import normal_forms
 from padiclie.errors import Degenerate, PrecisionLoss
 from padiclie.normal_forms import (
     Mat,
@@ -20,7 +21,15 @@ from padiclie.normal_forms import (
 )
 from padiclie.padic_core import INF, PrimeContext
 
-from oracles import laplace_adjugate, laplace_det, membership_mod, solve_two_square_classes
+from oracles import (
+    int_contains,
+    int_det,
+    laplace_adjugate,
+    laplace_det,
+    membership_mod,
+    p_valuation,
+    solve_two_square_classes,
+)
 
 
 def random_int_matrix(rng, ctx, span=30, n=3):
@@ -292,3 +301,92 @@ def test_hnf_rejects_padding_rank_loss():
     M = Mat.from_ints(ctx, [[1, 2, 3], [2, 4, 6], [0, 0, 0]])
     H, rank = hnf_columns(M)
     assert rank == 1
+
+
+def _int_matmul(X, Y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def int_unimodular(rng, p):
+    while True:
+        V = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(3)]
+        if int_det(V) % p != 0:
+            return V
+
+
+def containment_case(rng, p):
+    """M = V1 diag(p^a, p^b, p^c) V2 with V1, V2 invertible over Z_p, and
+    N = M X + p^k E, so N lies in span M exactly when p^k E does."""
+    exps = [rng.randrange(0, 8) for _ in range(3)]
+    D = [[p**exps[i] if i == j else 0 for j in range(3)] for i in range(3)]
+    M = _int_matmul(_int_matmul(int_unimodular(rng, p), D), int_unimodular(rng, p))
+    X = [[rng.randrange(-20, 21) for _ in range(3)] for _ in range(3)]
+    k = rng.randrange(0, 9)
+    E = [[rng.randrange(-3, 4) for _ in range(3)] for _ in range(3)]
+    N = [[x + p**k * e for x, e in zip(r1, r2)] for r1, r2 in zip(_int_matmul(M, X), E)]
+    return M, N
+
+
+def test_lattice_contains_against_integer_oracle():
+    """Every answer matches exact integers; the refusals are PrecisionLoss,
+    or Degenerate when det M has valuation >= precision/2 and so cancels to
+    zero in the window."""
+    rng = random.Random(21)
+    answers = {True: 0, False: 0}
+    for p in (3, 5):
+        for precision in (8, 10, 12):
+            ctx = PrimeContext(p, precision)
+            for _ in range(200):
+                M, N = containment_case(rng, p)
+                try:
+                    got = lattice_contains(Mat.from_ints(ctx, M), Mat.from_ints(ctx, N))
+                except PrecisionLoss:
+                    continue
+                except Degenerate:
+                    assert 2 * p_valuation(int_det(M), p) >= precision
+                    continue
+                assert got == int_contains(M, N, p), (p, precision, M, N)
+                answers[got] += 1
+    assert answers[True] > 50 and answers[False] > 50
+
+
+@pytest.mark.parametrize(
+    "p, precision, M, N",
+    [
+        (
+            3, 8,
+            "26244,-65610,-56862;-26240,26240,43737;13138,-19699,-24069",
+            "2187,831060,-240570;-107142,-594799,247100;48198,358928,-96352",
+        ),
+        (
+            5, 12,
+            "29296875,39156254,-19578121;-117187500,-156187492,78093758;"
+            "29296875,39062512,-19531238",
+            "-87468786,-57562476,-235718726;353015553,233500048,938296923;"
+            "-86718858,-58203053,-233984303",
+        ),
+    ],
+)
+def test_lattice_contains_refuses_where_the_bare_solve_is_wrong(p, precision, M, N):
+    """The unguarded solve M^{-1} N reads integrality wrongly on these; the
+    guard on the largest elementary divisor refuses them."""
+    ctx = PrimeContext(p, precision)
+    rows = lambda text: [[int(x) for x in row.split(",")] for row in text.split(";")]
+    truth = int_contains(rows(M), rows(N), p)
+    M, N = parse_matrix(M, ctx), parse_matrix(N, ctx)
+    assert M.inverse_times(N).is_integral() != truth
+    with pytest.raises(PrecisionLoss):
+        lattice_contains(M, N)
+
+
+def test_lattice_contains_runs_no_hermite_form(monkeypatch):
+    calls = []
+    orig = normal_forms.hnf_columns
+    monkeypatch.setattr(normal_forms, "hnf_columns", lambda M: calls.append(M) or orig(M))
+    ctx = PrimeContext(5)
+    M = parse_matrix("5,1,0;0,1,0;0,0,25", ctx)
+    assert lattice_contains(M, M.shift(1))
+    assert not lattice_contains(M.shift(1), M)
+    assert calls == []
+    with pytest.raises(Degenerate):
+        lattice_contains(Mat.from_ints(ctx, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]), M)

@@ -2,20 +2,23 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from padiclie.errors import InvalidParameters, PrecisionLoss, UnsupportedPrime
 from padiclie.padic_core import (
     INF,
+    PRIME_BOUND,
     PadicScalar,
     PrimeContext,
+    _is_prime,
     hilbert_additive,
     legendre_class,
     parse_scalar,
 )
 
-from oracles import inverse_mod, least_nonresidue, legendre_symbol
+from oracles import inverse_mod, least_nonresidue, legendre_symbol, trial_division_is_prime
 
 
 def test_context_validation():
@@ -25,6 +28,26 @@ def test_context_validation():
         PrimeContext(9)
     with pytest.raises(InvalidParameters):
         PrimeContext(5, precision=4)
+
+
+def test_primality_matches_trial_division():
+    assert all(_is_prime(n) == trial_division_is_prime(n) for n in range(-3, 10**5))
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2 .. 37
+    assert not _is_prime(3215031751)
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(10**14 + 31)
+
+
+def test_huge_prime_context_is_fast_and_bounded():
+    start = time.perf_counter()
+    ctx = PrimeContext(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert ctx.p == 2**61 - 1
+    with pytest.raises(InvalidParameters, match="below"):
+        PrimeContext(PRIME_BOUND + 2)
 
 
 def test_rho_and_delta():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from padiclie import cli, normal_forms, selfsim
+from padiclie import classify, cli, normal_forms, selfsim
 from padiclie.catalog import group_report
 from padiclie.classify import CanonicalForm, canonical_form, eta
 from padiclie.errors import (
@@ -374,6 +374,29 @@ def test_one_diagonalization_per_report_command(monkeypatch, capsys):
         assert cli.main(["report", "--prime", "5", "--matrix", matrix]) == 0
         assert len(diagonalizations) == 1
     capsys.readouterr()
+
+
+def test_selfsim_command_diagonalizes_once_and_computes_eta_once(monkeypatch, capsys):
+    diagonalizations = _counted(monkeypatch, normal_forms, "congruent_diagonalize")
+    etas = _counted(monkeypatch, classify, "eta")
+    assert cli.main(["selfsim", "--prime", "3", "--matrix", "1,0,0;0,3,0;0,0,-3"]) == 0
+    assert "certificate" in capsys.readouterr().out
+    assert (len(diagonalizations), len(etas)) == (1, 1)
+
+
+def test_regularity_check_adds_no_hermite_form_to_the_chain(monkeypatch):
+    """The escape test is a membership solve: regularity_check(ve, d) runs
+    exactly the Hermite forms of domain_chain(ve, d + 1)."""
+    ctx = PrimeContext(3)
+    ve = construct_simple_ve(Algebra(parse_matrix("1,0,0;0,3,0;0,0,-3", ctx)))
+    hnfs = _counted(monkeypatch, normal_forms, "hnf_columns")
+    for depth in (0, 1, 3):
+        del hnfs[:]
+        domain_chain(ve, depth + 1)
+        in_chain = len(hnfs)
+        del hnfs[:]
+        assert regularity_check(ve, depth).regular
+        assert len(hnfs) == in_chain
 
 
 def test_endo_chain_builds_the_chain_once(monkeypatch, capsys):
