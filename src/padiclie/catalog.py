@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import QpType, canonical_form, qp_type_of_eta
+from .classify import CanonicalForm, QpType, canonical_form, qp_type_of_eta
 from .errors import InvalidParameters, NotAnIdeal
 from .lattice import (
     Algebra,
@@ -91,21 +91,21 @@ def _need(cond, msg):
 
 
 def _canonical_named(ctx, name, s, eps):
-    p, rho = ctx.p, ctx.rho
+    """The literal canonical representative L1-L4, written by CanonicalForm."""
     eps = eps or (0, 0)
     if name == "L1":
         _need(s is not None and len(s) == 3 and 0 <= s[0] < s[1] < s[2], "L1 needs 0 <= s0 < s1 < s2")
-        d = [p ** s[0], rho ** eps[0] * p ** s[1], rho ** eps[1] * p ** s[2]]
+        cf = CanonicalForm(1, tuple(s), tuple(eps), ctx.p, ctx)
     elif name == "L2":
         _need(s is not None and len(s) == 2 and 0 <= s[0] < s[1], "L2 needs 0 <= s0 < s2")
-        d = [p ** s[0], -(rho ** eps[0]) * p ** s[0], p ** s[1]]
+        cf = CanonicalForm(2, (s[0], s[0], s[1]), (eps[0], None), ctx.p, ctx)
     elif name == "L3":
         _need(s is not None and len(s) == 2 and 0 <= s[0] < s[1], "L3 needs 0 <= s0 < s1")
-        d = [p ** s[0], p ** s[1], -(rho ** eps[1]) * p ** s[1]]
+        cf = CanonicalForm(3, (s[0], s[1], s[1]), (None, eps[1]), ctx.p, ctx)
     else:
         _need(s is not None and len(s) >= 1 and s[0] >= 0, "L4 needs s0 >= 0")
-        d = [p ** s[0]] * 3
-    return Mat.diagonal(ctx, [ctx.from_int(t) for t in d])
+        cf = CanonicalForm(4, (s[0],) * 3, (None, None), ctx.p, ctx)
+    return cf.matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,7 @@ def group_report(alg):
     not raised.
     """
     cf = canonical_form(alg)
-    ctx = alg.ctx
-    report = sigma_bounds(cf, ctx)
+    report = sigma_bounds(cf)
     resnil = residually_nilpotent(cf.s)
     failing = None if resnil else sorted(cf.s)[1]
     s0, s1, s2 = cf.s
@@ -198,7 +197,7 @@ def group_report(alg):
         residually_nilpotent=resnil,
         failing_s=failing,
         prime_threshold=threshold,
-        threshold_met=ctx.p >= threshold,
+        threshold_met=cf.p >= threshold,
         qp_type=ty.value,
         index_p_self_similar=report.index_p_self_similar,
         sigma_lower=report.sigma_lower,

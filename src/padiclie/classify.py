@@ -19,7 +19,7 @@ against a closed formula in the diagonal data) which must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import Degenerate, InvalidParameters, NotLie, PathDisagreement
@@ -35,12 +35,17 @@ class QpType(Enum):
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Complete isomorphism invariant: (family, s, eps) at a fixed prime."""
+    """Complete isomorphism invariant: (family, s, eps) at a fixed prime.
+
+    ctx, the window the form was read in (PrimeContext(p) when omitted),
+    serves every value derived from the form and takes no part in equality.
+    """
 
     family: int
     s: tuple
     eps: tuple
     p: int
+    ctx: PrimeContext = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         s0, s1, s2 = self.s
@@ -57,10 +62,13 @@ class CanonicalForm:
         for e in self.eps:
             if e not in (None, 0, 1):
                 raise InvalidParameters("eps entries must be 0, 1, or absent")
+        object.__setattr__(self, "ctx", self.ctx or PrimeContext(self.p))
+        if self.ctx.p != self.p:
+            raise InvalidParameters(f"context over p = {self.ctx.p} for a form at p = {self.p}")
 
-    def matrix(self, ctx=None):
-        """The canonical structure matrix as a Mat."""
-        ctx = ctx or PrimeContext(self.p)
+    def matrix(self):
+        """The canonical structure matrix as a Mat in the form's window."""
+        ctx = self.ctx
         p, rho = ctx.p, ctx.rho
         s0, s1, s2 = self.s
         e1, e2 = self.eps
@@ -74,8 +82,8 @@ class CanonicalForm:
             diag = [p**s0, p**s0, p**s0]
         return Mat.diagonal(ctx, [ctx.from_int(x) for x in diag])
 
-    def algebra(self, ctx=None):
-        return Algebra(self.matrix(ctx))
+    def algebra(self):
+        return Algebra(self.matrix())
 
 
 def diagonalize_structure(alg):
@@ -111,7 +119,7 @@ def canonical_from_diagonal(D):
         family, eps = 3, (None, (delta + chi[1] + chi[2]) % 2)
     else:
         family, eps = 4, (None, None)
-    return CanonicalForm(family, (s0, s1, s2), eps, ctx.p)
+    return CanonicalForm(family, (s0, s1, s2), eps, ctx.p, ctx)
 
 
 def canonical_form(alg):
@@ -191,6 +199,8 @@ def eta(A):
     if isinstance(A, Algebra):
         A = A.matrix
     ctx = A.ctx
+    if A.nrows == A.ncols != 3:
+        raise InvalidParameters("eta needs a 3x3 matrix")
     if A.nrows == A.ncols and A.is_diagonal():
         entries = _diagonal_pivots(A)
     else:

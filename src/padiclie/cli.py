@@ -42,8 +42,16 @@ def _algebra(args, ctx):
     return Algebra(parse_matrix(args.matrix, ctx))
 
 
+def _int(text, option):
+    """An integer in an option value; InvalidInput names the option."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInput(f"{option} takes integers, got {text!r}") from None
+
+
 def _named(args, ctx):
-    s = tuple(int(t) for t in args.s.split(",")) if getattr(args, "s", None) else None
+    s = tuple(_int(t, "--s") for t in args.s.split(",")) if getattr(args, "s", None) else None
     eps = (args.eps1 or 0, args.eps2 or 0)
     return catalog.named_algebra(
         ctx, args.name, k=getattr(args, "k", None), s=s, eps=eps, n=getattr(args, "n", None)
@@ -54,14 +62,14 @@ def _mat_json(M):
     return M.to_rows()
 
 
-def _cf_json(cf, ctx, eta_value):
+def _cf_json(cf, eta_value):
     return {
         "family": cf.family,
         "s": list(cf.s),
         "eps": list(cf.eps),
         "eta": eta_value,
         "qp_type": classify.qp_type_of_eta(eta_value).value,
-        "canonical_matrix": _mat_json(cf.matrix(ctx)),
+        "canonical_matrix": _mat_json(cf.matrix()),
     }
 
 
@@ -82,7 +90,7 @@ def cmd_classify(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
     cf = classify.canonical_form(alg)
-    return _cf_json(cf, ctx, classify.eta(cf.matrix(ctx)).eta)
+    return _cf_json(cf, classify.eta(cf.matrix()).eta)
 
 
 def cmd_eta(args):
@@ -102,8 +110,8 @@ def cmd_selfsim(args):
     alg = _algebra(args, ctx)
     D, V = classify.diagonalize_structure(alg)  # for the form and the certificate
     cf = classify.canonical_from_diagonal(D)
-    report = selfsim.sigma_bounds(cf, ctx)
-    out = {"canonical": _cf_json(cf, ctx, report.eta), "selfsim": _sigma_json(report)}
+    report = selfsim.sigma_bounds(cf)
+    out = {"canonical": _cf_json(cf, report.eta), "selfsim": _sigma_json(report)}
     if report.index_p_self_similar:
         ve = selfsim.simple_ve_from_diagonal(alg, D, V)
         out["certificate"] = {
@@ -173,6 +181,8 @@ def cmd_endo(args):
 def cmd_lcs(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
+    if args.depth < 0:
+        raise InvalidInput("--depth must be >= 0")
     cf = classify.canonical_form(alg)
     terms = []
     for n in range(1, args.depth + 1):
@@ -184,8 +194,9 @@ def cmd_lcs(args):
 def cmd_named(args):
     ctx = _context(args)
     if args.name in ("dim1", "dim2"):
-        s = None if args.s in (None, "inf") else int(args.s)
-        rep = selfsim.lowdim_report(ctx, 1 if args.name == "dim1" else 2, args.k or 1, s)
+        s = None if args.s in (None, "inf") else _int(args.s, "--s")
+        k = 1 if args.k is None else args.k
+        rep = selfsim.lowdim_report(ctx, 1 if args.name == "dim1" else 2, k, s)
         return {
             "dim": rep.dim,
             "s": _val_json(rep.s) if rep.s is not None else None,
@@ -198,22 +209,21 @@ def cmd_named(args):
         }
     alg = _named(args, ctx)
     cf = classify.canonical_form(alg)
-    report = selfsim.sigma_bounds(cf, ctx)
+    report = selfsim.sigma_bounds(cf)
     return {
         "name": args.name,
         "matrix": _mat_json(alg.matrix),
-        "canonical": _cf_json(cf, ctx, report.eta),
+        "canonical": _cf_json(cf, report.eta),
         "selfsim": _sigma_json(report),
         "conjectured": report.sigma_upper == selfsim.CONJECTURED_INFINITE,
     }
 
 
 def cmd_report(args):
-    ctx = _context(args)
-    alg = _algebra(args, ctx)
+    alg = _algebra(args, _context(args))
     gr = catalog.group_report(alg)
     out = {
-        "canonical": _cf_json(gr.selfsim.canonical, ctx, gr.selfsim.eta),
+        "canonical": _cf_json(gr.selfsim.canonical, gr.selfsim.eta),
         "selfsim": _sigma_json(gr.selfsim),
         "group": {
             "name": gr.group_name,
@@ -294,50 +304,42 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, matrix=True):
-        sp.add_argument("--prime", type=int, required=True)
-        sp.add_argument("--precision", type=int, default=32)
-        sp.add_argument("--pretty", action="store_true")
-        if matrix:
-            sp.add_argument("--matrix")
-            sp.add_argument("--name")
-            sp.add_argument("--k", type=int)
-            sp.add_argument("--n", type=int)
-            sp.add_argument("--s")
-            sp.add_argument("--eps1", type=int)
-            sp.add_argument("--eps2", type=int)
-        return sp
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--prime", type=int, required=True)
+    shared.add_argument("--precision", type=int, default=32)
+    shared.add_argument("--pretty", action="store_true")
+    matrix_or_name = argparse.ArgumentParser(add_help=False)
+    matrix_or_name.add_argument("--matrix")
+    matrix_or_name.add_argument("--name")
+    catalog_options = argparse.ArgumentParser(add_help=False)
+    catalog_options.add_argument("--k", type=int)
+    catalog_options.add_argument("--n", type=int)
+    catalog_options.add_argument("--s")
+    catalog_options.add_argument("--eps1", type=int)
+    catalog_options.add_argument("--eps2", type=int)
+    lattice = [shared, matrix_or_name, catalog_options]  # one lattice, by --matrix or --name
 
-    common(sub.add_parser("classify", help="canonical form of a lattice"))
-    p_eta = common(sub.add_parser("eta", help="eta invariant of a symmetric matrix"), matrix=False)
+    sub.add_parser("classify", parents=lattice, help="canonical form of a lattice")
+    p_eta = sub.add_parser("eta", parents=[shared], help="eta invariant of a symmetric matrix")
     p_eta.add_argument("--matrix", required=True)
-    common(sub.add_parser("selfsim", help="self-similarity report with certificate"))
-    common(sub.add_parser("subalgebras", help="index-p submodule reports"))
-    p_endo = common(sub.add_parser("endo", help="virtual endomorphism tools"))
+    sub.add_parser("selfsim", parents=lattice, help="self-similarity report with certificate")
+    sub.add_parser("subalgebras", parents=lattice, help="index-p submodule reports")
+    p_endo = sub.add_parser("endo", parents=lattice, help="virtual endomorphism tools")
     p_endo.add_argument("action", choices=["check", "chain", "search"])
     p_endo.add_argument("--domain", required=True)
     p_endo.add_argument("--phi", required=True)
     p_endo.add_argument("--depth", type=int, default=8)
     p_endo.add_argument("--search-bound", type=int, default=6)
-    p_lcs = common(sub.add_parser("lcs", help="lower central series exponents"))
+    p_lcs = sub.add_parser("lcs", parents=lattice, help="lower central series exponents")
     p_lcs.add_argument("--depth", type=int, default=8)
-    p_named = sub.add_parser("named", help="catalog lattice and its canonical data")
+    p_named = sub.add_parser(
+        "named", parents=[shared, catalog_options], help="catalog lattice and its canonical data"
+    )
     p_named.add_argument("name")
-    p_named.add_argument("--prime", type=int, required=True)
-    p_named.add_argument("--precision", type=int, default=32)
-    p_named.add_argument("--pretty", action="store_true")
-    p_named.add_argument("--k", type=int)
-    p_named.add_argument("--n", type=int)
-    p_named.add_argument("--s")
-    p_named.add_argument("--eps1", type=int)
-    p_named.add_argument("--eps2", type=int)
-    common(sub.add_parser("report", help="full lattice-and-group report"))
-    p_self = sub.add_parser("selftest", help="randomized invariants on a seed")
-    p_self.add_argument("--prime", type=int, required=True)
-    p_self.add_argument("--precision", type=int, default=32)
+    sub.add_parser("report", parents=lattice, help="full lattice-and-group report")
+    p_self = sub.add_parser("selftest", parents=[shared], help="randomized invariants on a seed")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--trials", type=int, default=25)
-    p_self.add_argument("--pretty", action="store_true")
     return ap
 
 

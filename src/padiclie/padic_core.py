@@ -134,8 +134,6 @@ class PrimeContext:
         self.precision = precision
         self.modulus = p**precision
         # p**k for 0 <= k <= precision: the moduli of every scalar operation.
-        # Scalars built by from_unit may carry more digits; those fall back
-        # to p**k.
         self.p_powers = tuple(accumulate(repeat(p, precision), operator.mul, initial=1))
         self._zero = PadicScalar(self, INF, None, precision)
         self.delta = ((p - 1) // 2) % 2
@@ -185,13 +183,6 @@ class PrimeContext:
             vd += 1
         unit = num * pow(den, -1, self.modulus) % self.modulus
         return PadicScalar(self, vn - vd, unit, self.precision)
-
-    def from_unit(self, unit, val, prec=None):
-        """Scalar p^val * unit from a raw residue; unit must be coprime to p."""
-        prec = self.precision if prec is None else prec
-        if unit % self.p == 0:
-            raise InvalidParameters("unit residue divisible by p")
-        return PadicScalar(self, val, unit % self.p**prec, prec)
 
     def guard_decidable(self, val):
         """Classification decisions must stay well inside the window."""
@@ -255,7 +246,7 @@ class PadicScalar:
             raise ZeroInput("zero scalar has no unit part")
         if k > self.prec:
             raise PrecisionLoss(f"unit requested mod p^{k}, only {self.prec} digits held")
-        return self.unit % self.ctx.p**k
+        return self.unit % self.ctx.p_powers[k]
 
     def square_class(self):
         """0 if the unit part is a square mod p, else 1."""
@@ -284,7 +275,6 @@ class PadicScalar:
         ctx = a.ctx
         powers = ctx.p_powers
         d = b.val - a.val
-        # window <= ctx.precision, so every modulus below is in the table
         window = min(a.prec, d + b.prec, ctx.precision)
         if d < window:
             w = (a.unit + b.unit * powers[d]) % powers[window]
@@ -310,8 +300,7 @@ class PadicScalar:
         if self.val == INF:
             return self
         ctx, prec = self.ctx, self.prec
-        mod = ctx.p_powers[prec] if prec <= ctx.precision else ctx.p**prec
-        return PadicScalar(ctx, self.val, (-self.unit) % mod, prec)
+        return PadicScalar(ctx, self.val, (-self.unit) % ctx.p_powers[prec], prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -321,15 +310,14 @@ class PadicScalar:
         if self.val == INF or other.val == INF:
             return ctx._zero
         prec = self.prec if self.prec < other.prec else other.prec
-        mod = ctx.p_powers[prec] if prec <= ctx.precision else ctx.p**prec
+        mod = ctx.p_powers[prec]
         return PadicScalar(ctx, self.val + other.val, self.unit * other.unit % mod, prec)
 
     def inv(self):
         if self.val == INF:
             raise ZeroInverse("cannot invert zero")
         ctx, prec = self.ctx, self.prec
-        mod = ctx.p_powers[prec] if prec <= ctx.precision else ctx.p**prec
-        return PadicScalar(ctx, -self.val, pow(self.unit, -1, mod), prec)
+        return PadicScalar(ctx, -self.val, pow(self.unit, -1, ctx.p_powers[prec]), prec)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -362,8 +350,7 @@ class PadicScalar:
             return self.val == other.val
         if self.val != other.val:
             return False
-        k = self.prec if self.prec < other.prec else other.prec
-        mod = ctx.p_powers[k] if k <= ctx.precision else ctx.p**k
+        mod = ctx.p_powers[self.prec if self.prec < other.prec else other.prec]
         return self.unit % mod == other.unit % mod
 
     __hash__ = None
@@ -379,7 +366,7 @@ class PadicScalar:
     # -- printing ----------------------------------------------------------
 
     def _symmetric_unit(self):
-        mod = self.ctx.p**self.prec
+        mod = self.ctx.p_powers[self.prec]
         return self.unit - mod if self.unit > mod // 2 else self.unit
 
     def to_literal(self):

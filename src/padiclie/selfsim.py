@@ -82,6 +82,9 @@ class VirtualEndomorphism:
             raise Degenerate("domain must have full rank")
         if not self.domain.is_integral() or not self.phi.is_integral():
             raise InvalidParameters("domain and images must be integral")
+        n = self.ambient.matrix.nrows
+        if any(M.nrows != n or M.ncols != n for M in (self.domain, self.phi)):
+            raise InvalidParameters(f"domain and images must be {n}x{n}")
 
     def index_exponent(self):
         return index_exponent(self.domain)
@@ -154,6 +157,8 @@ def regularity_check(ve, depth):
     whether phi(D_{n+1}) is NOT contained in D_{n+1}, the sufficient
     condition for regularity to propagate.
     """
+    if depth < 0:
+        raise InvalidParameters("chain depth must be >= 0")
     chain = domain_chain(ve, depth + 1)
     vals = [sum(x.valuation() for x in D.diagonal_entries()) for D in chain]
     exps = [b - a for a, b in zip(vals, vals[1 : depth + 1])]
@@ -183,6 +188,8 @@ def invariant_ideal_search(ve, bound):
     over sublattices of D_bound only; proper sublattices of L are
     considered (index exponent >= 1), ordered by increasing index.
     """
+    if bound < 0:
+        raise InvalidParameters("search bound must be >= 0")
     alg = ve.ambient
     ctx = alg.ctx
     B = change_of_basis(alg, ve.domain)
@@ -387,7 +394,7 @@ def _table_row(cf):
     return 9, l + 1, (0, 0, l)
 
 
-def sigma_bounds(cf, ctx=None):
+def sigma_bounds(cf):
     """Bounds on sigma(L) for the canonical form, per the nine-row table.
 
     eta = 0: the form matches exactly one row; rows 1, 2, 4 have sigma = p
@@ -395,11 +402,8 @@ def sigma_bounds(cf, ctx=None):
     subalgebra M of the listed index with sigma(M) = p, giving
     sigma(L) <= p * [L : M].  eta = 1: sigma >= p^2 and the upper bound is
     conjecturally infinite (reported as a sentinel, never a number).
-
-    eta is read in ctx (default: the prime's default precision), so pass the
-    caller's context to keep its precision window.
     """
-    eta_value = eta(cf.matrix(ctx)).eta
+    eta_value = eta(cf.matrix()).eta
     yes = decide_index_p(cf)
     if eta_value == 1:
         return SelfSimReport(
@@ -442,17 +446,16 @@ def sigma_bounds(cf, ctx=None):
     )
 
 
-def witness_subalgebra(cf, ctx=None):
+def witness_subalgebra(cf):
     """The scaled-basis subalgebra certifying the table upper bound.
 
     Returns (U, induced_algebra) for rows with a witness; None for rows
-    whose sigma is exactly p.  ctx is the precision window, as in
-    sigma_bounds.
+    whose sigma is exactly p.
     """
-    report = sigma_bounds(cf, ctx)
+    report = sigma_bounds(cf)
     if report.witness_exponents is None:
         return None
-    alg = cf.algebra(ctx)
+    alg = cf.algebra()
     U = Mat.p_power_diagonal(alg.ctx, report.witness_exponents)
     return U, induced_algebra(alg, U)
 

@@ -228,25 +228,13 @@ def key_identity_check(alg, xi):
 
 
 def enumerate_index_p2(alg):
-    """Index-p^2 subalgebras via two Xi steps, deduplicated by Hermite form.
-
-    Every index-p^2 sublattice contains an index-p intermediate one, so the
-    composites U_xi1 * U_xi2 cover everything; non-subalgebra composites
-    are filtered out.  Returns {hnf_key: (U_hnf, B)}.
-    """
-    ctx = alg.ctx
+    """Index-p^2 subalgebras: the Hermite sublattices of index p^2 whose
+    change of basis is integral.  Returns {hnf_key: (H, B)}."""
     found = {}
-    for xi1 in all_symbols(ctx.p):
-        U1 = xi1.u_matrix(ctx)
-        for xi2 in all_symbols(ctx.p):
-            U = U1 * xi2.u_matrix(ctx)
-            H, _ = hnf_columns(U)
-            key = H.key()
-            if key in found:
-                continue
-            B = change_of_basis(alg, H)
-            if B.is_integral():
-                found[key] = (H, B)
+    for H in enumerate_sublattices(alg.ctx, 2):
+        B = change_of_basis(alg, H)
+        if B.is_integral():
+            found[H.key()] = (H, B)
     return found
 
 

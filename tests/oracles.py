@@ -104,6 +104,28 @@ def count_sublattices_exponent(p, k):
     return total
 
 
+def hermite_sublattices(p, k):
+    """Integer generator matrices (rows of a column-style HNF) of every
+    sublattice of Z_p^3 of index p^k, the ones count_sublattices_exponent
+    counts."""
+    for a in range(k + 1):
+        for b in range(k - a + 1):
+            c = k - a - b
+            for h01 in range(p**a):
+                for h02 in range(p**a):
+                    for h12 in range(p**b):
+                        yield ((p**a, h01, h02), (0, p**b, h12), (0, 0, p**c))
+
+
+def is_closed_direct(A, H, p, K):
+    """Is the column span of the integer matrix H closed under the bracket
+    A (x cross y)?  Each bracket of two columns is tested with
+    span_membership mod p^K, which needs K >= v_p(det H)."""
+    cols = [tuple(H[i][j] for i in range(3)) for j in range(3)]
+    member = span_membership(cols, p, K)
+    return all(member(bracket_direct(A, cols[i], cols[j])) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
 def solve_two_square_classes(c, d, t, p):
     """Some (x, y) mod p with c x^2 + d y^2 = t (mod p), x or y nonzero."""
     for x in range(p):

@@ -213,7 +213,7 @@ def test_criterion_03_named_lattice_table():
                     continue
                 cf = canonical_form(named_algebra(ctx, name, **kwargs))
                 want = Mat.diagonal(ctx, [ctx.from_int(t) for t in diag])
-                assert cf.matrix(ctx) == want, (p, name, kwargs)
+                assert cf.matrix() == want, (p, name, kwargs)
 
 
 def test_criterion_04_decision_coherence():
@@ -258,7 +258,7 @@ def test_criterion_06_sigma_table_rows_and_witnesses():
     for p in (3, 5):
         ctx = PrimeContext(p)
         for cf in all_forms(p, 6):
-            if eta(cf.matrix(ctx)).eta != 0:
+            if eta(cf.matrix()).eta != 0:
                 continue
             rows = matching_rows(cf)
             assert len(rows) == 1
@@ -350,7 +350,7 @@ def test_criterion_09_isomorphism_index_rigidity():
         cf = rng.choice(forms)
         V = random_unimodular(rng, ctx)
         u = ctx.from_int(rng.randrange(1, p))
-        alg = Algebra(((V.transpose() * cf.matrix(ctx)) * V).scale(u))
+        alg = Algebra(((V.transpose() * cf.matrix()) * V).scale(u))
         index_p = set()
         for report in enumerate_index_p(alg):
             if report.closed:

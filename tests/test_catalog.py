@@ -58,7 +58,7 @@ def test_named_canonical_matrix_table():
                     continue
                 alg = named_algebra(ctx, name, **kwargs)
                 cf = canonical_form(alg)
-                assert cf.matrix(ctx) == _expect_diag(ctx, diag), (name, kwargs)
+                assert cf.matrix() == _expect_diag(ctx, diag), (name, kwargs)
 
 
 def test_named_gamma_matches_literal_series():

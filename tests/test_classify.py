@@ -79,6 +79,15 @@ def test_canonical_form_validation():
         CanonicalForm(1, (0, 1, 2), (0, 2), 5)
 
 
+def test_canonical_form_context_must_match_the_prime():
+    with pytest.raises(InvalidParameters):
+        CanonicalForm(4, (0, 0, 0), (None, None), 3, PrimeContext(5))
+    ctx = PrimeContext(3, 40)
+    cf = CanonicalForm(4, (0, 0, 0), (None, None), 3, ctx)
+    assert cf.matrix().ctx is ctx
+    assert CanonicalForm(4, (0, 0, 0), (None, None), 3).ctx == PrimeContext(3)
+
+
 def test_round_trip_all_families():
     """Every canonical matrix re-classifies to its own invariant data."""
     for p in (3, 5, 7):

@@ -4,6 +4,9 @@ import json
 import pathlib
 import shlex
 
+import pytest
+
+from padiclie import errors
 from padiclie.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -281,3 +284,33 @@ def test_leading_minus_matrix_values(capsys):
     assert code == 0
     spaced = run(capsys, "endo", "check", *tail, "--domain", domain, "--phi", phi)
     assert spaced == (0, joined, None)
+
+
+ENDO = ["--prime", "3", "--matrix", "1,0,0;0,3,0;0,0,-3"]
+CERT = ["--domain", "1,0,0;0,3,1;0,0,1", "--phi", "1,0,0;0,5,3;0,4,3"]
+SMALL = ["--domain", "1,0;0,3", "--phi", "1,0;0,1"]
+
+
+MALFORMED = {
+    "L1-s-not-integers": ["named", "L1", "--prime", "3", "--s", "a,b,c"],
+    "dim2-s-not-an-integer": ["named", "dim2", "--prime", "3", "--s", "abc"],
+    "dim1-k-0": ["named", "dim1", "--prime", "3", "--k", "0"],
+    "dim2-k-0": ["named", "dim2", "--prime", "3", "--k", "0"],
+    "L1-eps1-minus-1": ["named", "L1", "--prime", "3", "--s", "0,1,2", "--eps1", "-1"],
+    "L1-eps1-2": ["named", "L1", "--prime", "3", "--s", "0,1,2", "--eps1", "2"],
+    "L3-eps2-2": ["named", "L3", "--prime", "3", "--s", "0,1", "--eps2", "2"],
+    "eta-2x2": ["eta", "--prime", "3", "--matrix=1,0;0,3"],
+    "eta-4x4": ["eta", "--prime", "3", "--matrix=1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,1"],
+    "endo-check-2x2": ["endo", "check", *ENDO, *SMALL],
+    "endo-chain-2x2": ["endo", "chain", *ENDO, *SMALL],
+    "endo-chain-depth-minus-1": ["endo", "chain", *ENDO, *CERT, "--depth", "-1"],
+    "endo-search-bound-minus-1": ["endo", "search", *ENDO, *CERT, "--search-bound", "-1"],
+    "lcs-depth-minus-1": ["lcs", *ENDO, "--depth", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2_with_a_typed_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out is None
+    assert issubclass(getattr(errors, err["error"]), errors.InvalidInput), err

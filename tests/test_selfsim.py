@@ -228,13 +228,24 @@ def test_witness_subalgebra_keeps_the_callers_precision():
     """A valuation-20 entry needs more than the default 32 digits."""
     ctx = PrimeContext(3, 80)
     cf = canonical_form(Algebra(parse_matrix("1,0,0;0,1*p^1,0;0,0,1*p^20", ctx)))
-    assert witness_subalgebra(cf, ctx) is None  # eta = 1: no witness row
-    with pytest.raises(PrecisionLoss):
-        witness_subalgebra(cf)
+    assert witness_subalgebra(cf) is None  # eta = 1: no witness row
     cf = canonical_form(Algebra(parse_matrix("1,0,0;0,1*p^2,0;0,0,1*p^20", ctx)))
-    U, sub = witness_subalgebra(cf, ctx)
+    U, sub = witness_subalgebra(cf)
     assert sub.ctx is ctx
-    assert index_exponent(U) == sigma_bounds(cf, ctx).sigma_upper - 1
+    assert index_exponent(U) == sigma_bounds(cf).sigma_upper - 1
+
+
+def test_canonical_form_carries_its_window():
+    """Everything derived from a form read at precision 80 stays at 80."""
+    literal = "1,0,0;0,1*p^2,0;0,0,1*p^20"
+    alg = Algebra(parse_matrix(literal, PrimeContext(3, 80)))
+    cf = canonical_form(alg)
+    assert sigma_bounds(cf).sigma_upper == 12  # row 6: (2 + 20) / 2 + 1
+    assert cf.matrix().ctx is alg.ctx
+    assert witness_subalgebra(cf)[1].ctx is alg.ctx
+    at_64 = canonical_form(Algebra(parse_matrix(literal, PrimeContext(3, 64))))
+    assert cf == at_64 and hash(cf) == hash(at_64) and repr(cf) == repr(at_64)
+    assert cf == CanonicalForm(cf.family, cf.s, cf.eps, 3)
 
 
 def _small_eta0_forms(p, smax):
@@ -320,7 +331,7 @@ def test_random_decide_yes_always_certified():
                 cf = CanonicalForm(3, (s0, s2, s2), (None, 0), p)
             else:
                 cf = CanonicalForm(4, (s0, s0, s0), (None, None), p)
-            alg = cf.algebra(ctx)
+            alg = cf.algebra()
             ve = construct_simple_ve(alg)
             assert is_morphism(ve)
             assert ve.index_exponent() == 1

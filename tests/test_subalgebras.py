@@ -28,7 +28,7 @@ from padiclie.subalgebras import (
     sub_s_invariants,
 )
 
-from oracles import count_sublattices_exponent
+from oracles import count_sublattices_exponent, hermite_sublattices, is_closed_direct
 
 
 def test_symbol_count_and_classes():
@@ -262,3 +262,24 @@ def test_index_p2_on_sylow_lattice():
     for H, B in found.values():
         assert B.is_integral()
         assert H.det().valuation() == 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 0, 0], [0, 3, 0], [0, 0, -3]], [[3, 3, 0], [3, 0, 9], [0, 9, 9]]],
+    ids=["diagonal", "non-diagonal"],
+)
+def test_index_p2_matches_integer_closure_oracle(rows):
+    """Every index-p^2 sublattice at p = 3 is found iff the integer oracle
+    says the brackets of its generators stay inside it."""
+    p = 3
+    ctx = PrimeContext(p)
+    alg = Algebra(Mat.from_ints(ctx, rows))
+    found = enumerate_index_p2(alg)
+    as_ints = set()
+    for key, (H, B) in found.items():
+        assert key == H.key() and B.is_integral()
+        as_ints.add(tuple(tuple(x.residue_mod(ctx.precision) for x in row) for row in H.data))
+    expected = {H for H in hermite_sublattices(p, 2) if is_closed_direct(rows, H, p, 2)}
+    assert 0 < len(expected) < count_sublattices_exponent(p, 2)
+    assert as_ints == expected
