@@ -12,6 +12,7 @@ stderr as {"error": ..., "message": ...} with exit codes
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -50,8 +51,21 @@ def _int(text, option):
         raise InvalidInput(f"{option} takes integers, got {text!r}") from None
 
 
+# the eps flags each catalog lattice reads; every other name reads none
+EPS_FLAGS = {"L1": ("eps1", "eps2"), "L2": ("eps1",), "L3": ("eps2",)}
+
+
+def _refuse_unread_eps(args):
+    """InvalidInput for an --eps1 or --eps2 the named lattice does not read."""
+    for flag in ("eps1", "eps2"):
+        if getattr(args, flag) is not None and flag not in EPS_FLAGS.get(args.name, ()):
+            raise InvalidInput(f"{args.name} does not read --{flag}")
+
+
 def _named(args, ctx):
     s = tuple(_int(t, "--s") for t in args.s.split(",")) if getattr(args, "s", None) else None
+    if args.name in catalog.NAMED:  # named_algebra reports an unknown name
+        _refuse_unread_eps(args)
     eps = (args.eps1 or 0, args.eps2 or 0)
     return catalog.named_algebra(
         ctx, args.name, k=getattr(args, "k", None), s=s, eps=eps, n=getattr(args, "n", None)
@@ -196,6 +210,7 @@ def cmd_named(args):
     if args.name in ("dim1", "dim2"):
         s = None if args.s in (None, "inf") else _int(args.s, "--s")
         k = 1 if args.k is None else args.k
+        _refuse_unread_eps(args)
         rep = selfsim.lowdim_report(ctx, 1 if args.name == "dim1" else 2, k, s)
         return {
             "dim": rep.dim,
@@ -297,6 +312,7 @@ def _random_unimodular(rng, ctx):
             return M
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="padiclie",

@@ -34,6 +34,10 @@ INF = math.inf
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981  # least strong pseudoprime to them all
+# Largest precision window.  PrimeContext keeps p**k for every k up to the
+# precision, about precision**2 * log2(p) / 2 bits: 5 MB at 1024 digits for
+# p near PRIME_BOUND.
+PRECISION_BOUND = 1024
 
 
 def _is_prime(n):
@@ -117,7 +121,8 @@ def sqrt_unit(u, p, prec):
 
 
 class PrimeContext:
-    """Fixes the odd prime p < PRIME_BOUND and the working precision window.
+    """Fixes the odd prime p < PRIME_BOUND and the working precision window
+    of 8 to PRECISION_BOUND digits.
 
     rho is the smallest positive non-residue mod p and delta is the square
     class of -1, i.e. delta = (p-1)/2 mod 2.
@@ -130,6 +135,8 @@ class PrimeContext:
             raise UnsupportedPrime("p = 2 is not supported")
         if precision < 8:
             raise InvalidParameters("precision must be at least 8 digits")
+        if precision > PRECISION_BOUND:
+            raise InvalidParameters(f"precision must be at most {PRECISION_BOUND} digits")
         self.p = p
         self.precision = precision
         self.modulus = p**precision

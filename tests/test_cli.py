@@ -1,15 +1,28 @@
 """Command-line interface: JSON shapes, exit codes, error reporting."""
 
+import argparse
 import json
 import pathlib
 import shlex
 
 import pytest
 
-from padiclie import errors
+from padiclie import cli, errors
 from padiclie.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The argv of every padiclie line in the README's command-line section."""
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("## Python API")]
+    lines = [
+        line
+        for line in section.replace("\\\n", " ").splitlines()
+        if line.startswith("padiclie ")
+    ]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
 
 
 def run(capsys, *argv):
@@ -261,16 +274,10 @@ def test_pretty_flag_emits_indented_json(capsys):
 
 
 def test_readme_command_lines_succeed(capsys):
-    text = README.read_text()
-    section = text[text.index("## Command line"):text.index("## Python API")]
-    lines = [
-        line
-        for line in section.replace("\\\n", " ").splitlines()
-        if line.startswith("padiclie ")
-    ]
-    assert lines
-    for line in lines:
-        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, argv
     capsys.readouterr()
 
 
@@ -299,6 +306,16 @@ MALFORMED = {
     "L1-eps1-minus-1": ["named", "L1", "--prime", "3", "--s", "0,1,2", "--eps1", "-1"],
     "L1-eps1-2": ["named", "L1", "--prime", "3", "--s", "0,1,2", "--eps1", "2"],
     "L3-eps2-2": ["named", "L3", "--prime", "3", "--s", "0,1", "--eps2", "2"],
+    "L2-eps2": ["named", "L2", "--prime", "3", "--s", "0,1", "--eps1", "0", "--eps2", "-1"],
+    "L3-eps1": ["named", "L3", "--prime", "3", "--s", "0,1", "--eps1", "0"],
+    "L4-eps1": ["named", "L4", "--prime", "3", "--s", "1", "--eps1", "0"],
+    "L4-eps2": ["named", "L4", "--prime", "3", "--s", "1", "--eps2", "1"],
+    "sl2-eps1": ["named", "sl2", "--prime", "3", "--eps1", "0"],
+    "dim1-eps2": ["named", "dim1", "--prime", "3", "--eps2", "0"],
+    "classify-name-sl1_delta-eps1": ["classify", "--prime", "3", "--name", "sl1_delta", "--eps1", "1"],
+    "selfsim-name-L2-eps2": ["selfsim", "--prime", "5", "--name", "L2", "--s", "0,1", "--eps2", "0"],
+    "report-name-L4-eps1": ["report", "--prime", "5", "--name", "L4", "--s", "0", "--eps1", "0"],
+    "precision-above-bound": ["classify", *ENDO, "--precision", "1000000000"],
     "eta-2x2": ["eta", "--prime", "3", "--matrix=1,0;0,3"],
     "eta-4x4": ["eta", "--prime", "3", "--matrix=1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,1"],
     "endo-check-2x2": ["endo", "check", *ENDO, *SMALL],
@@ -314,3 +331,57 @@ def test_malformed_input_exits_2_with_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out is None
     assert issubclass(getattr(errors, err["error"]), errors.InvalidInput), err
+
+
+def test_unread_eps_flag_is_named_and_read_flags_still_work(capsys):
+    code, _, err = run(capsys, "named", "L2", "--prime", "3", "--s", "0,1", "--eps2", "0")
+    assert code == 2 and err["message"] == "L2 does not read --eps2"
+    code, _, err = run(capsys, "classify", "--prime", "3", "--name", "L3", "--s", "0,1", "--eps1", "1")
+    assert code == 2 and err["message"] == "L3 does not read --eps1"
+    code, out, _ = run(capsys, "named", "L2", "--prime", "3", "--s", "0,1", "--eps1", "1")
+    assert code == 0 and out["canonical"]["eps"] == [1, None]
+    code, out, _ = run(capsys, "selfsim", "--prime", "5", "--name", "L3", "--s", "0,1", "--eps2", "1")
+    assert code == 0 and out["canonical"]["eps"] == [None, 1]
+    code, _, err = run(capsys, "named", "nosuch", "--prime", "3", "--eps1", "0")
+    assert code == 2 and err["message"] == "unknown catalog name 'nosuch'"
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    argv = ["classify", "--prime", "5", "--matrix", "1,0,0;0,5,0;0,0,-5"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys):
+    """Every argv gives the same exit code, stdout and stderr through the
+    shared parser, in either order, as through a parser built for it."""
+    argvs = [
+        *readme_commands(),
+        *MALFORMED.values(),
+        ["--help"],
+        *([command, "--help"] for command in cli.HANDLERS),
+        ["frobnicate", "--prime", "3"],
+        ["classify", "--matrix", "1,0,0;0,3,0;0,0,-3"],
+        ["classify", "--prime", "5", "--matrix", "1,0,0;0,0,2;0,2,0", "--pretty"],
+    ]
+
+    def outcome(argv):
+        code = main(list(argv))
+        return (code, *capsys.readouterr())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [outcome(argv) for argv in argvs]
+    assert {code for code, _, _ in fresh} == {0, 2}
+    assert [outcome(argv) for argv in argvs] == fresh
+    assert [outcome(argv) for argv in reversed(argvs)] == fresh[::-1]

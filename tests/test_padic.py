@@ -9,6 +9,7 @@ import pytest
 from padiclie.errors import InvalidParameters, PrecisionLoss, UnsupportedPrime
 from padiclie.padic_core import (
     INF,
+    PRECISION_BOUND,
     PRIME_BOUND,
     PadicScalar,
     PrimeContext,
@@ -48,6 +49,12 @@ def test_huge_prime_context_is_fast_and_bounded():
     assert ctx.p == 2**61 - 1
     with pytest.raises(InvalidParameters, match="below"):
         PrimeContext(PRIME_BOUND + 2)
+
+
+def test_precision_above_the_bound_is_refused():
+    assert PrimeContext(3, PRECISION_BOUND).precision == PRECISION_BOUND
+    with pytest.raises(InvalidParameters, match=f"at most {PRECISION_BOUND}"):
+        PrimeContext(3, PRECISION_BOUND + 1)
 
 
 def test_rho_and_delta():
