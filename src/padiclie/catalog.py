@@ -30,12 +30,12 @@ from .errors import InvalidParameters, NotAnIdeal
 from .lattice import (
     Algebra,
     change_of_basis,
+    induced_algebra,
     is_ideal,
     lcs_exponents,
     residually_nilpotent,
 )
 from .normal_forms import Mat, Span, hnf_columns
-from .padic_core import INF
 from .selfsim import SelfSimReport, decide_index_p, sigma_bounds
 
 
@@ -257,7 +257,7 @@ def normal_subgroup_sigma(alg, ideal):
     idx = sum(x.valuation() for x in gh.diagonal_entries()) - sum(
         x.valuation() for x in I.diagonal_entries()
     )
-    sub = Algebra(change_of_basis(alg, I))
+    sub = induced_algebra(alg, I)
     decided = 1 if decide_index_p(canonical_form(sub)) else 2
     verdict = "p" if equals else "p_or_p2"
     return IdealSigmaReport(level, equals, idx, verdict, decided)

@@ -19,13 +19,7 @@ import re
 import sys
 
 from . import catalog, classify, selfsim, subalgebras
-from .errors import (
-    InvalidInput,
-    PadicLieError,
-    PrecisionLoss,
-    PreconditionViolated,
-    UnsupportedPrime,
-)
+from .errors import InvalidInput, PadicLieError, PrecisionLoss, UnsupportedPrime
 from .lattice import Algebra, lcs_exponents
 from .normal_forms import Mat, parse_matrix
 from .padic_core import INF, PrimeContext
@@ -402,8 +396,6 @@ def main(argv=None):
         return _fail(e, 3)
     except InvalidInput as e:
         return _fail(e, 2)
-    except PreconditionViolated as e:
-        return _fail(e, 5)
     except PadicLieError as e:
         return _fail(e, 5)
     indent = 2 if getattr(args, "pretty", False) else None

@@ -126,9 +126,7 @@ def index_and_commutator_index(alg, U):
     """
     if not alg.is_unsolvable():
         raise Degenerate("commutator index needs an unsolvable algebra")
-    B = change_of_basis(alg, U)
-    if not B.is_integral():
-        raise NotSubalgebra("not a subalgebra")
+    B = induced_algebra(alg, U).matrix
     k = index_exponent(U)
     comm_L, _ = hnf_columns(alg.matrix)  # [L, L] is spanned by the columns of A
     comm_M, _ = hnf_columns(U * B)

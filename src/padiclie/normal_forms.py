@@ -27,7 +27,7 @@ from .errors import (
     PrecisionLoss,
     ValuationMismatch,
 )
-from .padic_core import INF, PadicScalar, parse_scalar
+from .padic_core import INF, parse_scalar, sqrt_mod_p
 
 
 class Mat:
@@ -49,10 +49,6 @@ class Mat:
     @classmethod
     def from_ints(cls, ctx, rows):
         return cls(ctx, [[ctx.from_int(x) for x in row] for row in rows])
-
-    @classmethod
-    def from_literals(cls, ctx, rows):
-        return cls(ctx, [[parse_scalar(x, ctx) for x in row] for row in rows])
 
     @classmethod
     def identity(cls, ctx, n):
@@ -151,39 +147,25 @@ class Mat:
         )
 
     def det(self):
+        """Closed-form determinant; 2x2 and 3x3 only."""
         if self.nrows != self.ncols:
             raise InvalidParameters("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 3:
+        if self.nrows == 3:
             (a, b, c), (d, e, f), (g, h, i) = self.data
             # cofactor expansion along the first row, with the operand order
-            # of the general expansion below, so every scalar and every
-            # PrecisionLoss matches it exactly
+            # of a Laplace expansion (tests/oracles.py laplace_det), so every
+            # scalar and every PrecisionLoss matches it exactly
             return a * (e * i - f * h) + -(b * (d * i - f * g)) + c * (d * h - e * g)
-        if n == 2:
-            (a, b), (c, d) = self.data
-            return a * d - b * c
-        if n == 1:
-            return self.data[0][0]
-        acc = self.ctx.zero()
-        sign = 1
-        for j in range(n):
-            minor = Mat(
-                self.ctx,
-                [
-                    [self.data[i][t] for t in range(n) if t != j]
-                    for i in range(1, n)
-                ],
-            )
-            term = self.data[0][j] * minor.det()
-            acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        return acc
+        if self.nrows != 2:
+            raise InvalidParameters("determinant of a matrix other than 2x2 or 3x3")
+        (a, b), (c, d) = self.data
+        return a * d - b * c
 
     def adjugate(self):
-        """Classical adjugate: self * adjugate = det * identity."""
-        n = self.nrows
-        if n == 3:
+        """Classical adjugate, self * adjugate = det * identity; 2x2 and 3x3 only."""
+        if self.nrows != self.ncols or self.nrows not in (2, 3):
+            raise InvalidParameters("adjugate of a matrix other than 2x2 or 3x3")
+        if self.nrows == 3:
             (a, b, c), (d, e, f), (g, h, i) = self.data
             # transposed cofactors, each a 2x2 minor taken in row order
             return Mat(
@@ -194,31 +176,8 @@ class Mat:
                     [d * h - e * g, -(a * h - b * g), a * e - b * d],
                 ],
             )
-        if n == 2:
-            (a, b), (c, d) = self.data
-            return Mat(self.ctx, [[d, -b], [-c, a]])
-        if n == 1:
-            return Mat(self.ctx, [[self.ctx.one()]])
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = Mat(
-                    self.ctx,
-                    [
-                        [self.data[r][c] for c in range(n) if c != j]
-                        for r in range(n)
-                        if r != i
-                    ],
-                )
-                d = minor.det()
-                row.append(d if (i + j) % 2 == 0 else -d)
-            rows.append(row)
-        return Mat(self.ctx, rows).transpose()
-
-    def inverse_times(self, other):
-        """self^{-1} * other, exactly, over Q_p."""
-        return Span(self).solve(other)
+        (a, b), (c, d) = self.data
+        return Mat(self.ctx, [[d, -b], [-c, a]])
 
     def is_symmetric(self):
         return all(
@@ -255,11 +214,10 @@ class Mat:
 
 def parse_matrix(text, ctx):
     """Parse "a,b,c;d,e,f;g,h,i" into a Mat (entries in the scalar grammar)."""
-    rows = [
-        [cell for cell in row.split(",")]
-        for row in text.strip().split(";")
-    ]
-    return Mat.from_literals(ctx, rows)
+    return Mat(
+        ctx,
+        [[parse_scalar(cell, ctx) for cell in row.split(",")] for row in text.strip().split(";")],
+    )
 
 
 def is_unimodular(V):
@@ -451,15 +409,11 @@ def snf(M):
             for row in Q:
                 row[j] = row[j] - q * row[k]
             A[k][j] = ctx.zero()
-    divisors = [A[k][k].valuation() for k in range(r)]
-    # ascending sort via simultaneous row/col swaps keeps the witnesses exact
-    for a in range(r):
-        b = min(range(a, r), key=lambda t: (divisors[t] == INF, divisors[t]))
-        if b != a:
-            swap_rows(a, b)
-            swap_cols(a, b)
-            divisors[a], divisors[b] = divisors[b], divisors[a]
-    return tuple(divisors), Mat(ctx, P), Mat(ctx, Q)
+    # already ascending, INF last: each pivot has the least valuation of its
+    # block, and eliminating subtracts q * x with v(q) >= 0, which cannot
+    # bring an entry below the pivot's valuation
+    divisors = tuple(A[k][k].valuation() for k in range(r))
+    return divisors, Mat(ctx, P), Mat(ctx, Q)
 
 
 def kernel_basis(M):
@@ -531,6 +485,9 @@ def congruent_diagonalize(A):
             or B[diag_best][diag_best].valuation() <= B[off_best[0]][off_best[1]].valuation()
         ):
             piv = diag_best
+        elif off_best is None:
+            # det(A) is nonzero, so the block only cancelled to zero here
+            raise PrecisionLoss("cancellation exhausted the precision window")
         else:
             # surface a diagonal pivot: 2 is a unit, so the new (i,i) entry
             # B_ii + 2 B_ij + B_jj has the minimal valuation
@@ -547,11 +504,9 @@ def congruent_diagonalize(A):
             add_col_to(j, k, -(e / d))
             B[k][j] = ctx.zero()
             B[j][k] = ctx.zero()
-    # sort ascending by valuation
-    for a in range(n):
-        b = min(range(a, n), key=lambda t: B[t][t].valuation())
-        if b != a:
-            swap(a, b)
+    # already ascending: each pivot has the least valuation of its block,
+    # and eliminating adds q * x with v(q) >= 0, which cannot bring an entry
+    # below the pivot's valuation
     return Mat(ctx, B), Mat(ctx, V)
 
 
@@ -583,7 +538,7 @@ def cassels_move(D, i, j, u):
     sol = None
     for x0 in range(p):
         rhs = (tu - cu * x0 * x0) % p
-        y0 = sqrt_mod_p_times_inv(rhs, du, p)
+        y0 = sqrt_mod_p(rhs * pow(du, -1, p), p)
         if y0 is not None:
             sol = (x0, y0)
             break
@@ -608,10 +563,3 @@ def cassels_move(D, i, j, u):
     entries[j] = (c * d * t).shift(m)
     return Mat.diagonal(ctx, entries), V
 
-
-def sqrt_mod_p_times_inv(a, b, p):
-    """Solve y^2 = a / b mod p; None when no root exists."""
-    from .padic_core import sqrt_mod_p
-
-    val = a * pow(b, -1, p) % p
-    return sqrt_mod_p(val, p)

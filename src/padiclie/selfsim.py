@@ -47,7 +47,7 @@ from .errors import (
 from .lattice import Algebra, change_of_basis, index_exponent, induced_algebra, is_ideal
 from .normal_forms import Mat, Span, cassels_move, hnf_columns, kernel_basis, lattice_contains
 from .padic_core import INF
-from .subalgebras import all_symbols, enumerate_sublattices, key_identity_check, nss_condition
+from .subalgebras import _key_identity, all_symbols, enumerate_sublattices, nss_condition
 
 CONJECTURED_INFINITE = "conjectured_infinite"
 
@@ -192,9 +192,7 @@ def invariant_ideal_search(ve, bound):
         raise InvalidParameters("search bound must be >= 0")
     alg = ve.ambient
     ctx = alg.ctx
-    B = change_of_basis(alg, ve.domain)
-    if not B.is_integral():
-        raise NotSubalgebra("domain must be a subalgebra")
+    induced_algebra(alg, ve.domain)  # NotSubalgebra when the domain is open
     d_bound = domain_chain(ve, bound)[-1]
     v_bound = sum(x.valuation() for x in d_bound.diagonal_entries())
     if v_bound > bound:
@@ -323,7 +321,7 @@ def simple_ve_from_diagonal(alg, D, V):
     prepared_domain = W * Mat.p_power_diagonal(alg.ctx, (0, 1, 0))
     domain, _ = hnf_columns(prepared_domain)
     phi_raw = W * Mat.p_power_diagonal(alg.ctx, (0, 0, 1))
-    transfer = prepared_domain.inverse_times(domain)
+    transfer = Span(prepared_domain).solve(domain)
     phi = phi_raw * transfer
     return VirtualEndomorphism(alg, domain, phi)
 
@@ -340,8 +338,9 @@ def non_self_similarity_certificate(alg):
     results = {}
     for xi in all_symbols(alg.ctx.p):
         U = xi.u_matrix(alg.ctx)
-        if change_of_basis(alg, U).is_integral():
-            results[xi.entries] = key_identity_check(alg, xi)
+        B = change_of_basis(alg, U)
+        if B.is_integral():
+            results[xi.entries] = _key_identity(alg, xi, U, B)
     return {"nss": True, "key_identity": results}
 
 

@@ -33,7 +33,7 @@ from .errors import (
     PathDisagreement,
     PreconditionViolated,
 )
-from .lattice import Algebra, change_of_basis
+from .lattice import change_of_basis, induced_algebra
 from .normal_forms import Mat, hnf_columns, snf
 from .padic_core import INF
 
@@ -205,14 +205,17 @@ def key_identity_check(alg, xi):
     is a subalgebra.  Both sides are compared as Hermite forms of 3x6
     generator matrices.
     """
-    ctx = alg.ctx
     ok, witness = nss_condition(alg.matrix)
     if not ok:
         raise PreconditionViolated(f"basis is not NSS, witness {witness}")
-    U = xi.u_matrix(ctx)
-    B = change_of_basis(alg, U)
-    if not B.is_integral():
-        raise PreconditionViolated("L^xi is not a subalgebra")
+    U = xi.u_matrix(alg.ctx)
+    return _key_identity(alg, xi, U, induced_algebra(alg, U).matrix)
+
+
+def _key_identity(alg, xi, U, B):
+    """key_identity_check past its preconditions: U = xi.u_matrix and B the
+    integral change_of_basis(alg, U)."""
+    ctx = alg.ctx
     s = [x.valuation() for x in alg.matrix.diagonal_entries()]
     si = s[xi.class_index()]
     lhs = (U * B).hstack(U.shift(si))

@@ -236,3 +236,16 @@ def int_contains(M, N, p):
         for i in range(len(M))
         for j in range(len(N[0]))
     )
+
+
+def int_elementary_divisors(M, p):
+    """v_p of the elementary divisors of a nonsingular 3x3 integer matrix,
+    ascending, from its determinantal divisors: d1 = min v(entries),
+    d1 + d2 = min v(2x2 minors), d1 + d2 + d3 = v(det M)."""
+    det = int_det(M)
+    if det == 0:
+        raise ValueError("M is singular")
+    g1 = min(p_valuation(x, p) for row in M for x in row if x != 0)
+    g2 = min(p_valuation(x, p) for row in int_adjugate(M) for x in row if x != 0)
+    g3 = p_valuation(det, p)
+    return (g1, g2 - g1, g3 - g2)

@@ -18,7 +18,7 @@ from oracles import jacobiator_direct, membership_mod
 from padiclie.classify import CanonicalForm, canonical_form, eta, is_isomorphic
 from padiclie.errors import NotLie
 from padiclie.lattice import Algebra, change_of_basis, index_exponent
-from padiclie.normal_forms import Mat, hnf_columns, lattice_eq, snf
+from padiclie.normal_forms import Mat, Span, hnf_columns, lattice_eq, snf
 from padiclie.padic_core import PrimeContext
 from padiclie.selfsim import (
     construct_simple_ve,
@@ -310,7 +310,7 @@ def test_criterion_07_index_quadrupling():
             brackets = [alg.bracket(cols[i], cols[j]) for i, j in pairs]
             derived_m = Mat(ctx, [[w[r] for w in brackets] for r in range(3)])
             derived_l, _ = hnf_columns(alg.matrix)
-            T = derived_l.inverse_times(derived_m)
+            T = Span(derived_l).solve(derived_m)
             assert T.is_integral()
             divisors, _, _ = snf(T)
             assert sum(divisors) == 2 * k

@@ -320,6 +320,13 @@ MALFORMED = {
     "eta-4x4": ["eta", "--prime", "3", "--matrix=1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,1"],
     "endo-check-2x2": ["endo", "check", *ENDO, *SMALL],
     "endo-chain-2x2": ["endo", "chain", *ENDO, *SMALL],
+    "endo-check-1x1-singular": ["endo", "check", *ENDO, "--domain", "0", "--phi", "1"],
+    "endo-check-4x4": [
+        "endo", "check", *ENDO, "--domain", "1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,1", "--phi", "1,0;0,1",
+    ],
+    "endo-check-4x4-singular": [
+        "endo", "check", *ENDO, "--domain", "1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,0", "--phi", "1,0;0,1",
+    ],
     "endo-chain-depth-minus-1": ["endo", "chain", *ENDO, *CERT, "--depth", "-1"],
     "endo-search-bound-minus-1": ["endo", "search", *ENDO, *CERT, "--search-bound", "-1"],
     "lcs-depth-minus-1": ["lcs", *ENDO, "--depth", "-1"],
@@ -331,6 +338,34 @@ def test_malformed_input_exits_2_with_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out is None
     assert issubclass(getattr(errors, err["error"]), errors.InvalidInput), err
+
+
+# det has valuation 16, yet at precision 10 the diagonalization's remaining
+# block cancels to the exact zero
+CANCELLING = [
+    "--prime", "7", "--precision", "10",
+    "--matrix=6104007655641,2034669218547,8138676874209;"
+    "2034669218547,678223072849,2712892291480;8138676874209,2712892291480,10851569165563",
+]
+
+
+@pytest.mark.parametrize("command", ["classify", "eta", "selfsim", "report"])
+def test_a_block_that_cancels_to_zero_exits_3(capsys, command):
+    code = main([command, *CANCELLING])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "PrecisionLoss"
+
+
+def test_any_other_padiclie_error_exits_5(monkeypatch, capsys):
+    def broken(args):
+        raise errors.PathDisagreement("two routes disagree")
+
+    monkeypatch.setitem(cli.HANDLERS, "classify", broken)
+    code, out, err = run(capsys, "classify", *ENDO)
+    assert (code, out) == (5, None)
+    assert err == {"error": "PathDisagreement", "message": "two routes disagree"}
 
 
 def test_unread_eps_flag_is_named_and_read_flags_still_work(capsys):

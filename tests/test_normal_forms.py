@@ -6,9 +6,12 @@ import random
 import pytest
 
 from padiclie import normal_forms
-from padiclie.errors import Degenerate, PrecisionLoss
+from padiclie.classify import canonical_form, eta
+from padiclie.errors import Degenerate, InvalidParameters, PadicLieError, PrecisionLoss
+from padiclie.lattice import Algebra
 from padiclie.normal_forms import (
     Mat,
+    Span,
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
@@ -24,6 +27,7 @@ from padiclie.padic_core import INF, PrimeContext
 from oracles import (
     int_contains,
     int_det,
+    int_elementary_divisors,
     laplace_adjugate,
     laplace_det,
     membership_mod,
@@ -79,7 +83,7 @@ def test_basic_matrix_ops():
     for i in range(3):
         for j in range(3):
             assert prod[i, j] == (d if i == j else ctx.zero())
-    X = M.inverse_times(I)
+    X = Span(M).solve(I)
     assert M * X == I
 
 
@@ -161,7 +165,7 @@ def test_hnf_membership_against_oracle():
             assert in_M == in_H
             # the library's route: H^{-1} v integral
             vm = Mat.from_ints(ctx, [[v[0]], [v[1]], [v[2]]])
-            sol = H.inverse_times(vm)
+            sol = Span(H).solve(vm)
             lib_in = all(sol[i, 0].is_integral() for i in range(3))
             assert lib_in == in_M
 
@@ -374,7 +378,7 @@ def test_lattice_contains_refuses_where_the_bare_solve_is_wrong(p, precision, M,
     rows = lambda text: [[int(x) for x in row.split(",")] for row in text.split(";")]
     truth = int_contains(rows(M), rows(N), p)
     M, N = parse_matrix(M, ctx), parse_matrix(N, ctx)
-    assert M.inverse_times(N).is_integral() != truth
+    assert Span(M).solve(N).is_integral() != truth
     with pytest.raises(PrecisionLoss):
         lattice_contains(M, N)
 
@@ -390,3 +394,111 @@ def test_lattice_contains_runs_no_hermite_form(monkeypatch):
     assert calls == []
     with pytest.raises(Degenerate):
         lattice_contains(Mat.from_ints(ctx, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]), M)
+
+
+def test_det_and_adjugate_take_2x2_and_3x3_only():
+    ctx = PrimeContext(5)
+    for n in (1, 4):
+        M = Mat.identity(ctx, n)
+        with pytest.raises(InvalidParameters):
+            M.det()
+        with pytest.raises(InvalidParameters):
+            M.adjugate()
+
+
+def _p_power_diagonal(rng, p, amax, signs=False):
+    return [
+        [(rng.choice((1, -1)) if signs else 1) * p ** rng.randrange(amax + 1) if i == j else 0
+         for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _congruent(V, D):
+    """V^T D V in plain integers."""
+    return _int_matmul(_int_matmul([list(col) for col in zip(*V)], D), V)
+
+
+def test_snf_divisors_match_the_determinantal_divisors():
+    """Half the cases are V1 diag(p^a, p^b, p^c) V2, heavy in powers of p."""
+    rng = random.Random(29)
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p, 64)
+        for trial in range(60):
+            if trial % 2:
+                rows = [[rng.randrange(-60, 61) for _ in range(3)] for _ in range(3)]
+                if not int_det(rows):
+                    continue
+            else:
+                rows = _int_matmul(
+                    _int_matmul(int_unimodular(rng, p), _p_power_diagonal(rng, p, 6)),
+                    int_unimodular(rng, p),
+                )
+            divisors, _, _ = snf(Mat.from_ints(ctx, rows))
+            assert divisors == int_elementary_divisors(rows, p)
+
+
+def test_congruent_diagonalize_valuations_are_the_elementary_divisors():
+    """For odd p, congruence by a unimodular V keeps the elementary
+    divisors, so D's valuations, in the order returned, must be them."""
+    rng = random.Random(31)
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p, 64)
+        for trial in range(60):
+            if trial % 2:
+                rows = [[0] * 3 for _ in range(3)]
+                for i in range(3):
+                    for j in range(i, 3):
+                        rows[i][j] = rows[j][i] = rng.randrange(-60, 61)
+                if not int_det(rows):
+                    continue
+            else:
+                V = int_unimodular(rng, p)
+                rows = _congruent(V, _p_power_diagonal(rng, p, 6, signs=True))
+            D, _ = congruent_diagonalize(Mat.from_ints(ctx, rows))
+            vals = tuple(D[i, i].valuation() for i in range(3))
+            assert vals == int_elementary_divisors(rows, p)
+
+
+# det has valuation 16, but at precision 10 the block left after the first
+# pivot cancels to the exact zero, so no second pivot exists
+CANCELLING = (
+    7,
+    10,
+    "6104007655641,2034669218547,8138676874209;"
+    "2034669218547,678223072849,2712892291480;"
+    "8138676874209,2712892291480,10851569165563",
+)
+
+
+def test_a_block_that_cancels_to_zero_raises_precision_loss():
+    p, precision, literal = CANCELLING
+    A = parse_matrix(literal, PrimeContext(p, precision))
+    with pytest.raises(PrecisionLoss):
+        congruent_diagonalize(A)
+    with pytest.raises(PrecisionLoss):
+        canonical_form(Algebra(A))
+    with pytest.raises(PrecisionLoss):
+        eta(A)
+
+
+def test_seeded_congruence_sweep_returns_or_raises_typed_errors():
+    """V^T diag(+-p^a) V with a up to 20 at small precisions:
+    every call returns or raises a PadicLieError, never an untyped error."""
+    rng = random.Random(37)
+    p, precision, literal = CANCELLING
+    cases = [parse_matrix(literal, PrimeContext(p, precision))]
+    while len(cases) < 1200:
+        p, precision = rng.choice((3, 5, 7)), rng.choice((8, 10, 12, 16))
+        V = int_unimodular(rng, p)
+        rows = _congruent(V, _p_power_diagonal(rng, p, 20, signs=True))
+        cases.append(Mat.from_ints(PrimeContext(p, precision), rows))
+    refused = 0
+    for A in cases:
+        for f in (lambda: canonical_form(Algebra(A)), lambda: eta(A), lambda: snf(A),
+                  lambda: hnf_columns(A)):
+            try:
+                f()
+            except PadicLieError:
+                refused += 1
+    assert refused > 0

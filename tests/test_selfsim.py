@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from padiclie import classify, cli, normal_forms, selfsim
+from padiclie import classify, cli, lattice, normal_forms, selfsim, subalgebras
 from padiclie.catalog import group_report
 from padiclie.classify import CanonicalForm, canonical_form, eta
 from padiclie.errors import (
@@ -17,7 +17,7 @@ from padiclie.errors import (
     PrecisionLoss,
     PreconditionViolated,
 )
-from padiclie.lattice import Algebra, change_of_basis, index_exponent
+from padiclie.lattice import Algebra, change_of_basis, index_exponent, is_subalgebra
 from padiclie.normal_forms import Mat, hnf_columns, lattice_eq, parse_matrix
 from padiclie.padic_core import INF, PrimeContext
 from padiclie.selfsim import (
@@ -441,3 +441,17 @@ def test_hyperbolic_cross_check_raises_path_disagreement(monkeypatch):
     monkeypatch.setattr(selfsim, "_prepare_hyperbolic", lambda alg, D, V: Mat.identity(ctx, 3))
     with pytest.raises(PathDisagreement):
         construct_simple_ve(alg)
+
+
+def test_certificate_scans_nss_once_and_changes_basis_once_per_symbol(monkeypatch):
+    ctx = PrimeContext(3)
+    alg = Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in (3, ctx.rho * 9, ctx.rho * 27)]))
+    closed = [xi for xi in subalgebras.all_symbols(3) if is_subalgebra(alg, xi.u_matrix(ctx))]
+    expected = {
+        "nss": True,
+        "key_identity": {xi.entries: subalgebras.key_identity_check(alg, xi) for xi in closed},
+    }
+    scans = _counted(monkeypatch, subalgebras, "nss_condition")
+    changes = _counted(monkeypatch, lattice, "change_of_basis")
+    assert non_self_similarity_certificate(alg) == expected
+    assert (len(scans), len(changes)) == (1, 13)
