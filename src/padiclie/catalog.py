@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import CanonicalForm, QpType, canonical_form, qp_type_of_eta
+from .classify import FAMILIES, CanonicalForm, QpType, canonical_form, qp_type_of_eta
 from .errors import InvalidParameters, NotAnIdeal
 from .lattice import (
     Algebra,
@@ -91,21 +91,16 @@ def _need(cond, msg):
 
 
 def _canonical_named(ctx, name, s, eps):
-    """The literal canonical representative L1-L4, written by CanonicalForm."""
+    """The literal canonical representative L1-L4 from the family's free
+    s-values and, of eps = (eps1, eps2), the bits the family carries."""
+    family = int(name[1])
+    free, eps_slots = FAMILIES[family]
+    order = " < ".join(f"s{i}" for i in free)
+    ok = s is not None and len(s) == len(free) and 0 <= s[0] and list(s) == sorted(set(s))
+    _need(ok, f"{name} needs 0 <= {order}" if len(free) > 1 else f"{name} needs {order} >= 0")
     eps = eps or (0, 0)
-    if name == "L1":
-        _need(s is not None and len(s) == 3 and 0 <= s[0] < s[1] < s[2], "L1 needs 0 <= s0 < s1 < s2")
-        cf = CanonicalForm(1, tuple(s), tuple(eps), ctx.p, ctx)
-    elif name == "L2":
-        _need(s is not None and len(s) == 2 and 0 <= s[0] < s[1], "L2 needs 0 <= s0 < s2")
-        cf = CanonicalForm(2, (s[0], s[0], s[1]), (eps[0], None), ctx.p, ctx)
-    elif name == "L3":
-        _need(s is not None and len(s) == 2 and 0 <= s[0] < s[1], "L3 needs 0 <= s0 < s1")
-        cf = CanonicalForm(3, (s[0], s[1], s[1]), (None, eps[1]), ctx.p, ctx)
-    else:
-        _need(s is not None and len(s) >= 1 and s[0] >= 0, "L4 needs s0 >= 0")
-        cf = CanonicalForm(4, (s[0],) * 3, (None, None), ctx.p, ctx)
-    return cf.matrix()
+    params = (*s, *(eps[j] for j in eps_slots))
+    return CanonicalForm.from_parameters(family, params, ctx.p, ctx).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +139,8 @@ def group_report(alg):
     report = sigma_bounds(cf)
     resnil = residually_nilpotent(cf.s)
     failing = None if resnil else sorted(cf.s)[1]
-    s0, s1, s2 = cf.s
-    if cf.family == 1:
-        params = (s0, s1, s2, cf.eps[0], cf.eps[1])
-    elif cf.family == 2:
-        params = (s0, s2, cf.eps[0])
-    elif cf.family == 3:
-        params = (s0, s1, cf.eps[1])
-    else:
-        params = (s0,)
-    name = None
-    if resnil:
-        name = f"G{cf.family}({', '.join(str(t) for t in params)})"
+    params = cf.parameters
+    name = f"G{cf.family}({', '.join(str(t) for t in params)})" if resnil else None
     threshold = 5
     notes = []
     ty = qp_type_of_eta(report.eta)
@@ -164,7 +149,7 @@ def group_report(alg):
             "eta = 0: the group embeds as an open subgroup of the Sylow "
             "pro-p subgroup of SL2(Z_p) (p >= 5)"
         )
-        if cf.family == 4 and s0 >= 1:
+        if cf.family == 4 and cf.s[0] >= 1:
             threshold = 3
             notes.append(
                 "congruence level: the k-th congruence subgroup of SL2(Z_p) "
@@ -175,10 +160,8 @@ def group_report(alg):
             "eta = 1: no open subgroup acts faithfully self-similarly on a "
             "p-ary tree of degree p; conjecturally of any degree"
         )
-        is_sl1_congruence = (
-            cf.family == 2 and cf.eps[0] == 1 and s2 == s0 + 1 and s0 >= 1
-        ) or (cf.family == 3 and cf.eps[1] == 1 and s1 == s0 + 1 and s0 >= 1)
-        if is_sl1_congruence:
+        # parameters (s0, s0 + 1, 1) with s0 >= 1, in family 2 or 3: sl1_congruence
+        if params[1:] == (params[0] + 1, 1) and params[0] >= 1:
             threshold = 3
             notes.append(
                 "congruence level inside the division-algebra group: the "
@@ -189,7 +172,6 @@ def group_report(alg):
             "middle s-invariant is 0: the lower central series stalls, no "
             "torsion-free p-adic analytic group lies over this lattice"
         )
-        name = None
     return GroupReport(
         group_name=name,
         family=cf.family,

@@ -19,6 +19,7 @@ against a closed formula in the diagonal data) which must agree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,6 +32,11 @@ from .padic_core import PrimeContext, hilbert_additive
 class QpType(Enum):
     SL2 = "sl2"
     SL1D = "sl1d"
+
+
+# Each family's free s-slots and eps-slots.  A tied s-slot copies the slot
+# before it, and an eps-slot a family lacks holds None.
+FAMILIES = {1: ((0, 1, 2), (0, 1)), 2: ((0, 2), (0,)), 3: ((0, 1), (1,)), 4: ((0,), ())}
 
 
 @dataclass(frozen=True)
@@ -48,14 +54,16 @@ class CanonicalForm:
     ctx: PrimeContext = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        free, eps_slots = FAMILIES.get(self.family, ((), ()))
         s0, s1, s2 = self.s
-        ok = {
-            1: s0 < s1 < s2 and self.eps[0] is not None and self.eps[1] is not None,
-            2: s0 == s1 < s2 and self.eps[0] is not None and self.eps[1] is None,
-            3: s0 < s1 == s2 and self.eps[1] is not None and self.eps[0] is None,
-            4: s0 == s1 == s2 and self.eps == (None, None),
-        }.get(self.family, False)
-        if not ok or s0 < 0:
+        ok = (
+            free
+            and s0 >= 0
+            and all(b > a if i in free else b == a for i, a, b in ((1, s0, s1), (2, s1, s2)))
+            and len(self.eps) == 2
+            and all((self.eps[j] is not None) == (j in eps_slots) for j in (0, 1))
+        )
+        if not ok:
             raise InvalidParameters(
                 f"inconsistent canonical data: family {self.family}, s={self.s}, eps={self.eps}"
             )
@@ -65,6 +73,23 @@ class CanonicalForm:
         object.__setattr__(self, "ctx", self.ctx or PrimeContext(self.p))
         if self.ctx.p != self.p:
             raise InvalidParameters(f"context over p = {self.ctx.p} for a form at p = {self.p}")
+
+    @classmethod
+    def from_parameters(cls, family, parameters, p, ctx=None):
+        """The form with these parameters: its free s-values, then its eps bits."""
+        if family not in FAMILIES or len(parameters) != sum(map(len, FAMILIES[family])):
+            raise InvalidParameters(f"no family {family} form has parameters {tuple(parameters)}")
+        free, eps_slots = FAMILIES[family]
+        # slot i copies the last free slot at or before it
+        s = tuple(parameters[bisect_right(free, i) - 1] for i in range(3))
+        bits = dict(zip(eps_slots, parameters[len(free) :]))
+        return cls(family, s, (bits.get(0), bits.get(1)), p, ctx)
+
+    @property
+    def parameters(self):
+        """The free s-values, then the eps bits the family carries."""
+        free, eps_slots = FAMILIES[self.family]
+        return tuple(self.s[i] for i in free) + tuple(self.eps[j] for j in eps_slots)
 
     def matrix(self):
         """The canonical structure matrix as a Mat in the form's window."""

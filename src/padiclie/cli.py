@@ -45,25 +45,27 @@ def _int(text, option):
         raise InvalidInput(f"{option} takes integers, got {text!r}") from None
 
 
-# the eps flags each catalog lattice reads; every other name reads none
-EPS_FLAGS = {"L1": ("eps1", "eps2"), "L2": ("eps1",), "L3": ("eps2",)}
+# the catalog options each name reads; a name not listed reads none
+READS = {
+    "sl2_congruence": ("k",), "sl1_congruence": ("k",), "gamma_sl2_sylow": ("n",),
+    "dim1": ("k",), "dim2": ("k", "s"),
+    **{f"L{f}": ("s", *(f"eps{j + 1}" for j in e)) for f, (_, e) in classify.FAMILIES.items()},
+}
 
 
-def _refuse_unread_eps(args):
-    """InvalidInput for an --eps1 or --eps2 the named lattice does not read."""
-    for flag in ("eps1", "eps2"):
-        if getattr(args, flag) is not None and flag not in EPS_FLAGS.get(args.name, ()):
+def _refuse_unread(args):
+    """InvalidInput for a catalog option the named lattice does not read."""
+    for flag in ("eps1", "eps2", "k", "n", "s"):
+        if getattr(args, flag) is not None and flag not in READS.get(args.name, ()):
             raise InvalidInput(f"{args.name} does not read --{flag}")
 
 
 def _named(args, ctx):
-    s = tuple(_int(t, "--s") for t in args.s.split(",")) if getattr(args, "s", None) else None
     if args.name in catalog.NAMED:  # named_algebra reports an unknown name
-        _refuse_unread_eps(args)
+        _refuse_unread(args)
+    s = tuple(_int(t, "--s") for t in args.s.split(",")) if args.s else None
     eps = (args.eps1 or 0, args.eps2 or 0)
-    return catalog.named_algebra(
-        ctx, args.name, k=getattr(args, "k", None), s=s, eps=eps, n=getattr(args, "n", None)
-    )
+    return catalog.named_algebra(ctx, args.name, k=args.k, s=s, eps=eps, n=args.n)
 
 
 def _mat_json(M):
@@ -202,9 +204,9 @@ def cmd_lcs(args):
 def cmd_named(args):
     ctx = _context(args)
     if args.name in ("dim1", "dim2"):
+        _refuse_unread(args)
         s = None if args.s in (None, "inf") else _int(args.s, "--s")
         k = 1 if args.k is None else args.k
-        _refuse_unread_eps(args)
         rep = selfsim.lowdim_report(ctx, 1 if args.name == "dim1" else 2, k, s)
         return {
             "dim": rep.dim,

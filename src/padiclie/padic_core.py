@@ -4,10 +4,10 @@ A scalar is stored as a pair (valuation, unit) where the unit is a residue
 mod p^prec coprime to p.  All arithmetic is exact integer arithmetic on
 these pairs; nothing is ever floated.  The working window is prec digits
 (ctx.precision for freshly parsed values).  Additions that cancel eat into
-the window; a cancellation that exhausts it raises PrecisionLoss, and a
-cancellation that consumes the full declared window is the exact zero,
-since the two operands are indistinguishable from exact negatives at the
-declared precision.
+the window.  A sum that cancels through a window of at least half of
+ctx.precision is the exact zero: its valuation lies outside the decidable
+range, which every decision treats as zero.  A full cancellation through a
+shorter window raises PrecisionLoss.
 
 Exact zero is the distinguished scalar with valuation +infinity.
 """

@@ -418,28 +418,19 @@ def sigma_bounds(cf):
                 "self-similar of any index"
             ),
         )
-    row, upper, witness = _table_row(cf)
-    if row in (1, 2, 4):
-        return SelfSimReport(
-            canonical=cf,
-            eta=0,
-            index_p_self_similar=True,
-            sigma_lower=1,
-            sigma_upper=1,
-            table_row=row,
-            witness_exponents=None,
-            note="sigma = p, certified by an explicit simple endomorphism",
-        )
+    row, upper, witness = _table_row(cf)  # rows 1, 2 and 4 are the decide-yes forms
     return SelfSimReport(
         canonical=cf,
         eta=0,
         index_p_self_similar=yes,
-        sigma_lower=2,
+        sigma_lower=1 if yes else 2,
         sigma_upper=upper,
         table_row=row,
         witness_exponents=witness,
         note=(
-            "not self-similar of index p; the witness subalgebra has sigma = p "
+            "sigma = p, certified by an explicit simple endomorphism"
+            if yes
+            else "not self-similar of index p; the witness subalgebra has sigma = p "
             "and index p^(upper-1), so sigma(L) <= p * index"
         ),
     )
@@ -522,12 +513,7 @@ def lowdim_report(ctx, dim, k, s=None, bound=4):
     bracket = functools.partial(_dim2_bracket, ctx, s)
     ok = _bracket_law(bracket, domain, phi)
     # bounded invariant-ideal search over 2x2 Hermite forms
-    candidates = (
-        Mat.from_ints(ctx, [[p**a, h], [0, p ** (expo - a)]])
-        for expo in range(1, bound + 1)
-        for a in range(expo + 1)
-        for h in range(p**a)
-    )
+    candidates = (H for expo in range(1, bound + 1) for H in enumerate_sublattices(ctx, expo, 2))
     invariant = _first_invariant_ideal(bracket, domain, phi, candidates) is not None
     # D_infinity from the chain, stabilized or vanished within 2*bound steps
     d_inf = _domain_chain(domain, phi, 2 * bound)[-1]

@@ -241,20 +241,22 @@ def enumerate_index_p2(alg):
     return found
 
 
-def enumerate_sublattices(ctx, exponent):
-    """All full-rank sublattices of Z_p^3 of index exactly p^exponent.
+def enumerate_sublattices(ctx, exponent, n=3):
+    """All full-rank sublattices of Z_p^n of index exactly p^exponent.
 
-    Direct Hermite enumeration: diagonal (p^a, p^b, p^c) with a+b+c equal
-    to the exponent and above-pivot entries reduced mod the pivot of their
-    row.  Yields Mats already in Hermite form.
+    Direct Hermite enumeration: pivots p^a, p^b, ... with exponents summing
+    to the given one (the first varies slowest), then above-pivot entries
+    reduced mod the pivot of their row, in row-major order.  Yields Mats
+    already in Hermite form.
     """
     p = ctx.p
-    for a in range(exponent + 1):
-        for b in range(exponent + 1 - a):
-            c = exponent - a - b
-            for h01, h02 in product(range(p**a), repeat=2):
-                for h12 in range(p**b):
-                    yield Mat.from_ints(
-                        ctx,
-                        [[p**a, h01, h02], [0, p**b, h12], [0, 0, p**c]],
-                    )
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for head in product(range(exponent + 1), repeat=n - 1):
+        if sum(head) > exponent:
+            continue
+        exps = (*head, exponent - sum(head))
+        for entries in product(*(range(p ** exps[i]) for i, _ in above)):
+            rows = [[p**e if i == j else 0 for j in range(n)] for i, e in enumerate(exps)]
+            for (i, j), h in zip(above, entries):
+                rows[i][j] = h
+            yield Mat.from_ints(ctx, rows)

@@ -9,12 +9,13 @@ from padiclie.catalog import (
     named_algebra,
     normal_subgroup_sigma,
 )
-from padiclie.classify import canonical_form
+from padiclie.classify import FAMILIES, CanonicalForm, canonical_form
 from padiclie.errors import InvalidParameters, NotAnIdeal
 from padiclie.lattice import Algebra, lcs_exponents
 from padiclie.normal_forms import Mat
 from padiclie.padic_core import PrimeContext
 from padiclie.selfsim import CONJECTURED_INFINITE
+from test_classify import all_small_forms
 
 
 def _expect_diag(ctx, entries):
@@ -100,6 +101,25 @@ def test_named_parameter_validation():
         named_algebra(ctx, "L1", s=(2, 1, 0))
     with pytest.raises(InvalidParameters):
         named_algebra(ctx, "L2", s=(1, 1))
+    with pytest.raises(InvalidParameters):
+        named_algebra(ctx, "L4", s=(2, 5))
+
+
+def test_parameters_name_the_form_and_its_group():
+    """parameters, the catalog names L1-L4 and the group name agree on every
+    small form: the free s-values first, then the eps bits present."""
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p)
+        for cf in all_small_forms(p, 3):
+            params = cf.parameters
+            assert CanonicalForm.from_parameters(cf.family, params, p) == cf
+            free, _ = FAMILIES[cf.family]
+            alg = named_algebra(ctx, f"L{cf.family}", s=params[: len(free)], eps=cf.eps)
+            assert canonical_form(alg) == cf
+            rep = group_report(alg)
+            assert rep.parameters == params
+            name = f"G{cf.family}({', '.join(map(str, params))})"
+            assert rep.group_name == (name if rep.residually_nilpotent else None)
 
 
 def test_group_report_family2_frozen():

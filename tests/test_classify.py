@@ -77,6 +77,11 @@ def test_canonical_form_validation():
         CanonicalForm(4, (1, 1, 1), (0, None), 5)
     with pytest.raises(InvalidParameters):
         CanonicalForm(1, (0, 1, 2), (0, 2), 5)
+    form = CanonicalForm(2, (1, 1, 3), (0, None), 5)
+    assert CanonicalForm.from_parameters(2, (1, 3, 0), 5) == form
+    for family, params in ((4, (1, 1)), (3, (0, 1)), (5, (0,)), (2, (1, 1, 0))):
+        with pytest.raises(InvalidParameters):
+            CanonicalForm.from_parameters(family, params, 5)
 
 
 def test_canonical_form_context_must_match_the_prime():

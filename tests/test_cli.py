@@ -315,6 +315,14 @@ MALFORMED = {
     "classify-name-sl1_delta-eps1": ["classify", "--prime", "3", "--name", "sl1_delta", "--eps1", "1"],
     "selfsim-name-L2-eps2": ["selfsim", "--prime", "5", "--name", "L2", "--s", "0,1", "--eps2", "0"],
     "report-name-L4-eps1": ["report", "--prime", "5", "--name", "L4", "--s", "0", "--eps1", "0"],
+    "sl2-k": ["named", "sl2", "--prime", "3", "--k", "5"],
+    "sl2_congruence-s": ["named", "sl2_congruence", "--prime", "3", "--k", "1", "--s", "4"],
+    "L1-k": ["named", "L1", "--prime", "3", "--s", "0,1,2", "--k", "7"],
+    "classify-name-sl1_delta-n": ["classify", "--name", "sl1_delta", "--prime", "5", "--n", "3"],
+    "dim1-s": ["named", "dim1", "--prime", "3", "--k", "2", "--s", "4"],
+    "L4-two-s-values": ["named", "L4", "--prime", "3", "--s", "2,5"],
+    "gamma_sl2_sylow-k": ["named", "gamma_sl2_sylow", "--prime", "3", "--n", "2", "--k", "1"],
+    "sl1_congruence-n": ["named", "sl1_congruence", "--prime", "3", "--k", "1", "--n", "1"],
     "precision-above-bound": ["classify", *ENDO, "--precision", "1000000000"],
     "eta-2x2": ["eta", "--prime", "3", "--matrix=1,0;0,3"],
     "eta-4x4": ["eta", "--prime", "3", "--matrix=1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,1"],
@@ -377,6 +385,10 @@ def test_unread_eps_flag_is_named_and_read_flags_still_work(capsys):
     assert code == 0 and out["canonical"]["eps"] == [1, None]
     code, out, _ = run(capsys, "selfsim", "--prime", "5", "--name", "L3", "--s", "0,1", "--eps2", "1")
     assert code == 0 and out["canonical"]["eps"] == [None, 1]
+    code, _, err = run(capsys, "named", "sl2", "--prime", "3", "--k", "5")
+    assert code == 2 and err["message"] == "sl2 does not read --k"
+    code, _, err = run(capsys, "classify", "--prime", "5", "--name", "sl1_delta", "--n", "3")
+    assert code == 2 and err["message"] == "sl1_delta does not read --n"
     code, _, err = run(capsys, "named", "nosuch", "--prime", "3", "--eps1", "0")
     assert code == 2 and err["message"] == "unknown catalog name 'nosuch'"
 

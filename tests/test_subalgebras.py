@@ -253,6 +253,22 @@ def test_index_p2_count_on_abelian():
     assert set(found.keys()) == direct
 
 
+def test_enumerate_sublattices_order():
+    """Pivot exponents come first, the first varying slowest, then the
+    above-pivot entries row by row: a search reports the first invariant
+    ideal in this order."""
+    p = 3
+    ctx = PrimeContext(p)
+
+    def as_ints(H):
+        return tuple(tuple(x.residue_mod(ctx.precision) for x in row) for row in H.data)
+
+    for k in range(4):
+        assert [as_ints(H) for H in enumerate_sublattices(ctx, k)] == list(hermite_sublattices(p, k))
+        dim2 = [((p**a, h), (0, p ** (k - a))) for a in range(k + 1) for h in range(p**a)]
+        assert [as_ints(H) for H in enumerate_sublattices(ctx, k, 2)] == dim2
+
+
 def test_index_p2_on_sylow_lattice():
     """On diag(1, p, -p) the subalgebra composites are a proper subset."""
     ctx = PrimeContext(3)
