@@ -53,8 +53,22 @@ NAMED = (
 )
 
 
+# the options (CLI flags) each catalog name reads; a name not listed reads none
+READS = {
+    "sl2_congruence": ("k",), "sl1_congruence": ("k",), "gamma_sl2_sylow": ("n",),
+    "dim1": ("k",), "dim2": ("k", "s"),
+    **{f"L{f}": ("s", *(f"eps{j + 1}" for j in e)) for f, (_, e) in FAMILIES.items()},
+}
+
+
 def named_algebra(ctx, name, k=None, s=None, eps=None, n=None):
-    """Construct a catalog lattice in its traditional basis."""
+    """Construct a catalog lattice in its traditional basis.  A k, n, s or
+    eps (with an entry not None) that the name does not read raises InvalidParameters."""
+    _need(name in NAMED, f"unknown catalog name {name!r}")
+    reads = {flag.rstrip("12") for flag in READS.get(name, ())}  # eps1, eps2: eps
+    eps_set = eps is not None and any(e is not None for e in eps)
+    for option, value in (("k", k), ("n", n), ("s", s), ("eps", eps_set or None)):
+        _need(value is None or option in reads, f"{name} does not read {option}")
     p = ctx.p
     if name == "sl2":
         return Algebra(Mat.from_ints(ctx, [[1, 0, 0], [0, 0, 2], [0, 2, 0]]))
@@ -80,9 +94,7 @@ def named_algebra(ctx, name, k=None, s=None, eps=None, n=None):
         m, odd = divmod(k, 2)
         U = Mat.p_power_diagonal(ctx, (m, m, m + 1) if odd else (m, m, m))
         return Algebra(change_of_basis(base, U))
-    if name in ("L1", "L2", "L3", "L4"):
-        return Algebra(_canonical_named(ctx, name, s, eps))
-    raise InvalidParameters(f"unknown catalog name {name!r}")
+    return Algebra(_canonical_named(ctx, name, s, eps))  # L1-L4
 
 
 def _need(cond, msg):

@@ -45,18 +45,10 @@ def _int(text, option):
         raise InvalidInput(f"{option} takes integers, got {text!r}") from None
 
 
-# the catalog options each name reads; a name not listed reads none
-READS = {
-    "sl2_congruence": ("k",), "sl1_congruence": ("k",), "gamma_sl2_sylow": ("n",),
-    "dim1": ("k",), "dim2": ("k", "s"),
-    **{f"L{f}": ("s", *(f"eps{j + 1}" for j in e)) for f, (_, e) in classify.FAMILIES.items()},
-}
-
-
 def _refuse_unread(args):
     """InvalidInput for a catalog option the named lattice does not read."""
     for flag in ("eps1", "eps2", "k", "n", "s"):
-        if getattr(args, flag) is not None and flag not in READS.get(args.name, ()):
+        if getattr(args, flag) is not None and flag not in catalog.READS.get(args.name, ()):
             raise InvalidInput(f"{args.name} does not read --{flag}")
 
 
@@ -64,7 +56,7 @@ def _named(args, ctx):
     if args.name in catalog.NAMED:  # named_algebra reports an unknown name
         _refuse_unread(args)
     s = tuple(_int(t, "--s") for t in args.s.split(",")) if args.s else None
-    eps = (args.eps1 or 0, args.eps2 or 0)
+    eps = None if args.eps1 is None and args.eps2 is None else (args.eps1 or 0, args.eps2 or 0)
     return catalog.named_algebra(ctx, args.name, k=args.k, s=s, eps=eps, n=args.n)
 
 

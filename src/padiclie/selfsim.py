@@ -167,22 +167,10 @@ def regularity_check(ve, depth):
     return RegularityReport(all(e == 1 for e in exps), tuple(exps), tuple(escapes), tuple(chain))
 
 
-def _first_invariant_ideal(bracket, domain, phi, candidates):
-    """The first candidate J that is an ideal, lies inside the domain M and
-    satisfies phi(J) inside J; None when no candidate does."""
-    inside = Span(domain)
-    for J in candidates:
-        if not is_ideal(bracket, J):
-            continue
-        c = inside.coordinates(J)
-        if c is not None and lattice_contains(J, phi * c):
-            return J
-    return None
-
-
 def invariant_ideal_search(ve, bound):
     """Search for a nonzero phi-invariant ideal J of L inside M, of index
-    at most p^bound.  Returns the witness Hermite matrix or None.
+    at most p^bound: in dimension 3 here, in dimension 2 for lowdim_report.
+    Returns the witness Hermite matrix or None.
 
     Any phi-invariant ideal lies inside every D_n, so the enumeration runs
     over sublattices of D_bound only; proper sublattices of L are
@@ -190,19 +178,26 @@ def invariant_ideal_search(ve, bound):
     """
     if bound < 0:
         raise InvalidParameters("search bound must be >= 0")
-    alg = ve.ambient
-    ctx = alg.ctx
-    induced_algebra(alg, ve.domain)  # NotSubalgebra when the domain is open
+    induced_algebra(ve.ambient, ve.domain)  # NotSubalgebra when the domain is open
     d_bound = domain_chain(ve, bound)[-1]
+    return _invariant_ideal(ve.ambient.bracket, ve.domain, ve.phi, d_bound, bound)
+
+
+def _invariant_ideal(bracket, domain, phi, d_bound, bound):
+    """invariant_ideal_search given D_bound, for a bracket, domain and phi of any size."""
     v_bound = sum(x.valuation() for x in d_bound.diagonal_entries())
     if v_bound > bound:
         return None
-    candidates = (
-        hnf_columns(d_bound * H)[0]
-        for rel in range(max(0, 1 - v_bound), bound - v_bound + 1)
-        for H in enumerate_sublattices(ctx, rel)
-    )
-    return _first_invariant_ideal(alg.bracket, ve.domain, ve.phi, candidates)
+    inside = Span(domain)
+    for rel in range(max(0, 1 - v_bound), bound - v_bound + 1):
+        for H in enumerate_sublattices(domain.ctx, rel, domain.nrows):
+            J = hnf_columns(d_bound * H)[0]
+            if not is_ideal(bracket, J):
+                continue
+            c = inside.coordinates(J)
+            if c is not None and lattice_contains(J, phi * c):
+                return J
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +464,9 @@ class LowDimReport:
     invariant_found: bool
 
 
+LOWDIM_BOUND = 4  # lowdim_report's search bound; its chain runs twice as deep
+
+
 def _dim2_bracket(ctx, s, x, y):
     """[x, y] = det(x|y) p^s e0 on Z_p^2; s = INF means abelian."""
     d = x[0] * y[1] - x[1] * y[0]
@@ -477,16 +475,16 @@ def _dim2_bracket(ctx, s, x, y):
     return (d.shift(s), ctx.zero())
 
 
-def lowdim_report(ctx, dim, k, s=None, bound=4):
+def lowdim_report(ctx, dim, k, s=None):
     """The standard simple virtual endomorphism in dimension 1 or 2.
 
     dim 1: domain p^k Z_p, phi(a) = p^{-k} a.
     dim 2: L(s) = <x, y | [x, y] = p^s x>, domain <p^k x, y>;
-           s = INF: phi swaps p^k x -> y, y -> x (then D_infinity = 0);
-           s finite: phi(p^k x) = x, phi(y) = y (then D_infinity = <y>).
+           s = INF: phi swaps p^k x -> y, y -> x (the chain drains to 0);
+           s finite: phi(p^k x) = x, phi(y) = y (the chain shrinks onto <y>).
 
-    The morphism law and a bounded invariant-ideal search (index up to
-    p^bound) are both verified and reported.
+    Reports the morphism law, the chain term D_{2*LOWDIM_BOUND} = D_8 as
+    d_infinity, and whether the invariant-ideal search inside D_4 finds one.
     """
     p = ctx.p
     if dim == 1:
@@ -512,9 +510,6 @@ def lowdim_report(ctx, dim, k, s=None, bound=4):
         phi = Mat.from_ints(ctx, [[1, 0], [0, 1]])
     bracket = functools.partial(_dim2_bracket, ctx, s)
     ok = _bracket_law(bracket, domain, phi)
-    # bounded invariant-ideal search over 2x2 Hermite forms
-    candidates = (H for expo in range(1, bound + 1) for H in enumerate_sublattices(ctx, expo, 2))
-    invariant = _first_invariant_ideal(bracket, domain, phi, candidates) is not None
-    # D_infinity from the chain, stabilized or vanished within 2*bound steps
-    d_inf = _domain_chain(domain, phi, 2 * bound)[-1]
-    return LowDimReport(2, s, k, domain, phi, ok, d_inf, invariant)
+    chain = _domain_chain(domain, phi, 2 * LOWDIM_BOUND)
+    invariant = _invariant_ideal(bracket, domain, phi, chain[LOWDIM_BOUND], LOWDIM_BOUND)
+    return LowDimReport(2, s, k, domain, phi, ok, chain[-1], invariant is not None)

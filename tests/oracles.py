@@ -249,3 +249,33 @@ def int_elementary_divisors(M, p):
     g2 = min(p_valuation(x, p) for row in int_adjugate(M) for x in row if x != 0)
     g3 = p_valuation(det, p)
     return (g1, g2 - g1, g3 - g2)
+
+
+def invariant_ideal_exists_dim2(p, s, domain, phi, bound):
+    """Brute force over every 2x2 Hermite sublattice J of index p to
+    p^bound: is one of them an ideal of L(s) = <x, y | [x, y] = p^s x>
+    (s None: abelian) inside the span of domain with phi(J) inside J?
+
+    domain and phi are integer 2x2 matrices (lists of rows); the columns of
+    phi are the images of the columns of domain.  phi(J) lies in J exactly
+    when phi adj(domain) J lies in the span of det(domain) J.
+    """
+
+    def times(A, B):
+        return [[sum(A[i][t] * B[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
+
+    d, to_images = int_det(domain), times(phi, int_adjugate(domain))
+    for e in range(1, bound + 1):
+        for a in range(e + 1):
+            for h in range(p**a):
+                J = [[p**a, h], [0, p ** (e - a)]]
+                # [x, c] = (p^s det(x|c), 0) for x = e_0, e_1 and the columns c of J
+                first = [p**s * (x * J[1][j] - y * J[0][j]) for x, y in ((1, 0), (0, 1))
+                         for j in range(2)] if s is not None else [0] * 4
+                if not int_contains(J, [first, [0] * 4], p):
+                    continue
+                if not int_contains(domain, J, p):
+                    continue
+                if int_contains([[d * x for x in row] for row in J], times(to_images, J), p):
+                    return True
+    return False

@@ -103,6 +103,15 @@ def test_named_parameter_validation():
         named_algebra(ctx, "L2", s=(1, 1))
     with pytest.raises(InvalidParameters):
         named_algebra(ctx, "L4", s=(2, 5))
+    # an option the name does not read
+    with pytest.raises(InvalidParameters, match="sl2 does not read k"):
+        named_algebra(ctx, "sl2", k=5)
+    with pytest.raises(InvalidParameters, match="sl2_congruence does not read n"):
+        named_algebra(ctx, "sl2_congruence", k=1, n=4, s=(1, 2))
+    with pytest.raises(InvalidParameters, match="L4 does not read eps"):
+        named_algebra(ctx, "L4", s=(1,), eps=(1, 1))
+    with pytest.raises(InvalidParameters, match="sl1_delta does not read n"):
+        named_algebra(ctx, "sl1_delta", n=2)
 
 
 def test_parameters_name_the_form_and_its_group():

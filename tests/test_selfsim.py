@@ -1,6 +1,7 @@
 """Index-p decisions, explicit simple endomorphisms, domain chains,
 invariant-ideal searches, and the nine-row sigma table."""
 
+import functools
 import random
 import sys
 
@@ -34,6 +35,7 @@ from padiclie.selfsim import (
     sigma_bounds,
     witness_subalgebra,
 )
+from oracles import invariant_ideal_exists_dim2
 
 
 def test_decide_index_p_table():
@@ -297,10 +299,10 @@ def test_lowdim_dimension_one():
 def test_lowdim_dimension_two_nonabelian():
     """s = 0, k = 1: the chain squeezes onto <y> and no ideal is stable."""
     ctx = PrimeContext(3)
-    rep = lowdim_report(ctx, 2, 1, s=0, bound=4)
+    rep = lowdim_report(ctx, 2, 1, s=0)
     assert rep.is_morphism
     assert not rep.invariant_found
-    # D_n = <p^n x, y>: after 2*bound steps the first slot has exponent 8
+    # D_n = <p^n x, y>: after 2*LOWDIM_BOUND steps the first slot has exponent 8
     assert rep.d_infinity[0, 0].valuation() == 8
     assert rep.d_infinity[1, 1].valuation() == 0
 
@@ -308,11 +310,58 @@ def test_lowdim_dimension_two_nonabelian():
 def test_lowdim_dimension_two_abelian():
     """s = INF: the swap map drains the whole lattice, D_infinity = 0."""
     ctx = PrimeContext(3)
-    rep = lowdim_report(ctx, 2, 1, s=INF, bound=4)
+    rep = lowdim_report(ctx, 2, 1, s=INF)
     assert rep.is_morphism
     assert not rep.invariant_found
     assert rep.d_infinity[0, 0].valuation() >= 4
     assert rep.d_infinity[1, 1].valuation() >= 4
+
+
+def test_invariant_ideal_search_agrees_with_brute_force_in_dimension_two():
+    """The search inside D_4 finds an invariant ideal exactly when one of
+    the 2x2 Hermite sublattices of index p to p^4 is one."""
+    answers = set()
+    for p in (3, 5):
+        ctx = PrimeContext(p)
+        for k in (1, 2):
+            domain = [[p**k, 0], [0, 1]]
+            maps = (
+                [[0, 1], [1, 0]],  # lowdim's swap: p^k x -> y, y -> x
+                [[1, 0], [0, 1]],  # lowdim's finite-s map: p^k x -> x, y -> y
+                domain,  # the inclusion: M itself is invariant
+                [[0, p**k], [1, 0]],  # p^k x -> y, y -> p^k x: M is invariant
+            )
+            for s in (INF, 0, 1, 2):
+                bracket = functools.partial(selfsim._dim2_bracket, ctx, s)
+                for phi in maps:
+                    D, P = Mat.from_ints(ctx, domain), Mat.from_ints(ctx, phi)
+                    d_bound = selfsim._domain_chain(D, P, 4)[-1]
+                    found = selfsim._invariant_ideal(bracket, D, P, d_bound, 4) is not None
+                    want = invariant_ideal_exists_dim2(p, None if s == INF else s, domain, phi, 4)
+                    assert found == want, (p, k, s, phi)
+                    answers.add(found)
+    assert answers == {True, False}
+
+
+def test_lowdim_search_stays_inside_d_bound(monkeypatch):
+    """At p = 101 the dimension-2 report walks its chain once and takes at
+    most 10 candidates, where the sublattices of index up to p^4 number 10^8."""
+    taken = []
+
+    def capped(*args):
+        for H in subalgebras.enumerate_sublattices(*args):
+            taken.append(H)
+            if len(taken) > 10:
+                pytest.fail("lowdim_report takes more than 10 candidates")
+            yield H
+
+    monkeypatch.setattr(selfsim, "enumerate_sublattices", capped)
+    steps = _counted(monkeypatch, selfsim, "_preimage_lattice")
+    for s in (INF, 1):
+        del taken[:], steps[:]
+        rep = lowdim_report(PrimeContext(101), 2, 1, s)
+        assert not rep.invariant_found
+        assert len(steps) == 2 * selfsim.LOWDIM_BOUND
 
 
 def test_random_decide_yes_always_certified():
