@@ -24,7 +24,6 @@ from .normal_forms import (
     hnf_columns,
     kernel_basis,
     lattice_contains,
-    lattice_eq,
     parse_matrix,
     snf,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "is_morphism",
     "kernel_basis",
     "lattice_contains",
-    "lattice_eq",
     "lcs_exponents",
     "legendre_class",
     "named_algebra",

@@ -21,12 +21,8 @@ p >= 3.  A torsion-free group only exists over the lattice when the
 lower central series shrinks, i.e. when the middle s-invariant is >= 1.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .classify import FAMILIES, CanonicalForm, QpType, canonical_form, qp_type_of_eta
-from .errors import InvalidParameters, NotAnIdeal
+from .errors import InvalidParameters, NotAnIdeal, Record, _set
 from .lattice import (
     Algebra,
     change_of_basis,
@@ -36,7 +32,7 @@ from .lattice import (
     residually_nilpotent,
 )
 from .normal_forms import Mat, Span, hnf_columns
-from .selfsim import SelfSimReport, decide_index_p, sigma_bounds
+from .selfsim import decide_index_p, sigma_bounds
 
 
 NAMED = (
@@ -120,24 +116,30 @@ def _canonical_named(ctx, name, s, eps):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(Record):
     """What the lattice classification says about the associated group."""
 
-    group_name: str
-    family: int
-    parameters: tuple
-    residually_nilpotent: bool
-    failing_s: object
-    prime_threshold: int
-    threshold_met: bool
-    qp_type: str
-    index_p_self_similar: bool
-    sigma_lower: int
-    sigma_upper: object
-    index_transfer: str
-    notes: tuple
-    selfsim: SelfSimReport  # the sigma report; its canonical is the canonical form
+    __slots__ = ("group_name", "family", "parameters", "residually_nilpotent", "failing_s",
+                 "prime_threshold", "threshold_met", "qp_type", "index_p_self_similar",
+                 "sigma_lower", "sigma_upper", "index_transfer", "notes", "selfsim")
+
+    def __init__(self, group_name, family, parameters, residually_nilpotent, failing_s,
+                 prime_threshold, threshold_met, qp_type, index_p_self_similar, sigma_lower,
+                 sigma_upper, index_transfer, notes, selfsim):
+        _set(self, "group_name", group_name)
+        _set(self, "family", family)
+        _set(self, "parameters", parameters)
+        _set(self, "residually_nilpotent", residually_nilpotent)
+        _set(self, "failing_s", failing_s)
+        _set(self, "prime_threshold", prime_threshold)
+        _set(self, "threshold_met", threshold_met)
+        _set(self, "qp_type", qp_type)
+        _set(self, "index_p_self_similar", index_p_self_similar)
+        _set(self, "sigma_lower", sigma_lower)
+        _set(self, "sigma_upper", sigma_upper)
+        _set(self, "index_transfer", index_transfer)
+        _set(self, "notes", notes)
+        _set(self, "selfsim", selfsim)  # the sigma report; its canonical is the canonical form
 
 
 def group_report(alg):
@@ -210,13 +212,15 @@ def group_report(alg):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealSigmaReport:
-    level: int
-    equals_gamma_term: bool
-    index_over_gamma: int
-    verdict: str
-    decided_exponent: int
+class IdealSigmaReport(Record):
+    __slots__ = ("level", "equals_gamma_term", "index_over_gamma", "verdict", "decided_exponent")
+
+    def __init__(self, level, equals_gamma_term, index_over_gamma, verdict, decided_exponent):
+        _set(self, "level", level)
+        _set(self, "equals_gamma_term", equals_gamma_term)
+        _set(self, "index_over_gamma", index_over_gamma)
+        _set(self, "verdict", verdict)
+        _set(self, "decided_exponent", decided_exponent)
 
 
 def normal_subgroup_sigma(alg, ideal):

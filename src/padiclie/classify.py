@@ -17,13 +17,10 @@ It is computed along two independent routes (additive Hilbert symbols
 against a closed formula in the diagonal data) which must agree.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import Degenerate, InvalidParameters, NotLie, PathDisagreement
+from .errors import Degenerate, InvalidParameters, NotLie, PathDisagreement, Record, _set
 from .lattice import Algebra
 from .normal_forms import Mat, congruent_diagonalize
 from .padic_core import PrimeContext, hilbert_additive
@@ -39,40 +36,40 @@ class QpType(Enum):
 FAMILIES = {1: ((0, 1, 2), (0, 1)), 2: ((0, 2), (0,)), 3: ((0, 1), (1,)), 4: ((0,), ())}
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Complete isomorphism invariant: (family, s, eps) at a fixed prime.
 
     ctx, the window the form was read in (PrimeContext(p) when omitted),
     serves every value derived from the form and takes no part in equality.
     """
 
-    family: int
-    s: tuple
-    eps: tuple
-    p: int
-    ctx: PrimeContext = field(default=None, compare=False, repr=False)
+    __slots__ = ("family", "s", "eps", "p", "ctx")
+    _hidden = ("ctx",)
 
-    def __post_init__(self):
-        free, eps_slots = FAMILIES.get(self.family, ((), ()))
-        s0, s1, s2 = self.s
+    def __init__(self, family, s, eps, p, ctx=None):
+        _set(self, "family", family)
+        _set(self, "s", s)
+        _set(self, "eps", eps)
+        _set(self, "p", p)
+        free, eps_slots = FAMILIES.get(family, ((), ()))
+        s0, s1, s2 = s
         ok = (
             free
             and s0 >= 0
             and all(b > a if i in free else b == a for i, a, b in ((1, s0, s1), (2, s1, s2)))
-            and len(self.eps) == 2
-            and all((self.eps[j] is not None) == (j in eps_slots) for j in (0, 1))
+            and len(eps) == 2
+            and all((eps[j] is not None) == (j in eps_slots) for j in (0, 1))
         )
         if not ok:
             raise InvalidParameters(
-                f"inconsistent canonical data: family {self.family}, s={self.s}, eps={self.eps}"
+                f"inconsistent canonical data: family {family}, s={s}, eps={eps}"
             )
-        for e in self.eps:
+        for e in eps:
             if e not in (None, 0, 1):
                 raise InvalidParameters("eps entries must be 0, 1, or absent")
-        object.__setattr__(self, "ctx", self.ctx or PrimeContext(self.p))
-        if self.ctx.p != self.p:
-            raise InvalidParameters(f"context over p = {self.ctx.p} for a form at p = {self.p}")
+        _set(self, "ctx", ctx or PrimeContext(p))
+        if self.ctx.p != p:
+            raise InvalidParameters(f"context over p = {self.ctx.p} for a form at p = {p}")
 
     @classmethod
     def from_parameters(cls, family, parameters, p, ctx=None):
@@ -169,13 +166,15 @@ def is_isomorphic(a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaBreakdown:
+class EtaBreakdown(Record):
     """eta = delta * v_p(d(A)) + e(A) mod 2, with both ingredients exposed."""
 
-    disc_valuation_parity: int
-    hilbert_sum: int
-    eta: int
+    __slots__ = ("disc_valuation_parity", "hilbert_sum", "eta")
+
+    def __init__(self, disc_valuation_parity, hilbert_sum, eta):
+        _set(self, "disc_valuation_parity", disc_valuation_parity)
+        _set(self, "hilbert_sum", hilbert_sum)
+        _set(self, "eta", eta)
 
 
 def _eta_symbol_route(entries, ctx):

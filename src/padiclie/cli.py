@@ -9,12 +9,9 @@ stderr as {"error": ..., "message": ...} with exit codes
     4  unsupported prime    5  precondition violation
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
-import random
 import re
 import sys
 
@@ -245,6 +242,8 @@ def cmd_report(args):
 
 
 def cmd_selftest(args):
+    import random  # here, so that the other commands never load it
+
     rng = random.Random(args.seed)
     ctx = PrimeContext(args.prime, args.precision)
     results = {}

@@ -1,10 +1,54 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and the immutable record base shared by all modules.
 
 Three coarse classes matter for callers (and for the CLI exit codes):
 malformed input, precision exhaustion, and violated mathematical
 preconditions.  Everything raised by this package derives from
 PadicLieError.
 """
+
+from operator import attrgetter
+
+_set = object.__setattr__  # how a Record's __init__ writes its fields
+
+
+class Record:
+    """Base of the package's immutable result records.
+
+    A subclass names its fields, in order, in __slots__ and writes them with
+    _set in its own __init__; no code is generated at import.  Equality
+    (with a record of the same class only), hash and repr read every field
+    but those in _hidden, as a frozen dataclass would; assigning to a field
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+    _hidden = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f not in cls._hidden)
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild the record through __init__
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
 
 
 class PadicLieError(Exception):

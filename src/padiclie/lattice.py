@@ -20,10 +20,8 @@ which is also the integrality test for a full-rank submodule to be a
 subalgebra, and then B is the structure matrix of the submodule.
 """
 
-from __future__ import annotations
-
-from .errors import Degenerate, InvalidParameters, NotSubalgebra, PathDisagreement
-from .normal_forms import Mat, Span, hnf_columns, lattice_contains
+from .errors import Degenerate, InvalidParameters, NotSubalgebra
+from .normal_forms import Mat, Span
 from .padic_core import INF
 
 
@@ -51,22 +49,6 @@ class Algebra:
         """[x, y] = A (x cross y) on coordinate triples."""
         return self.matrix.mul_vec(cross(x, y))
 
-    def antisymmetry_defect(self):
-        """The vector v with A - A^T = [[0,v2,-v1],[-v2,0,v0],[v1,-v0,0]]."""
-        d = self.matrix - self.matrix.transpose()
-        return (d[1, 2], d[2, 0], d[0, 1])
-
-    def jacobiator(self):
-        """J(x0, x1, x2) = A v; zero iff the bracket satisfies Jacobi."""
-        return self.matrix.mul_vec(self.antisymmetry_defect())
-
-    def is_lie(self):
-        return all(c.is_zero() for c in self.jacobiator())
-
-    def is_unsolvable(self):
-        """Nonzero determinant, equivalently L is an unsolvable Lie lattice."""
-        return not self.matrix.det().is_zero()
-
     def __repr__(self):
         return f"<Algebra {self.matrix.to_literal()} (p={self.ctx.p})>"
 
@@ -82,11 +64,6 @@ def change_of_basis(alg, U):
         raise Degenerate("basis-change matrix is singular")
     adj = U.adjugate()
     return (adj * alg.matrix * adj.transpose()).scale(d.inv())
-
-
-def is_subalgebra(alg, U):
-    """Whether the column span of U is closed under the bracket."""
-    return change_of_basis(alg, U).is_integral()
 
 
 def induced_algebra(alg, U):
@@ -115,29 +92,6 @@ def index_exponent(U):
     if d.is_zero():
         raise Degenerate("submodule has rank < 3")
     return d.valuation()
-
-
-def index_and_commutator_index(alg, U):
-    """Measure [L : M] and [[L,L] : [M,M]] for the subalgebra M = span U.
-
-    Returns (k, c) with p^k the index of M and p^c the commutator index,
-    both read off Hermite forms.  The quadrupling law c = 2k is checked
-    (PathDisagreement when it fails).
-    """
-    if not alg.is_unsolvable():
-        raise Degenerate("commutator index needs an unsolvable algebra")
-    B = induced_algebra(alg, U).matrix
-    k = index_exponent(U)
-    comm_L, _ = hnf_columns(alg.matrix)  # [L, L] is spanned by the columns of A
-    comm_M, _ = hnf_columns(U * B)
-    if not lattice_contains(comm_L, comm_M):
-        raise NotSubalgebra("commutator lattice escaped; inconsistent input")
-    c = sum(x.valuation() for x in comm_M.diagonal_entries()) - sum(
-        x.valuation() for x in comm_L.diagonal_entries()
-    )
-    if c != 2 * k:
-        raise PathDisagreement("commutator index must be the square of the index")
-    return k, c
 
 
 def saturating_scale(n, s):

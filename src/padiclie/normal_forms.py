@@ -17,8 +17,6 @@ valuation without leaving the congruence class, and Span answers every
 "does span N lie in span M" question.
 """
 
-from __future__ import annotations
-
 from .errors import (
     Degenerate,
     InvalidParameters,
@@ -220,13 +218,6 @@ def parse_matrix(text, ctx):
     )
 
 
-def is_unimodular(V):
-    """True when V is square, integral, with unit determinant."""
-    if V.nrows != V.ncols or not V.is_integral():
-        return False
-    return V.det().valuation() == 0
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form (column style)
 # ---------------------------------------------------------------------------
@@ -335,12 +326,6 @@ class Span:
 def lattice_contains(M, N):
     """Column span of the full-rank M contains column span of N."""
     return Span(M).coordinates(N) is not None
-
-
-def lattice_eq(M, N):
-    H1, _ = hnf_columns(M)
-    H2, _ = hnf_columns(N)
-    return H1 == H2
 
 
 # ---------------------------------------------------------------------------

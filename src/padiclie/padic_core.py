@@ -12,8 +12,6 @@ shorter window raises PrecisionLoss.
 Exact zero is the distinguished scalar with valuation +infinity.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re

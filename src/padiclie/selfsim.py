@@ -30,12 +30,9 @@ for eta = 1 the lattice is not self-similar of index p, and the upper
 bound is conjectured infinite: the sentinel is never a number.
 """
 
-from __future__ import annotations
-
 import functools
-from dataclasses import dataclass
 
-from .classify import CanonicalForm, canonical_from_diagonal, diagonalize_structure, eta
+from .classify import canonical_from_diagonal, diagonalize_structure, eta
 from .errors import (
     Degenerate,
     InvalidParameters,
@@ -43,8 +40,10 @@ from .errors import (
     NotSubalgebra,
     PathDisagreement,
     PreconditionViolated,
+    Record,
+    _set,
 )
-from .lattice import Algebra, change_of_basis, index_exponent, induced_algebra, is_ideal
+from .lattice import change_of_basis, index_exponent, induced_algebra, is_ideal
 from .normal_forms import Mat, Span, cassels_move, hnf_columns, kernel_basis, lattice_contains
 from .padic_core import INF
 from .subalgebras import _key_identity, all_symbols, enumerate_sublattices, nss_condition
@@ -68,22 +67,22 @@ def decide_index_p(cf):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VirtualEndomorphism:
+class VirtualEndomorphism(Record):
     """phi: M -> L.  domain columns span M; phi columns are the images of
     the domain basis vectors, written in ambient coordinates."""
 
-    ambient: Algebra
-    domain: Mat
-    phi: Mat
+    __slots__ = ("ambient", "domain", "phi")
 
-    def __post_init__(self):
-        if self.domain.det().is_zero():
+    def __init__(self, ambient, domain, phi):
+        _set(self, "ambient", ambient)
+        _set(self, "domain", domain)
+        _set(self, "phi", phi)
+        if domain.det().is_zero():
             raise Degenerate("domain must have full rank")
-        if not self.domain.is_integral() or not self.phi.is_integral():
+        if not domain.is_integral() or not phi.is_integral():
             raise InvalidParameters("domain and images must be integral")
-        n = self.ambient.matrix.nrows
-        if any(M.nrows != n or M.ncols != n for M in (self.domain, self.phi)):
+        n = ambient.matrix.nrows
+        if any(M.nrows != n or M.ncols != n for M in (domain, phi)):
             raise InvalidParameters(f"domain and images must be {n}x{n}")
 
     def index_exponent(self):
@@ -142,12 +141,14 @@ def _domain_chain(domain, phi, depth):
     return chain
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    regular: bool
-    index_exponents: tuple
-    escapes: tuple
-    chain: tuple  # (D_0, ..., D_{depth+1}), the chain the check walked
+class RegularityReport(Record):
+    __slots__ = ("regular", "index_exponents", "escapes", "chain")
+
+    def __init__(self, regular, index_exponents, escapes, chain):
+        _set(self, "regular", regular)
+        _set(self, "index_exponents", index_exponents)
+        _set(self, "escapes", escapes)
+        _set(self, "chain", chain)  # (D_0, ..., D_{depth+1}), the chain the check walked
 
 
 def regularity_check(ve, depth):
@@ -344,18 +345,22 @@ def non_self_similarity_certificate(alg):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfSimReport:
+class SelfSimReport(Record):
     """sigma(L) bounds as p-power exponents, with the certifying data."""
 
-    canonical: CanonicalForm
-    eta: int
-    index_p_self_similar: bool
-    sigma_lower: int
-    sigma_upper: object  # int exponent, or CONJECTURED_INFINITE
-    table_row: int
-    witness_exponents: tuple
-    note: str
+    __slots__ = ("canonical", "eta", "index_p_self_similar", "sigma_lower", "sigma_upper",
+                 "table_row", "witness_exponents", "note")
+
+    def __init__(self, canonical, eta, index_p_self_similar, sigma_lower, sigma_upper,
+                 table_row, witness_exponents, note):
+        _set(self, "canonical", canonical)
+        _set(self, "eta", eta)
+        _set(self, "index_p_self_similar", index_p_self_similar)
+        _set(self, "sigma_lower", sigma_lower)
+        _set(self, "sigma_upper", sigma_upper)  # int exponent, or CONJECTURED_INFINITE
+        _set(self, "table_row", table_row)
+        _set(self, "witness_exponents", witness_exponents)
+        _set(self, "note", note)
 
 
 def _table_row(cf):
@@ -450,18 +455,21 @@ def witness_subalgebra(cf):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowDimReport:
+class LowDimReport(Record):
     """Simple virtual endomorphism data in dimension 1 or 2."""
 
-    dim: int
-    s: object  # dim 2 only: bracket exponent, int or INF
-    k: int
-    domain: Mat
-    phi: Mat
-    is_morphism: bool
-    d_infinity: Mat
-    invariant_found: bool
+    __slots__ = ("dim", "s", "k", "domain", "phi", "is_morphism", "d_infinity",
+                 "invariant_found")
+
+    def __init__(self, dim, s, k, domain, phi, is_morphism, d_infinity, invariant_found):
+        _set(self, "dim", dim)
+        _set(self, "s", s)  # dim 2 only: bracket exponent, int or INF
+        _set(self, "k", k)
+        _set(self, "domain", domain)
+        _set(self, "phi", phi)
+        _set(self, "is_morphism", is_morphism)
+        _set(self, "d_infinity", d_infinity)
+        _set(self, "invariant_found", invariant_found)
 
 
 LOWDIM_BOUND = 4  # lowdim_report's search bound; its chain runs twice as deep

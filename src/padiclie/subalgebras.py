@@ -21,9 +21,6 @@ Xi_i exists iff s_i >= 1, its s-invariants are the ambient ones shifted by
 pins every such M, which is what makes index-p self-similarity decidable.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -32,20 +29,22 @@ from .errors import (
     NotSubalgebra,
     PathDisagreement,
     PreconditionViolated,
+    Record,
+    _set,
 )
 from .lattice import change_of_basis, induced_algebra
 from .normal_forms import Mat, hnf_columns, snf
 from .padic_core import INF
 
 
-@dataclass(frozen=True)
-class XiSymbol:
+class XiSymbol(Record):
     """One of the 1 + p + p^2 index-p symbols: (), (e,), or (e, f)."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if len(self.entries) > 2:
+    def __init__(self, entries):
+        _set(self, "entries", entries)
+        if len(entries) > 2:
             raise InvalidParameters("symbol has at most two entries")
 
     def class_index(self):
@@ -110,15 +109,17 @@ def b_xi(A, xi):
     )
 
 
-@dataclass(frozen=True)
-class SubalgebraReport:
+class SubalgebraReport(Record):
     """What enumerate_index_p records for one symbol."""
 
-    xi: XiSymbol
-    u_matrix: Mat
-    b_matrix: Mat
-    closed: bool
-    sub_s: tuple
+    __slots__ = ("xi", "u_matrix", "b_matrix", "closed", "sub_s")
+
+    def __init__(self, xi, u_matrix, b_matrix, closed, sub_s):
+        _set(self, "xi", xi)
+        _set(self, "u_matrix", u_matrix)
+        _set(self, "b_matrix", b_matrix)
+        _set(self, "closed", closed)
+        _set(self, "sub_s", sub_s)
 
 
 def enumerate_index_p(alg):

@@ -2,13 +2,19 @@
 
 Everything here recomputes quantities by a different route than the
 package: plain integer arithmetic mod p^K, exhaustive enumeration, or
-textbook algorithms with no reliance on the scalar class.  The one
-exception is the Laplace expansion below, which works on the package's
-scalars on purpose: it is the reference the closed-form 3x3 determinant
-and adjugate must match scalar for scalar.
+textbook algorithms with no reliance on the scalar class.  Two groups
+work on the package's objects on purpose.  The Laplace expansion is the
+reference the closed-form 3x3 determinant and adjugate must match scalar
+for scalar.  The predicates at the end (Jacobi and unsolvability tests,
+subalgebra and commutator indices, unimodularity, lattice equality) were
+package API that only tests reached; they live here as references.
 """
 
 from fractions import Fraction
+
+from padiclie import lattice
+from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement
+from padiclie.normal_forms import hnf_columns, lattice_contains
 
 
 def egcd(a, b):
@@ -279,3 +285,66 @@ def invariant_ideal_exists_dim2(p, s, domain, phi, bound):
                 if int_contains([[d * x for x in row] for row in J], times(to_images, J), p):
                     return True
     return False
+
+
+def antisymmetry_defect(alg):
+    """The vector v with A - A^T = [[0,v2,-v1],[-v2,0,v0],[v1,-v0,0]]."""
+    d = alg.matrix - alg.matrix.transpose()
+    return (d[1, 2], d[2, 0], d[0, 1])
+
+
+def jacobiator(alg):
+    """J(x0, x1, x2) = A v; zero iff the bracket satisfies Jacobi."""
+    return alg.matrix.mul_vec(antisymmetry_defect(alg))
+
+
+def is_lie(alg):
+    return all(c.is_zero() for c in jacobiator(alg))
+
+
+def is_unsolvable(alg):
+    """Nonzero determinant, equivalently L is an unsolvable Lie lattice."""
+    return not alg.matrix.det().is_zero()
+
+
+def is_subalgebra(alg, U):
+    """Whether the column span of U is closed under the bracket."""
+    return lattice.change_of_basis(alg, U).is_integral()
+
+
+def index_and_commutator_index(alg, U):
+    """Measure [L : M] and [[L,L] : [M,M]] for the subalgebra M = span U.
+
+    Returns (k, c) with p^k the index of M and p^c the commutator index,
+    both read off Hermite forms.  The quadrupling law c = 2k is checked
+    (PathDisagreement when it fails).  lattice.index_exponent is looked up
+    at call time, so a test can replace it.
+    """
+    if not is_unsolvable(alg):
+        raise Degenerate("commutator index needs an unsolvable algebra")
+    B = lattice.induced_algebra(alg, U).matrix
+    k = lattice.index_exponent(U)
+    comm_L, _ = hnf_columns(alg.matrix)  # [L, L] is spanned by the columns of A
+    comm_M, _ = hnf_columns(U * B)
+    if not lattice_contains(comm_L, comm_M):
+        raise NotSubalgebra("commutator lattice escaped; inconsistent input")
+    c = sum(x.valuation() for x in comm_M.diagonal_entries()) - sum(
+        x.valuation() for x in comm_L.diagonal_entries()
+    )
+    if c != 2 * k:
+        raise PathDisagreement("commutator index must be the square of the index")
+    return k, c
+
+
+def is_unimodular(V):
+    """True when V is square, integral, with unit determinant."""
+    if V.nrows != V.ncols or not V.is_integral():
+        return False
+    return V.det().valuation() == 0
+
+
+def lattice_eq(M, N):
+    """Whether M and N have the same column span: equal Hermite forms."""
+    H1, _ = hnf_columns(M)
+    H2, _ = hnf_columns(N)
+    return H1 == H2

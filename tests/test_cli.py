@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,7 @@ from padiclie import cli, errors
 from padiclie.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def readme_commands():
@@ -432,3 +436,19 @@ def test_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys):
     assert {code for code, _, _ in fresh} == {0, 2}
     assert [outcome(argv) for argv in argvs] == fresh
     assert [outcome(argv) for argv in reversed(argvs)] == fresh[::-1]
+
+
+def test_import_loads_every_module_and_none_of_the_heavy_stdlib():
+    """A fresh `import padiclie.cli` loads all ten package modules, and none
+    of dataclasses, the modules it pulls in, or random (selftest imports it
+    when it runs).  So the start-up saving is work removed, not deferred."""
+    probe = "import sys, padiclie.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "random"}
+    package = {p.stem for p in (SRC / "padiclie").glob("*.py")} - {"__init__"}
+    assert len(package) == 9
+    assert {"padiclie"} | {f"padiclie.{m}" for m in package} <= loaded

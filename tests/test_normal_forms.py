@@ -15,10 +15,8 @@ from padiclie.normal_forms import (
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
-    is_unimodular,
     kernel_basis,
     lattice_contains,
-    lattice_eq,
     parse_matrix,
     snf,
 )
@@ -28,8 +26,10 @@ from oracles import (
     int_contains,
     int_det,
     int_elementary_divisors,
+    is_unimodular,
     laplace_adjugate,
     laplace_det,
+    lattice_eq,
     membership_mod,
     p_valuation,
     solve_two_square_classes,

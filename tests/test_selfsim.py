@@ -18,8 +18,8 @@ from padiclie.errors import (
     PrecisionLoss,
     PreconditionViolated,
 )
-from padiclie.lattice import Algebra, change_of_basis, index_exponent, is_subalgebra
-from padiclie.normal_forms import Mat, hnf_columns, lattice_eq, parse_matrix
+from padiclie.lattice import Algebra, change_of_basis, index_exponent
+from padiclie.normal_forms import Mat, hnf_columns, parse_matrix
 from padiclie.padic_core import INF, PrimeContext
 from padiclie.selfsim import (
     CONJECTURED_INFINITE,
@@ -35,7 +35,7 @@ from padiclie.selfsim import (
     sigma_bounds,
     witness_subalgebra,
 )
-from oracles import invariant_ideal_exists_dim2
+from oracles import invariant_ideal_exists_dim2, is_subalgebra, lattice_eq
 
 
 def test_decide_index_p_table():

@@ -14,7 +14,7 @@ from padiclie.errors import (
     PreconditionViolated,
 )
 from padiclie.lattice import Algebra, change_of_basis
-from padiclie.normal_forms import Mat, hnf_columns, lattice_eq, parse_matrix
+from padiclie.normal_forms import Mat, hnf_columns, parse_matrix
 from padiclie.padic_core import INF, PrimeContext
 from padiclie.subalgebras import (
     XiSymbol,
