@@ -107,12 +107,11 @@ def cmd_eta(args):
 def cmd_selfsim(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
-    D, V = classify.diagonalize_structure(alg)  # for the form and the certificate
-    cf = classify.canonical_from_diagonal(D)
+    cf = classify.canonical_form(alg)
     report = selfsim.sigma_bounds(cf)
     out = {"canonical": _cf_json(cf, report.eta), "selfsim": _sigma_json(report)}
     if report.index_p_self_similar:
-        ve = selfsim.simple_ve_from_diagonal(alg, D, V)
+        ve = selfsim.construct_simple_ve(alg)
         out["certificate"] = {
             "domain": _mat_json(ve.domain),
             "phi": _mat_json(ve.phi),

@@ -10,7 +10,9 @@ power of p.  The three workhorses here are
 * snf           -- the Smith form with unimodular witnesses (the divisor
                    valuations are the elementary-divisor exponents),
 * congruent_diagonalize -- diagonalization of a symmetric matrix under the
-                   congruence action V^T A V, valuations sorted ascending.
+                   congruence action V^T A V, valuations sorted ascending;
+                   each Mat keeps its own first success, an immutable pair
+                   that later calls share, and never a failure.
 
 cassels_move shuffles a unit between two diagonal entries of equal
 valuation without leaving the congruence class, and Span answers every
@@ -31,7 +33,7 @@ from .padic_core import INF, parse_scalar, sqrt_mod_p
 class Mat:
     """Immutable dense matrix of PadicScalar entries."""
 
-    __slots__ = ("ctx", "nrows", "ncols", "data")
+    __slots__ = ("ctx", "nrows", "ncols", "data", "_congruent")
 
     def __init__(self, ctx, rows):
         self.ctx = ctx
@@ -41,6 +43,7 @@ class Mat:
         for row in self.data:
             if len(row) != self.ncols:
                 raise InvalidParameters("ragged matrix")
+        self._congruent = None  # congruent_diagonalize's (D, V), once it succeeded
 
     # -- constructors -------------------------------------------------------
 
@@ -423,7 +426,18 @@ def congruent_diagonalize(A):
     Returns (D, V) with D = V^T A V diagonal, V unimodular, and diagonal
     valuations sorted ascending.  Works over Q_p: entries may carry
     negative valuations.  Raises NotSymmetric / Degenerate.
+
+    The first success is kept on the object A, and every later call on A
+    returns that same pair, immutable and so safe to share; an error is
+    not kept, and is raised again on every call.
     """
+    if A._congruent is None:
+        A._congruent = _congruent_elimination(A)
+    return A._congruent
+
+
+def _congruent_elimination(A):
+    """congruent_diagonalize without the memo: the symmetric elimination."""
     ctx = A.ctx
     if A.nrows != A.ncols:
         raise InvalidParameters("congruence requires a square matrix")

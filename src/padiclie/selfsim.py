@@ -295,11 +295,6 @@ def construct_simple_ve(alg):
     NotIndexPSelfSimilar when the canonical family forbids index p.
     """
     D, V = diagonalize_structure(alg)
-    return simple_ve_from_diagonal(alg, D, V)
-
-
-def simple_ve_from_diagonal(alg, D, V):
-    """construct_simple_ve given (D, V) = classify.diagonalize_structure(alg)."""
     cf = canonical_from_diagonal(D)
     if not decide_index_p(cf):
         raise NotIndexPSelfSimilar(
@@ -472,7 +467,7 @@ class LowDimReport(Record):
         _set(self, "invariant_found", invariant_found)
 
 
-LOWDIM_BOUND = 4  # lowdim_report's search bound; its chain runs twice as deep
+LOWDIM_BOUND = 4  # lowdim_report's search bound, and the depth of its chain
 
 
 def _dim2_bracket(ctx, s, x, y):
@@ -491,8 +486,8 @@ def lowdim_report(ctx, dim, k, s=None):
            s = INF: phi swaps p^k x -> y, y -> x (the chain drains to 0);
            s finite: phi(p^k x) = x, phi(y) = y (the chain shrinks onto <y>).
 
-    Reports the morphism law, the chain term D_{2*LOWDIM_BOUND} = D_8 as
-    d_infinity, and whether the invariant-ideal search inside D_4 finds one.
+    Reports the morphism law, the chain's limit above as d_infinity, and
+    whether the invariant-ideal search inside D_4 finds one.
     """
     p = ctx.p
     if dim == 1:
@@ -516,8 +511,9 @@ def lowdim_report(ctx, dim, k, s=None):
         phi = Mat.from_ints(ctx, [[0, 1], [1, 0]])
     else:
         phi = Mat.from_ints(ctx, [[1, 0], [0, 1]])
+    d_inf = Mat.from_ints(ctx, [[0, 0], [0, 0 if s == INF else 1]])
     bracket = functools.partial(_dim2_bracket, ctx, s)
     ok = _bracket_law(bracket, domain, phi)
-    chain = _domain_chain(domain, phi, 2 * LOWDIM_BOUND)
-    invariant = _invariant_ideal(bracket, domain, phi, chain[LOWDIM_BOUND], LOWDIM_BOUND)
-    return LowDimReport(2, s, k, domain, phi, ok, chain[-1], invariant is not None)
+    d_bound = _domain_chain(domain, phi, LOWDIM_BOUND)[-1]
+    invariant = _invariant_ideal(bracket, domain, phi, d_bound, LOWDIM_BOUND)
+    return LowDimReport(2, s, k, domain, phi, ok, d_inf, invariant is not None)

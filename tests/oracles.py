@@ -257,6 +257,36 @@ def int_elementary_divisors(M, p):
     return (g1, g2 - g1, g3 - g2)
 
 
+def int_rows_mod(M, p, K):
+    """The integral matrix M as integer rows mod p^K, read off each entry's
+    valuation and unit digits; raises ValueError when an entry is not
+    known to K digits."""
+    rows = []
+    for row in M.data:
+        out = []
+        for x in row:
+            if x.is_zero():
+                out.append(0)
+                continue
+            if x.val < 0 or x.val + x.prec < K:
+                raise ValueError(f"entry {x!r} is not known mod p^{K}")
+            out.append(x.unit * p**x.val % p**K)
+        rows.append(out)
+    return rows
+
+
+def is_congruence_mod(A, D, V, p, K):
+    """V^T A V = D mod p^K, in plain integer arithmetic."""
+    a, d, v = (int_rows_mod(M, p, K) for M in (A, D, V))
+    n = len(a)
+    return all(
+        sum(v[r][i] * a[r][c] * v[c][j] for r in range(n) for c in range(n)) % p**K
+        == d[i][j] % p**K
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def invariant_ideal_exists_dim2(p, s, domain, phi, bound):
     """Brute force over every 2x2 Hermite sublattice J of index p to
     p^bound: is one of them an ideal of L(s) = <x, y | [x, y] = p^s x>

@@ -6,8 +6,15 @@ import random
 import pytest
 
 from padiclie import normal_forms
+from padiclie.catalog import group_report
 from padiclie.classify import canonical_form, eta
-from padiclie.errors import Degenerate, InvalidParameters, PadicLieError, PrecisionLoss
+from padiclie.errors import (
+    Degenerate,
+    InvalidParameters,
+    NotSymmetric,
+    PadicLieError,
+    PrecisionLoss,
+)
 from padiclie.lattice import Algebra
 from padiclie.normal_forms import (
     Mat,
@@ -21,11 +28,13 @@ from padiclie.normal_forms import (
     snf,
 )
 from padiclie.padic_core import INF, PrimeContext
+from padiclie.selfsim import construct_simple_ve, sigma_bounds
 
 from oracles import (
     int_contains,
     int_det,
     int_elementary_divisors,
+    is_congruence_mod,
     is_unimodular,
     laplace_adjugate,
     laplace_det,
@@ -502,3 +511,104 @@ def test_seeded_congruence_sweep_returns_or_raises_typed_errors():
             except PadicLieError:
                 refused += 1
     assert refused > 0
+
+
+# ---------------------------------------------------------------------------
+# The diagonalization is kept on its Mat
+# ---------------------------------------------------------------------------
+
+
+def _eliminations(monkeypatch):
+    """The matrix of every run of the elimination behind congruent_diagonalize."""
+    runs = []
+    name = "_congruent_elimination"
+    orig = getattr(normal_forms, name)
+    monkeypatch.setattr(normal_forms, name, lambda A: runs.append(A) or orig(A))
+    return runs
+
+
+def _orbit_representative(ctx, diagonal):
+    """V^T diag V for a fixed unimodular V: a non-diagonal matrix of the
+    diagonal's isomorphism class."""
+    V = Mat.from_ints(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    return V.transpose() * Mat.from_ints(ctx, diagonal) * V
+
+
+def test_a_second_diagonalization_returns_the_identical_pair():
+    ctx = PrimeContext(5)
+    A = _orbit_representative(ctx, [[1, 0, 0], [0, 5, 0], [0, 0, -5]])
+    first = congruent_diagonalize(A)
+    second = congruent_diagonalize(A)
+    assert second is first
+    assert second[0] is first[0] and second[1] is first[1]
+
+
+def test_one_request_runs_the_elimination_once(monkeypatch):
+    """canonical_form, eta, sigma_bounds, group_report and
+    construct_simple_ve on one decide-yes lattice share one elimination."""
+    runs = _eliminations(monkeypatch)
+    for p, diagonal in (
+        (5, [[1, 0, 0], [0, 5, 0], [0, 0, -5]]),  # family 3, eps2 = 0
+        (7, [[1, 0, 0], [0, -1, 0], [0, 0, 49]]),  # family 2, eps1 = 0
+    ):
+        alg = Algebra(_orbit_representative(PrimeContext(p), diagonal))
+        del runs[:]
+        cf = canonical_form(alg)
+        e = eta(alg.matrix)
+        report = sigma_bounds(cf)
+        gr = group_report(alg)
+        ve = construct_simple_ve(alg)
+        assert report.index_p_self_similar and gr.index_p_self_similar
+        assert e.eta == report.eta == 0
+        assert ve.ambient is alg
+        assert runs == [alg.matrix]
+
+
+def test_failures_are_raised_again_on_every_call(monkeypatch):
+    runs = _eliminations(monkeypatch)
+    ctx = PrimeContext(5)
+    p, precision, literal = CANCELLING
+    cases = (
+        (Mat.from_ints(ctx, [[1, 2, 0], [0, 5, 0], [0, 0, 1]]), NotSymmetric),
+        (Mat.from_ints(ctx, [[1, 1, 0], [1, 1, 0], [0, 0, 5]]), Degenerate),
+        (parse_matrix(literal, PrimeContext(p, precision)), PrecisionLoss),
+    )
+    for A, error in cases:
+        del runs[:]
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                congruent_diagonalize(A)
+            messages.append(str(raised.value))
+        assert len(runs) == 2
+        assert messages[0] == messages[1]
+
+
+def test_a_memo_hit_agrees_with_a_fresh_matrix(monkeypatch):
+    """The kept pair equals a fresh elimination on an equal Mat, gives the
+    same canonical form, and satisfies V^T A V = D in plain integers."""
+    runs = _eliminations(monkeypatch)
+    rng = random.Random(43)
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p)
+        checked = 0
+        while checked < 6:
+            rows = [[0] * 3 for _ in range(3)]
+            for i in range(3):
+                for j in range(i, 3):
+                    rows[i][j] = rows[j][i] = rng.randrange(-p**3, p**3 + 1)
+            if not int_det(rows):
+                continue
+            checked += 1
+            A = Mat.from_ints(ctx, rows)
+            fresh = Mat.from_ints(ctx, rows)
+            del runs[:]
+            congruent_diagonalize(A)
+            D, V = congruent_diagonalize(A)
+            assert runs == [A]
+            D2, V2 = congruent_diagonalize(fresh)
+            assert runs == [A, fresh]
+            assert (D, V) == (D2, V2)
+            assert canonical_form(Algebra(A)) == canonical_form(Algebra(fresh))
+            assert len(runs) == 2
+            assert is_congruence_mod(A, D, V, p, 8)

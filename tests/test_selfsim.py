@@ -302,9 +302,10 @@ def test_lowdim_dimension_two_nonabelian():
     rep = lowdim_report(ctx, 2, 1, s=0)
     assert rep.is_morphism
     assert not rep.invariant_found
-    # D_n = <p^n x, y>: after 2*LOWDIM_BOUND steps the first slot has exponent 8
-    assert rep.d_infinity[0, 0].valuation() == 8
-    assert rep.d_infinity[1, 1].valuation() == 0
+    # D_n = <p^n x, y> shrinks onto its limit <y>
+    assert rep.d_infinity == Mat.from_ints(ctx, [[0, 0], [0, 1]])
+    chain = selfsim._domain_chain(rep.domain, rep.phi, 4)
+    assert chain == [Mat.from_ints(ctx, [[3**n, 0], [0, 1]]) for n in range(5)]
 
 
 def test_lowdim_dimension_two_abelian():
@@ -313,8 +314,21 @@ def test_lowdim_dimension_two_abelian():
     rep = lowdim_report(ctx, 2, 1, s=INF)
     assert rep.is_morphism
     assert not rep.invariant_found
-    assert rep.d_infinity[0, 0].valuation() >= 4
-    assert rep.d_infinity[1, 1].valuation() >= 4
+    # D_2m = p^m L drains to its limit 0
+    assert rep.d_infinity == Mat.from_ints(ctx, [[0, 0], [0, 0]])
+    chain = selfsim._domain_chain(rep.domain, rep.phi, 4)
+    assert chain[2] == Mat.p_power_diagonal(ctx, (1, 1))
+    assert chain[4] == Mat.p_power_diagonal(ctx, (2, 2))
+
+
+def test_lowdim_reports_the_limit_without_walking_past_the_search_bound():
+    """k = 2 and a finite s: D_4 already has exponent 8, and the limit is
+    <y> at the default precision, where D_8 (exponent 16) is undecidable."""
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p)
+        rep = lowdim_report(ctx, 2, 2, s=1)
+        assert rep.is_morphism and not rep.invariant_found
+        assert rep.d_infinity == Mat.from_ints(ctx, [[0, 0], [0, 1]])
 
 
 def test_invariant_ideal_search_agrees_with_brute_force_in_dimension_two():
@@ -361,7 +375,7 @@ def test_lowdim_search_stays_inside_d_bound(monkeypatch):
         del taken[:], steps[:]
         rep = lowdim_report(PrimeContext(101), 2, 1, s)
         assert not rep.invariant_found
-        assert len(steps) == 2 * selfsim.LOWDIM_BOUND
+        assert len(steps) == selfsim.LOWDIM_BOUND
 
 
 def test_random_decide_yes_always_certified():
@@ -437,7 +451,9 @@ def test_one_diagonalization_per_report_command(monkeypatch, capsys):
 
 
 def test_selfsim_command_diagonalizes_once_and_computes_eta_once(monkeypatch, capsys):
-    diagonalizations = _counted(monkeypatch, normal_forms, "congruent_diagonalize")
+    """The form and the certificate both ask congruent_diagonalize; the
+    elimination runs once."""
+    diagonalizations = _counted(monkeypatch, normal_forms, "_congruent_elimination")
     etas = _counted(monkeypatch, classify, "eta")
     assert cli.main(["selfsim", "--prime", "3", "--matrix", "1,0,0;0,3,0;0,0,-3"]) == 0
     assert "certificate" in capsys.readouterr().out
