@@ -13,8 +13,9 @@ non-residue mod p):
 
 The eta invariant separates the two Q_p types: eta = 0 lattices sit inside
 sl2(Q_p), eta = 1 lattices inside sl1 of the quaternion division algebra.
-It is computed along two independent routes (additive Hilbert symbols
-against a closed formula in the diagonal data) which must agree.
+eta(A) is computed along two independent routes (additive Hilbert symbols
+against a closed formula in the diagonal data) which must agree; a
+CanonicalForm reads its own eta off its integers by the closed formula.
 """
 
 from bisect import bisect_right
@@ -107,6 +108,28 @@ class CanonicalForm(Record):
     def algebra(self):
         return Algebra(self.matrix())
 
+    def eta(self):
+        """eta of the canonical matrix, from the form's integers.
+
+        The family fixes the unit square classes of the diagonal, so the
+        closed formula needs no Mat.  Each valuation passes guard_decidable
+        in ascending order first, as in eta(self.matrix()).
+        """
+        ctx = self.ctx
+        for v in self.s:
+            ctx.guard_decidable(v)
+        delta = ctx.delta
+        e1, e2 = self.eps
+        if self.family == 1:
+            chi = (0, e1, e2)
+        elif self.family == 2:
+            chi = (0, (delta + e1) % 2, 0)
+        elif self.family == 3:
+            chi = (0, 0, (delta + e2) % 2)
+        else:
+            chi = (0, 0, 0)
+        return _eta_closed_route(self.s, chi, delta)
+
 
 def diagonalize_structure(alg):
     """congruent_diagonalize of the structure matrix, with the errors of
@@ -187,15 +210,14 @@ def _eta_symbol_route(entries, ctx):
     return (ctx.delta * disc_val + e) % 2, disc_val % 2, e
 
 
-def _eta_closed_route(entries, ctx):
-    """Route two: closed formula in the valuations and unit square classes.
+def _eta_closed_route(s, chi, delta):
+    """Route two: closed formula in the valuations s_i and unit square
+    classes chi_i of a diagonal, delta the class of -1.
 
         eta = delta (sum_i s_i + sum_{i<j} s_i s_j)
               + sum_{i<j} (chi_i s_j + chi_j s_i)   (mod 2)
     """
-    s = [x.valuation() for x in entries]
-    chi = [x.square_class() for x in entries]
-    total = ctx.delta * (sum(s) + s[0] * s[1] + s[0] * s[2] + s[1] * s[2])
+    total = delta * (sum(s) + s[0] * s[1] + s[0] * s[2] + s[1] * s[2])
     for i in range(3):
         for j in range(i + 1, 3):
             total += chi[i] * s[j] + chi[j] * s[i]
@@ -231,7 +253,9 @@ def eta(A):
         D, _ = congruent_diagonalize(A)  # raises NotSymmetric / Degenerate
         entries = D.diagonal_entries()
     via_symbols, disc_parity, e_sum = _eta_symbol_route(entries, ctx)
-    via_formula = _eta_closed_route(entries, ctx)
+    via_formula = _eta_closed_route(
+        [x.valuation() for x in entries], [x.square_class() for x in entries], ctx.delta
+    )
     if via_symbols != via_formula:
         raise PathDisagreement(
             f"eta routes disagree: symbols {via_symbols}, closed formula {via_formula}"

@@ -89,7 +89,7 @@ def cmd_classify(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
     cf = classify.canonical_form(alg)
-    return _cf_json(cf, classify.eta(cf.matrix()).eta)
+    return _cf_json(cf, cf.eta())
 
 
 def cmd_eta(args):

@@ -135,6 +135,10 @@ class Mat:
         """Multiply every entry by p^k."""
         return Mat(self.ctx, [[x.shift(k) for x in row] for row in self.data])
 
+    def shift_columns(self, exponents):
+        """Multiply column j by p^exponents[j]: self * diag(p^k), without the product."""
+        return Mat(self.ctx, [[x.shift(k) for x, k in zip(row, exponents)] for row in self.data])
+
     def hstack(self, other):
         return Mat(
             self.ctx,

@@ -32,7 +32,7 @@ bound is conjectured infinite: the sentinel is never a number.
 
 import functools
 
-from .classify import canonical_from_diagonal, diagonalize_structure, eta
+from .classify import canonical_from_diagonal, diagonalize_structure
 from .errors import (
     Degenerate,
     InvalidParameters,
@@ -226,10 +226,13 @@ def _prepare_hyperbolic(alg, D, V):
     """Basis-change witness W with change_of_basis(alg, W) hyperbolic.
 
     (D, V) is the congruent diagonalization of the structure matrix.  Find
-    an equal-valuation pair whose negated unit product is a square (one
-    Cassels move with rho creates such a pair for family 4 when none
-    exists), move the pair to slots 1 and 2, rescale slot 2 by
-    sqrt(-u1/u2), and finish with [[2,0,0],[0,1,1],[0,-1,1]].
+    an equal-valuation pair i, j whose negated unit product is a square
+    (one Cassels move with rho creates such a pair for family 4 when none
+    exists).  Three column operations on V then stand for the products
+    with a permutation, diag(1, 1, w) and [[2,0,0],[0,1,1],[0,-1,1]]:
+    reorder the columns to (m, i, j), multiply column j by
+    w = sqrt(-u_i/u_j), and form (2 v_m, v_i - v_j, v_i + v_j).  The
+    scalar steps are the products' own, less their terms with 1 and 0.
     """
     ctx = alg.ctx
 
@@ -261,30 +264,24 @@ def _prepare_hyperbolic(alg, D, V):
         if pair is None:
             raise NotIndexPSelfSimilar("no hyperbolic pair even after a Cassels move")
     i, j = pair
-    m = [t for t in range(3) if t not in (i, j)][0]
-    # permutation sending m -> slot 0, i -> slot 1, j -> slot 2
-    perm = Mat(
+    m = 3 - i - j
+    w = (-(D[i, i] / D[j, j])).sqrt()  # unit: same valuation, square class 0
+    two = ctx.from_int(2)
+    vm, vi = V.col(m), V.col(i)
+    vj = [x * w for x in V.col(j)]
+    # V^T row by row: each row is one column of the finished witness V
+    Vt = Mat(
         ctx,
         [
-            [
-                ctx.one() if (r, c) in ((m, 0), (i, 1), (j, 2)) else ctx.zero()
-                for c in range(3)
-            ]
-            for r in range(3)
+            [x * two for x in vm],
+            [a - b for a, b in zip(vi, vj)],
+            [a + b for a, b in zip(vi, vj)],
         ],
     )
-    D = (perm.transpose() * D) * perm
-    V = V * perm
-    u1, u2 = D[1, 1], D[2, 2]
-    w = (-(u1 / u2)).sqrt()  # unit: same valuation, square class 0
-    scale = Mat.diagonal(ctx, [ctx.one(), ctx.one(), w])
-    V = V * scale
-    hyp = Mat.from_ints(ctx, [[2, 0, 0], [0, 1, 1], [0, -1, 1]])
-    V = V * hyp
     # V is a congruence witness (V^T A V hyperbolic).  The structure matrix
     # transforms by det(W) W^{-1} A W^{-T}, and W = adj(V^T) turns that into
     # exactly V^T A V, so hand back the adjugate transpose.
-    return V.transpose().adjugate()
+    return Vt.adjugate()
 
 
 def construct_simple_ve(alg):
@@ -309,9 +306,9 @@ def construct_simple_ve(alg):
         raise PathDisagreement("preparation failed to reach the hyperbolic shape")
     # rewrite phi on the Hermite domain basis: columns of domain expressed
     # in the prepared basis, mapped through the prepared phi
-    prepared_domain = W * Mat.p_power_diagonal(alg.ctx, (0, 1, 0))
+    prepared_domain = W.shift_columns((0, 1, 0))
     domain, _ = hnf_columns(prepared_domain)
-    phi_raw = W * Mat.p_power_diagonal(alg.ctx, (0, 0, 1))
+    phi_raw = W.shift_columns((0, 0, 1))
     transfer = Span(prepared_domain).solve(domain)
     phi = phi_raw * transfer
     return VirtualEndomorphism(alg, domain, phi)
@@ -397,7 +394,7 @@ def sigma_bounds(cf):
     sigma(L) <= p * [L : M].  eta = 1: sigma >= p^2 and the upper bound is
     conjecturally infinite (reported as a sentinel, never a number).
     """
-    eta_value = eta(cf.matrix()).eta
+    eta_value = cf.eta()
     yes = decide_index_p(cf)
     if eta_value == 1:
         return SelfSimReport(

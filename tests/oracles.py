@@ -2,19 +2,28 @@
 
 Everything here recomputes quantities by a different route than the
 package: plain integer arithmetic mod p^K, exhaustive enumeration, or
-textbook algorithms with no reliance on the scalar class.  Two groups
+textbook algorithms with no reliance on the scalar class.  Three groups
 work on the package's objects on purpose.  The Laplace expansion is the
 reference the closed-form 3x3 determinant and adjugate must match scalar
-for scalar.  The predicates at the end (Jacobi and unsolvability tests,
+for scalar.  The predicates near the end (Jacobi and unsolvability tests,
 subalgebra and commutator indices, unimodularity, lattice equality) were
-package API that only tests reached; they live here as references.
+package API that only tests reached; they live here as references.  The
+product chain at the end is the reference the column operations of the
+index-p certificate must match scalar for scalar.
 """
 
 from fractions import Fraction
 
 from padiclie import lattice
 from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement
-from padiclie.normal_forms import hnf_columns, lattice_contains
+from padiclie.normal_forms import (
+    Mat,
+    Span,
+    cassels_move,
+    congruent_diagonalize,
+    hnf_columns,
+    lattice_contains,
+)
 
 
 def egcd(a, b):
@@ -204,6 +213,25 @@ def p_valuation(x, p):
     return v
 
 
+def hilbert_symbol(a, b, p):
+    """Hilbert symbol (a, b)_p of nonzero integers, p odd: for a = p^alpha u
+    and b = p^beta v it is (-1)^(alpha beta (p-1)/2) (u/p)^beta (v/p)^alpha."""
+    alpha, beta = p_valuation(a, p), p_valuation(b, p)
+    u, v = a // p**alpha, b // p**beta
+    sign = (-1) ** (alpha * beta * ((p - 1) // 2))
+    return sign * legendre_symbol(u, p) ** beta * legendre_symbol(v, p) ** alpha
+
+
+def eta_of_diagonal(diag, p):
+    """eta of diag(a0, a1, a2) for nonzero integers: (-1)^eta is
+    (-1, a0 a1 a2)_p times the three symbols (a_i, a_j)_p with i < j."""
+    a0, a1, a2 = diag
+    sign = hilbert_symbol(-1, a0 * a1 * a2, p)
+    for a, b in ((a0, a1), (a0, a2), (a1, a2)):
+        sign *= hilbert_symbol(a, b, p)
+    return 0 if sign == 1 else 1
+
+
 def int_det(M):
     """Determinant of a square integer matrix (list of rows), by expansion."""
     n = len(M)
@@ -378,3 +406,48 @@ def lattice_eq(M, N):
     H1, _ = hnf_columns(M)
     H2, _ = hnf_columns(N)
     return H1 == H2
+
+
+def simple_ve_by_products(alg):
+    """(domain, phi) of the index-p certificate of a decide-yes lattice
+    that is not literally hyperbolic, built from generic 3x3 products: a
+    permutation Mat, diag(1, 1, w), [[2,0,0],[0,1,1],[0,-1,1]] and two
+    products with diag(p^k).  selfsim.construct_simple_ve builds the same
+    witness by column operations and must match this scalar for scalar."""
+    ctx = alg.ctx
+    D, V = congruent_diagonalize(alg.matrix)
+
+    def find_pair(diag):
+        for i in range(3):
+            for j in range(i + 1, 3):
+                di, dj = diag[i, i], diag[j, j]
+                if di.valuation() == dj.valuation() and (-(di * dj)).square_class() == 0:
+                    return i, j
+        return None
+
+    pair = find_pair(D)
+    if pair is None:
+        i, j = next(
+            (i, j)
+            for i in range(3)
+            for j in range(i + 1, 3)
+            if D[i, i].valuation() == D[j, j].valuation()
+        )
+        D, Vc = cassels_move(D, i, j, ctx.rho)
+        V = V * Vc
+        pair = find_pair(D)
+    i, j = pair
+    m = 3 - i - j
+    one, zero = ctx.one(), ctx.zero()
+    slots = ((m, 0), (i, 1), (j, 2))
+    perm = Mat(ctx, [[one if (r, c) in slots else zero for c in range(3)] for r in range(3)])
+    D = (perm.transpose() * D) * perm
+    V = V * perm
+    w = (-(D[1, 1] / D[2, 2])).sqrt()
+    V = V * Mat.diagonal(ctx, [one, one, w])
+    V = V * Mat.from_ints(ctx, [[2, 0, 0], [0, 1, 1], [0, -1, 1]])
+    W = V.transpose().adjugate()
+    prepared_domain = W * Mat.p_power_diagonal(ctx, (0, 1, 0))
+    domain, _ = hnf_columns(prepared_domain)
+    phi = W * Mat.p_power_diagonal(ctx, (0, 0, 1)) * Span(prepared_domain).solve(domain)
+    return domain, phi

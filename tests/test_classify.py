@@ -22,6 +22,8 @@ from padiclie.lattice import Algebra, change_of_basis
 from padiclie.normal_forms import Mat, parse_matrix
 from padiclie.padic_core import PrimeContext
 
+from oracles import eta_of_diagonal, least_nonresidue
+
 
 def random_unimodular(rng, ctx, span=8):
     while True:
@@ -206,6 +208,29 @@ def test_eta_matches_family_parity_rule():
                 assert val == (cf.eps[0] * (s0 + s2)) % 2
             elif cf.family == 3:
                 assert val == (cf.eps[1] * (s0 + s1)) % 2
+
+
+def table_diagonal(cf, rho):
+    """The integer diagonal of a canonical form, read off the family table."""
+    p, (s0, s1, s2), (e1, e2) = cf.p, cf.s, cf.eps
+    if cf.family == 1:
+        return p**s0, rho**e1 * p**s1, rho**e2 * p**s2
+    if cf.family == 2:
+        return p**s0, -(rho**e1) * p**s0, p**s2
+    if cf.family == 3:
+        return p**s0, p**s1, -(rho**e2) * p**s1
+    return p**s0, p**s0, p**s0
+
+
+def test_form_eta_matches_both_routes_and_the_hilbert_oracle():
+    """CanonicalForm.eta, read off the form's integers, equals eta of its
+    matrix and a plain-integer Hilbert-symbol oracle; delta = 1 at
+    p = 3, 7, 11 and delta = 0 at p = 5, 13."""
+    for p in (3, 5, 7, 11, 13):
+        rho = least_nonresidue(p)
+        for cf in all_small_forms(p, 6):
+            oracle = eta_of_diagonal(table_diagonal(cf, rho), p)
+            assert cf.eta() == eta(cf.matrix()).eta == oracle, cf
 
 
 def test_classification_errors():

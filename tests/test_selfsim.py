@@ -35,7 +35,12 @@ from padiclie.selfsim import (
     sigma_bounds,
     witness_subalgebra,
 )
-from oracles import invariant_ideal_exists_dim2, is_subalgebra, lattice_eq
+from oracles import (
+    invariant_ideal_exists_dim2,
+    is_subalgebra,
+    lattice_eq,
+    simple_ve_by_products,
+)
 
 
 def test_decide_index_p_table():
@@ -224,6 +229,14 @@ def test_table_rows_cover_eta0_forms_exactly_once():
             sub_cf = canonical_form(sub)
             assert decide_index_p(sub_cf)
             assert index_exponent(U) == rep.sigma_upper - 1
+
+
+def test_sigma_bounds_guards_the_forms_valuations():
+    """eta from the form keeps the guard of eta(cf.matrix()): s2 = 9 is
+    undecidable at precision 16."""
+    cf = CanonicalForm.from_parameters(1, (0, 1, 9, 0, 0), 5, PrimeContext(5, 16))
+    with pytest.raises(PrecisionLoss, match="^valuation 9 too close to precision window 16$"):
+        sigma_bounds(cf)
 
 
 def test_witness_subalgebra_keeps_the_callers_precision():
@@ -452,12 +465,66 @@ def test_one_diagonalization_per_report_command(monkeypatch, capsys):
 
 def test_selfsim_command_diagonalizes_once_and_computes_eta_once(monkeypatch, capsys):
     """The form and the certificate both ask congruent_diagonalize; the
-    elimination runs once."""
+    elimination runs once.  eta comes from the form, not classify.eta."""
     diagonalizations = _counted(monkeypatch, normal_forms, "_congruent_elimination")
     etas = _counted(monkeypatch, classify, "eta")
     assert cli.main(["selfsim", "--prime", "3", "--matrix", "1,0,0;0,3,0;0,0,-3"]) == 0
     assert "certificate" in capsys.readouterr().out
-    assert (len(diagonalizations), len(etas)) == (1, 1)
+    assert (len(diagonalizations), len(etas)) == (1, 0)
+
+
+def test_one_eta_per_analysis(monkeypatch):
+    """sigma_bounds and group_report read eta off the canonical form, so
+    only the explicit eta call runs classify.eta."""
+    etas = _counted(monkeypatch, classify, "eta")
+    alg = Algebra(parse_matrix("1,1,0;1,6,5;0,5,0", PrimeContext(5)))
+    cf = canonical_form(alg)
+    value = classify.eta(alg.matrix).eta
+    assert sigma_bounds(cf).eta == value
+    assert group_report(alg).qp_type == ("sl2" if value == 0 else "sl1d")
+    assert len(etas) == 1
+
+
+def test_certificate_runs_four_matrix_products(monkeypatch):
+    """Off the literal hyperbolic shape: two in the change_of_basis
+    cross-check, one in the Span solve and one for phi."""
+    ctx = PrimeContext(5)
+    alg = Algebra(Mat.from_ints(ctx, [[1, 1, 0], [1, 6, 5], [0, 5, 0]]))
+    products = _counted(monkeypatch, Mat, "__mul__")
+    ve = construct_simple_ve(alg)
+    assert len(products) == 4
+    assert is_morphism(ve)
+
+
+def _scalars(M):
+    return [(x.val, x.unit, x.prec) for row in M.data for x in row]
+
+
+def test_certificate_matches_the_product_chain(monkeypatch):
+    """Column operations give the same (val, unit, prec) in every entry of
+    domain and phi as the generic products, on decide-yes forms of
+    families 2, 3 and 4 and on seeded unimodular conjugates of them."""
+    cassels = _counted(monkeypatch, normal_forms, "cassels_move")
+    rng = random.Random(42)
+    for p in (3, 5, 7, 13):
+        ctx = PrimeContext(p)
+        for family, parameters in ((2, (0, 2, 0)), (2, (1, 2, 0)), (3, (0, 1, 0)),
+                                   (3, (1, 3, 0)), (4, (0,)), (4, (1,))):
+            base = CanonicalForm.from_parameters(family, parameters, p, ctx).algebra()
+            conjugates = []
+            while len(conjugates) < 3:
+                U = Mat.from_ints(ctx, [[rng.randrange(-4, 5) for _ in range(3)]
+                                        for _ in range(3)])
+                if not U.det().is_zero() and U.det().valuation() == 0:
+                    conjugates.append(Algebra(change_of_basis(base, U)))
+            for alg in [base] + conjugates:
+                ve = construct_simple_ve(alg)
+                domain, phi = simple_ve_by_products(alg)
+                assert _scalars(ve.domain) == _scalars(domain)
+                assert _scalars(ve.phi) == _scalars(phi)
+    # the bare family-4 forms at p = 3 and 7 (delta = 1) have no hyperbolic
+    # pair on the diagonal, so the certificate makes the Cassels move there
+    assert len(cassels) >= 4
 
 
 def test_regularity_check_adds_no_hermite_form_to_the_chain(monkeypatch):
