@@ -131,22 +131,23 @@ class CanonicalForm(Record):
         return _eta_closed_route(self.s, chi, delta)
 
 
-def diagonalize_structure(alg):
-    """congruent_diagonalize of the structure matrix, with the errors of
-    canonical_form: NotLie when it is not symmetric (an unsolvable Lie
-    bracket forces symmetry) and Degenerate when det A = 0."""
+def canonical_form(alg):
+    """Canonical form of an unsolvable Lie lattice, read off the sorted
+    congruent diagonalization D of its structure matrix A.
+
+    The one road from a structure matrix to its form.  Raises NotLie when
+    A is not symmetric (an unsolvable Lie bracket forces symmetry),
+    Degenerate when det A = 0, and PrecisionLoss when the precision window
+    cannot decide the form.
+    """
     A = alg.matrix
     if not A.is_symmetric():
         raise NotLie("structure matrix of an unsolvable Lie lattice must be symmetric")
     try:
-        return congruent_diagonalize(A)
+        D, _V = congruent_diagonalize(A)
     except Degenerate:
         # det A is computed once, inside congruent_diagonalize
         raise Degenerate("structure matrix is degenerate") from None
-
-
-def canonical_from_diagonal(D):
-    """Canonical form read off a sorted well-diagonalized structure matrix."""
     ctx = D.ctx
     entries = D.diagonal_entries()
     for x in entries:
@@ -165,16 +166,6 @@ def canonical_from_diagonal(D):
     else:
         family, eps = 4, (None, None)
     return CanonicalForm(family, (s0, s1, s2), eps, ctx.p, ctx)
-
-
-def canonical_form(alg):
-    """Canonical form of an unsolvable Lie lattice.
-
-    Raises NotLie when the structure matrix is not symmetric (an unsolvable
-    Lie bracket forces symmetry) and Degenerate when det A = 0.
-    """
-    D, _V = diagonalize_structure(alg)
-    return canonical_from_diagonal(D)
 
 
 def is_isomorphic(a, b):
@@ -224,19 +215,6 @@ def _eta_closed_route(s, chi, delta):
     return total % 2
 
 
-def _diagonal_pivots(A):
-    """The diagonal of an already-diagonal A, checked as congruent_diagonalize
-    checks its pivots: Degenerate on a zero entry, then each valuation
-    through guard_decidable in ascending order."""
-    entries = A.diagonal_entries()
-    if any(x.is_zero() for x in entries):
-        raise Degenerate("matrix is degenerate")
-    entries = sorted(entries, key=lambda x: x.valuation())
-    for x in entries:
-        A.ctx.guard_decidable(x.valuation())
-    return entries
-
-
 def eta(A):
     """eta invariant of a symmetric nondegenerate matrix over Q_p.
 
@@ -247,11 +225,8 @@ def eta(A):
     ctx = A.ctx
     if A.nrows == A.ncols != 3:
         raise InvalidParameters("eta needs a 3x3 matrix")
-    if A.nrows == A.ncols and A.is_diagonal():
-        entries = _diagonal_pivots(A)
-    else:
-        D, _ = congruent_diagonalize(A)  # raises NotSymmetric / Degenerate
-        entries = D.diagonal_entries()
+    D, _ = congruent_diagonalize(A)  # raises NotSymmetric / Degenerate
+    entries = D.diagonal_entries()
     via_symbols, disc_parity, e_sum = _eta_symbol_route(entries, ctx)
     via_formula = _eta_closed_route(
         [x.valuation() for x in entries], [x.square_class() for x in entries], ctx.delta

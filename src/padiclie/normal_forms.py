@@ -119,15 +119,6 @@ class Mat:
             rows.append(row)
         return Mat(self.ctx, rows)
 
-    def __sub__(self, other):
-        return Mat(
-            self.ctx,
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ],
-        )
-
     def scale(self, s):
         return Mat(self.ctx, [[s * x for x in row] for row in self.data])
 

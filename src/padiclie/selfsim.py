@@ -32,7 +32,7 @@ bound is conjectured infinite: the sentinel is never a number.
 
 import functools
 
-from .classify import canonical_from_diagonal, diagonalize_structure
+from .classify import canonical_form
 from .errors import (
     Degenerate,
     InvalidParameters,
@@ -44,7 +44,15 @@ from .errors import (
     _set,
 )
 from .lattice import change_of_basis, index_exponent, induced_algebra, is_ideal
-from .normal_forms import Mat, Span, cassels_move, hnf_columns, kernel_basis, lattice_contains
+from .normal_forms import (
+    Mat,
+    Span,
+    cassels_move,
+    congruent_diagonalize,
+    hnf_columns,
+    kernel_basis,
+    lattice_contains,
+)
 from .padic_core import INF
 from .subalgebras import _key_identity, all_symbols, enumerate_sublattices, nss_condition
 
@@ -225,14 +233,14 @@ def _hyperbolic_ve(alg):
 def _prepare_hyperbolic(alg, D, V):
     """Basis-change witness W with change_of_basis(alg, W) hyperbolic.
 
-    (D, V) is the congruent diagonalization of the structure matrix.  Find
-    an equal-valuation pair i, j whose negated unit product is a square
-    (one Cassels move with rho creates such a pair for family 4 when none
-    exists).  Three column operations on V then stand for the products
-    with a permutation, diag(1, 1, w) and [[2,0,0],[0,1,1],[0,-1,1]]:
-    reorder the columns to (m, i, j), multiply column j by
-    w = sqrt(-u_i/u_j), and form (2 v_m, v_i - v_j, v_i + v_j).  The
-    scalar steps are the products' own, less their terms with 1 and 0.
+    (D, V) is the congruent diagonalization of a decide-yes structure
+    matrix.  Find an equal-valuation pair i, j whose negated unit product
+    is a square.  Only a family-4 D can lack one, and there one Cassels
+    move with rho on (0, 1) creates it.  Three column operations on V then
+    stand for the products with a permutation, diag(1, 1, w) and
+    [[2,0,0],[0,1,1],[0,-1,1]]: reorder the columns to (m, i, j), multiply
+    column j by w = sqrt(-u_i/u_j), and form (2 v_m, v_i - v_j, v_i + v_j).
+    The scalar steps are the products' own, less their terms with 1 and 0.
     """
     ctx = alg.ctx
 
@@ -248,21 +256,13 @@ def _prepare_hyperbolic(alg, D, V):
 
     pair = find_pair(D)
     if pair is None:
-        # only family 4 reaches here; shuffle one rho across a tied pair
-        tied = [
-            (i, j)
-            for i in range(3)
-            for j in range(i + 1, 3)
-            if D[i, i].valuation() == D[j, j].valuation()
-        ]
-        if not tied:
-            raise NotIndexPSelfSimilar("no equal-valuation pair available")
-        i, j = tied[0]
-        D, Vc = cassels_move(D, i, j, ctx.rho)
+        # family 4: shuffle one rho across the tied pair (0, 1)
+        D, Vc = cassels_move(D, 0, 1, ctx.rho)
         V = V * Vc
         pair = find_pair(D)
         if pair is None:
-            raise NotIndexPSelfSimilar("no hyperbolic pair even after a Cassels move")
+            # decide_index_p said yes, so the two routes disagree
+            raise PathDisagreement("no hyperbolic pair even after a Cassels move")
     i, j = pair
     m = 3 - i - j
     w = (-(D[i, i] / D[j, j])).sqrt()  # unit: same valuation, square class 0
@@ -291,14 +291,14 @@ def construct_simple_ve(alg):
     lattice is rewritten into that shape first.  Raises
     NotIndexPSelfSimilar when the canonical family forbids index p.
     """
-    D, V = diagonalize_structure(alg)
-    cf = canonical_from_diagonal(D)
+    cf = canonical_form(alg)
     if not decide_index_p(cf):
         raise NotIndexPSelfSimilar(
             f"family {cf.family} with eps {cf.eps} admits no simple index-p map"
         )
     if _is_hyperbolic(alg.matrix):
         return _hyperbolic_ve(alg)
+    D, V = congruent_diagonalize(alg.matrix)  # the memoized pair cf was read from
     W = _prepare_hyperbolic(alg, D, V)
     # cross-check: the rewritten matrix really is hyperbolic
     H = change_of_basis(alg, W)
@@ -395,37 +395,22 @@ def sigma_bounds(cf):
     conjecturally infinite (reported as a sentinel, never a number).
     """
     eta_value = cf.eta()
-    yes = decide_index_p(cf)
+    yes = decide_index_p(cf)  # never for eta = 1
     if eta_value == 1:
-        return SelfSimReport(
-            canonical=cf,
-            eta=1,
-            index_p_self_similar=yes,
-            sigma_lower=2,
-            sigma_upper=CONJECTURED_INFINITE,
-            table_row=0,
-            witness_exponents=None,
-            note=(
-                "eta = 1: not self-similar of index p; conjecturally not "
-                "self-similar of any index"
-            ),
+        row, upper, witness = 0, CONJECTURED_INFINITE, None
+        note = (
+            "eta = 1: not self-similar of index p; conjecturally not "
+            "self-similar of any index"
         )
-    row, upper, witness = _table_row(cf)  # rows 1, 2 and 4 are the decide-yes forms
-    return SelfSimReport(
-        canonical=cf,
-        eta=0,
-        index_p_self_similar=yes,
-        sigma_lower=1 if yes else 2,
-        sigma_upper=upper,
-        table_row=row,
-        witness_exponents=witness,
-        note=(
+    else:
+        row, upper, witness = _table_row(cf)  # rows 1, 2 and 4 are the decide-yes forms
+        note = (
             "sigma = p, certified by an explicit simple endomorphism"
             if yes
             else "not self-similar of index p; the witness subalgebra has sigma = p "
             "and index p^(upper-1), so sigma(L) <= p * index"
-        ),
-    )
+        )
+    return SelfSimReport(cf, eta_value, yes, 1 if yes else 2, upper, row, witness, note)
 
 
 def witness_subalgebra(cf):

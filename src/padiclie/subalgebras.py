@@ -23,18 +23,9 @@ pins every such M, which is what makes index-p self-similarity decidable.
 
 from itertools import product
 
-from .errors import (
-    InvalidParameters,
-    NotDiagonal,
-    NotSubalgebra,
-    PathDisagreement,
-    PreconditionViolated,
-    Record,
-    _set,
-)
-from .lattice import change_of_basis, induced_algebra
+from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record, _set
+from .lattice import change_of_basis
 from .normal_forms import Mat, hnf_columns, snf
-from .padic_core import INF
 
 
 class XiSymbol(Record):
@@ -146,7 +137,7 @@ def enumerate_index_p(alg):
 
 
 # ---------------------------------------------------------------------------
-# The NSS condition and the shift law
+# The NSS condition and the key identity
 # ---------------------------------------------------------------------------
 
 
@@ -186,36 +177,9 @@ def nss_condition(A):
     return True, None
 
 
-def sub_s_invariants(s, i):
-    """Shift law: s-invariants of L^xi for xi in Xi_i under an NSS basis.
-
-    Slot i loses one, the other two slots gain one; requires s_i >= 1.
-    """
-    if s[i] == INF or s[i] < 1:
-        raise NotSubalgebra(f"no index-p subalgebra in class {i}: s_{i} < 1")
-    shifted = [
-        (x - 1 if j == i else (x + 1 if x != INF else INF)) for j, x in enumerate(s)
-    ]
-    return tuple(sorted(shifted))
-
-
-def key_identity_check(alg, xi):
-    """Verify [M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi.
-
-    Precondition: the algebra's matrix is diagonal, sorted, NSS, and L^xi
-    is a subalgebra.  Both sides are compared as Hermite forms of 3x6
-    generator matrices.
-    """
-    ok, witness = nss_condition(alg.matrix)
-    if not ok:
-        raise PreconditionViolated(f"basis is not NSS, witness {witness}")
-    U = xi.u_matrix(alg.ctx)
-    return _key_identity(alg, xi, U, induced_algebra(alg, U).matrix)
-
-
 def _key_identity(alg, xi, U, B):
-    """key_identity_check past its preconditions: U = xi.u_matrix and B the
-    integral change_of_basis(alg, U)."""
+    """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi, compared as
+    Hermite forms; U = xi.u_matrix and B the integral change_of_basis(alg, U)."""
     ctx = alg.ctx
     s = [x.valuation() for x in alg.matrix.diagonal_entries()]
     si = s[xi.class_index()]

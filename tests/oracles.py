@@ -7,15 +7,17 @@ work on the package's objects on purpose.  The Laplace expansion is the
 reference the closed-form 3x3 determinant and adjugate must match scalar
 for scalar.  The predicates near the end (Jacobi and unsolvability tests,
 subalgebra and commutator indices, unimodularity, lattice equality) were
-package API that only tests reached; they live here as references.  The
-product chain at the end is the reference the column operations of the
-index-p certificate must match scalar for scalar.
+package API that only tests reached; they live here as references, and
+so do the s-invariant shift law and the checked key identity at the end.
+The product chain is the reference the column operations of the index-p
+certificate must match scalar for scalar.
 """
 
 from fractions import Fraction
 
 from padiclie import lattice
-from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement
+from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement, PreconditionViolated
+from padiclie.lattice import induced_algebra
 from padiclie.normal_forms import (
     Mat,
     Span,
@@ -24,6 +26,8 @@ from padiclie.normal_forms import (
     hnf_columns,
     lattice_contains,
 )
+from padiclie.padic_core import INF
+from padiclie.subalgebras import _key_identity, nss_condition
 
 
 def egcd(a, b):
@@ -347,8 +351,8 @@ def invariant_ideal_exists_dim2(p, s, domain, phi, bound):
 
 def antisymmetry_defect(alg):
     """The vector v with A - A^T = [[0,v2,-v1],[-v2,0,v0],[v1,-v0,0]]."""
-    d = alg.matrix - alg.matrix.transpose()
-    return (d[1, 2], d[2, 0], d[0, 1])
+    A = alg.matrix
+    return (A[1, 2] - A[2, 1], A[2, 0] - A[0, 2], A[0, 1] - A[1, 0])
 
 
 def jacobiator(alg):
@@ -451,3 +455,30 @@ def simple_ve_by_products(alg):
     domain, _ = hnf_columns(prepared_domain)
     phi = W * Mat.p_power_diagonal(ctx, (0, 0, 1)) * Span(prepared_domain).solve(domain)
     return domain, phi
+
+
+def sub_s_invariants(s, i):
+    """Shift law: s-invariants of L^xi for xi in Xi_i under an NSS basis.
+
+    Slot i loses one, the other two slots gain one; requires s_i >= 1.
+    """
+    if s[i] == INF or s[i] < 1:
+        raise NotSubalgebra(f"no index-p subalgebra in class {i}: s_{i} < 1")
+    shifted = [
+        (x - 1 if j == i else (x + 1 if x != INF else INF)) for j, x in enumerate(s)
+    ]
+    return tuple(sorted(shifted))
+
+
+def key_identity_check(alg, xi):
+    """Verify [M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi.
+
+    Precondition: the algebra's matrix is diagonal, sorted, NSS, and L^xi
+    is a subalgebra.  Both sides are compared as Hermite forms of 3x6
+    generator matrices.
+    """
+    ok, witness = nss_condition(alg.matrix)
+    if not ok:
+        raise PreconditionViolated(f"basis is not NSS, witness {witness}")
+    U = xi.u_matrix(alg.ctx)
+    return _key_identity(alg, xi, U, induced_algebra(alg, U).matrix)

@@ -14,7 +14,14 @@ import time
 
 import pytest
 
-from oracles import is_lie, jacobiator, jacobiator_direct, lattice_eq, membership_mod
+from oracles import (
+    is_lie,
+    jacobiator,
+    jacobiator_direct,
+    lattice_eq,
+    membership_mod,
+    sub_s_invariants,
+)
 from padiclie.classify import CanonicalForm, canonical_form, eta, is_isomorphic
 from padiclie.errors import NotLie
 from padiclie.lattice import Algebra, change_of_basis, index_exponent
@@ -34,7 +41,6 @@ from padiclie.subalgebras import (
     enumerate_index_p,
     enumerate_sublattices,
     nss_condition,
-    sub_s_invariants,
 )
 
 

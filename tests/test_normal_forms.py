@@ -85,7 +85,6 @@ def test_basic_matrix_ops():
     M = parse_matrix("1,2,0;0,1,0;3,0,1", ctx)
     I = Mat.identity(ctx, 3)
     assert M * I == M
-    assert (M - M) == Mat.diagonal(ctx, [ctx.zero()] * 3)
     adj = M.adjugate()
     d = M.det()
     prod = M * adj

@@ -38,6 +38,7 @@ from padiclie.selfsim import (
 from oracles import (
     invariant_ideal_exists_dim2,
     is_subalgebra,
+    key_identity_check,
     lattice_eq,
     simple_ve_by_products,
 )
@@ -442,11 +443,11 @@ def test_one_diagonalization_per_certificate_and_group_report(monkeypatch):
     D = Mat.from_ints(ctx, [[1, 0, 0], [0, 5, 0], [0, 0, -5]])
     V = Mat.from_ints(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     alg = Algebra(V.transpose() * D * V)
-    diagonalizations = _counted(monkeypatch, normal_forms, "congruent_diagonalize")
+    diagonalizations = _counted(monkeypatch, normal_forms, "_congruent_elimination")
     ve = construct_simple_ve(alg)
     assert len(diagonalizations) == 1
     gr = group_report(alg)
-    assert len(diagonalizations) == 2
+    assert len(diagonalizations) == 1
     assert gr.qp_type == "sl2" and gr.index_p_self_similar
     dets = _counted(monkeypatch, Mat, "det")
     adjugates = _counted(monkeypatch, Mat, "adjugate")
@@ -527,6 +528,53 @@ def test_certificate_matches_the_product_chain(monkeypatch):
     assert len(cassels) >= 4
 
 
+def test_cassels_move_only_on_family_4_pair_01(monkeypatch):
+    """A decide-yes D without a hyperbolic pair is family 4, so the
+    certificate's one Cassels move goes on (0, 1).  A canonical family-4
+    form needs it exactly when -1 is a non-square, p = 3 mod 4.
+
+    Two conjugates of diag(1, p^6, -p^6) lose their window in the
+    change_of_basis cross-check at precision 32; the move, if any, has
+    been made by then, so their calls are checked too."""
+    moves = _counted(monkeypatch, selfsim, "cassels_move")
+    rng = random.Random(14)
+    built, lost = 0, []
+    for p in (3, 5, 7, 11, 13):
+        ctx = PrimeContext(p)
+        for family, s, eps in _small_eta0_forms(p, 6):
+            cf = CanonicalForm(family, s, eps, p, ctx)
+            if not decide_index_p(cf):
+                continue
+            base = cf.algebra()
+            conjugates = []
+            while len(conjugates) < 2:
+                U = Mat.from_ints(ctx, [[rng.randrange(-4, 5) for _ in range(3)]
+                                        for _ in range(3)])
+                if not U.det().is_zero() and U.det().valuation() == 0:
+                    conjugates.append(Algebra(change_of_basis(base, U)))
+            for alg in [base] + conjugates:
+                del moves[:]
+                try:
+                    assert is_morphism(construct_simple_ve(alg))
+                    built += 1
+                except PrecisionLoss:
+                    lost.append((p, family, s))
+                assert all(family == 4 and (i, j) == (0, 1) for _D, i, j, _u in moves)
+                if alg is base and family == 4:
+                    assert len(moves) == (1 if p % 4 == 3 else 0)
+    assert lost == [(3, 3, (0, 6, 6)), (11, 3, (0, 6, 6))]
+    assert built == 5 * 49 * 3 - len(lost)
+
+
+def test_no_hyperbolic_pair_after_the_cassels_move_is_a_path_disagreement(monkeypatch):
+    """diag(1, 1, 1) at p = 3 decides yes, but -1 is a non-square there:
+    without the move no pair is hyperbolic, and the routes disagree."""
+    ctx = PrimeContext(3)
+    monkeypatch.setattr(selfsim, "cassels_move", lambda D, i, j, u: (D, Mat.identity(ctx, 3)))
+    with pytest.raises(PathDisagreement, match="no hyperbolic pair even after a Cassels move"):
+        construct_simple_ve(Algebra(Mat.identity(ctx, 3)))
+
+
 def test_regularity_check_adds_no_hermite_form_to_the_chain(monkeypatch):
     """The escape test is a membership solve: regularity_check(ve, d) runs
     exactly the Hermite forms of domain_chain(ve, d + 1)."""
@@ -556,15 +604,13 @@ def test_endo_chain_builds_the_chain_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_eta_of_a_diagonal_keeps_the_pivot_checks(monkeypatch):
-    diagonalizations = _counted(monkeypatch, normal_forms, "congruent_diagonalize")
+def test_eta_of_a_diagonal_keeps_the_pivot_checks():
     ctx = PrimeContext(3, 32)
     with pytest.raises(PrecisionLoss, match="valuation 20 too close to precision window 32"):
         eta(Mat.p_power_diagonal(ctx, (0, 1, 20)))
     with pytest.raises(Degenerate, match="matrix is degenerate"):
         eta(Mat.diagonal(ctx, [ctx.one(), ctx.zero(), ctx.one()]))
     assert eta(Mat.p_power_diagonal(PrimeContext(3, 64), (0, 1, 20))).eta == 1
-    assert diagonalizations == []
 
 
 def test_hyperbolic_cross_check_raises_path_disagreement(monkeypatch):
@@ -581,7 +627,7 @@ def test_certificate_scans_nss_once_and_changes_basis_once_per_symbol(monkeypatc
     closed = [xi for xi in subalgebras.all_symbols(3) if is_subalgebra(alg, xi.u_matrix(ctx))]
     expected = {
         "nss": True,
-        "key_identity": {xi.entries: subalgebras.key_identity_check(alg, xi) for xi in closed},
+        "key_identity": {xi.entries: key_identity_check(alg, xi) for xi in closed},
     }
     scans = _counted(monkeypatch, subalgebras, "nss_condition")
     changes = _counted(monkeypatch, lattice, "change_of_basis")

@@ -23,12 +23,16 @@ from padiclie.subalgebras import (
     enumerate_index_p,
     enumerate_index_p2,
     enumerate_sublattices,
-    key_identity_check,
     nss_condition,
-    sub_s_invariants,
 )
 
-from oracles import count_sublattices_exponent, hermite_sublattices, is_closed_direct
+from oracles import (
+    count_sublattices_exponent,
+    hermite_sublattices,
+    is_closed_direct,
+    key_identity_check,
+    sub_s_invariants,
+)
 
 
 def test_symbol_count_and_classes():
