@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameters,
     NotDiagonal,
     NotSymmetric,
+    PathDisagreement,
     PrecisionLoss,
     ValuationMismatch,
 )
@@ -78,7 +79,7 @@ class Mat:
         return tuple(self.data[i][j] for i in range(self.nrows))
 
     def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+        return list(zip(*self.data))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -101,9 +102,12 @@ class Mat:
     # -- algebra ---------------------------------------------------------------
 
     def transpose(self):
-        return Mat(self.ctx, [self.col(j) for j in range(self.ncols)])
+        return Mat(self.ctx, zip(*self.data))
 
     def __mul__(self, other):
+        # A term with an exact-zero factor is skipped: x * 0 is the exact
+        # zero and acc + 0 is acc, so every entry, and every PrecisionLoss,
+        # is that of the sum over all terms in the same order.
         if self.ncols != other.nrows:
             raise InvalidParameters("shape mismatch in matrix product")
         zero = self.ctx.zero()
@@ -114,7 +118,8 @@ class Mat:
             for c in other_cols:
                 acc = zero
                 for x, y in zip(r, c):
-                    acc = acc + x * y
+                    if x.val != INF and y.val != INF:
+                        acc = acc + x * y
                 row.append(acc)
             rows.append(row)
         return Mat(self.ctx, rows)
@@ -137,10 +142,18 @@ class Mat:
         )
 
     def mul_vec(self, v):
-        return tuple(
-            sum((self.data[i][t] * v[t] for t in range(self.ncols)), self.ctx.zero())
-            for i in range(self.nrows)
-        )
+        """self * v for a vector v, skipping exact-zero terms as __mul__ does."""
+        if self.ncols != len(v):
+            raise InvalidParameters("shape mismatch in matrix product")
+        zero = self.ctx.zero()
+        out = []
+        for r in self.data:
+            acc = zero
+            for x, y in zip(r, v):
+                if x.val != INF and y.val != INF:
+                    acc = acc + x * y
+            out.append(acc)
+        return tuple(out)
 
     def det(self):
         """Closed-form determinant; 2x2 and 3x3 only."""
@@ -226,9 +239,11 @@ def hnf_columns(M):
 
     Returns (H, rank).  H is square (nrows x nrows): pivot columns first,
     ordered by pivot row, zero columns trailing.  Pivots are pure powers
-    of p; entries left of a pivot in its row are canonical integer
+    of p; entries right of a pivot in its row are canonical integer
     residues mod the pivot.  Two generator matrices span the same lattice
-    iff their forms are literally equal.
+    iff their forms are literally equal.  For a full-rank M of index p,
+    _index_p_hermite(Span(M)) gives the same H scalar for scalar without
+    the reduction.
     """
     ctx = M.ctx
     if not M.is_integral():
@@ -319,6 +334,29 @@ class Span:
         X = self.solve(N)
         self.adj.ctx.guard_decidable(self.d_max)
         return X if X.is_integral() else None
+
+
+def _index_p_hermite(span):
+    """hnf_columns(M)[0] for an integral M of index p, read off span = Span(M).
+
+    v(det M) = 1, so adj M has rank 1 mod p, and span M = {x : a.x = 0 mod p}
+    for a row a of adj M that is nonzero mod p.  The Hermite form is the
+    identity except in row k = min{t : a_t != 0 mod p}, which holds p at
+    (k, k) and the residue of -a_b/a_k mod p at (k, b) for b > k.  These
+    are the exact zero, pure p-powers and from_int residues, the very
+    scalars hnf_columns builds, so the two forms agree scalar for scalar.
+    """
+    if span.d_inv.valuation() != -1:
+        raise PathDisagreement("Hermite read-off needs a lattice of index p")
+    ctx = span.adj.ctx
+    p = ctx.p
+    residues = ([x.residue_mod(1) for x in row] for row in span.adj.data)
+    a = next(row for row in residues if any(row))
+    k = next(t for t, x in enumerate(a) if x)
+    q = pow(-a[k], -1, p)  # -1/a_k mod p
+    H = [list(row) for row in Mat.identity(ctx, len(a)).data]
+    H[k] = H[k][:k] + [ctx.one().shift(1)] + [ctx.from_int(x * q % p) for x in a[k + 1 :]]
+    return Mat(ctx, H)
 
 
 def lattice_contains(M, N):

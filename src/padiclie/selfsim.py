@@ -47,6 +47,7 @@ from .lattice import change_of_basis, index_exponent, induced_algebra, is_ideal
 from .normal_forms import (
     Mat,
     Span,
+    _index_p_hermite,
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
@@ -306,11 +307,9 @@ def construct_simple_ve(alg):
         raise PathDisagreement("preparation failed to reach the hyperbolic shape")
     # rewrite phi on the Hermite domain basis: columns of domain expressed
     # in the prepared basis, mapped through the prepared phi
-    prepared_domain = W.shift_columns((0, 1, 0))
-    domain, _ = hnf_columns(prepared_domain)
-    phi_raw = W.shift_columns((0, 0, 1))
-    transfer = Span(prepared_domain).solve(domain)
-    phi = phi_raw * transfer
+    span = Span(W.shift_columns((0, 1, 0)))
+    domain = _index_p_hermite(span)
+    phi = W.shift_columns((0, 0, 1)) * span.solve(domain)
     return VirtualEndomorphism(alg, domain, phi)
 
 

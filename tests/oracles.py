@@ -5,10 +5,12 @@ package: plain integer arithmetic mod p^K, exhaustive enumeration, or
 textbook algorithms with no reliance on the scalar class.  Three groups
 work on the package's objects on purpose.  The Laplace expansion is the
 reference the closed-form 3x3 determinant and adjugate must match scalar
-for scalar.  The predicates near the end (Jacobi and unsolvability tests,
-subalgebra and commutator indices, unimodularity, lattice equality) were
-package API that only tests reached; they live here as references, and
-so do the s-invariant shift law and the checked key identity at the end.
+for scalar, and the term-by-term product is the one the zero-skipping
+matrix products must match.  The predicates near the end (Jacobi and
+unsolvability tests, subalgebra and commutator indices, unimodularity,
+lattice equality) were package API that only tests reached; they live
+here as references, and so do the s-invariant shift law and the checked
+key identity at the end.
 The product chain is the reference the column operations of the index-p
 certificate must match scalar for scalar.
 """
@@ -191,6 +193,20 @@ def laplace_adjugate(M):
             row.append(d if (i + j) % 2 == 0 else -d)
         rows.append(row)
     return type(M)(M.ctx, rows).transpose()
+
+
+def product_by_terms(A, B):
+    """A * B summed over every term, acc = acc + x * y, exact zeros too."""
+    rows = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            acc = A.ctx.zero()
+            for t in range(A.ncols):
+                acc = acc + A[i, t] * B[t, j]
+            row.append(acc)
+        rows.append(row)
+    return type(A)(A.ctx, rows)
 
 
 def trial_division_is_prime(n):

@@ -13,12 +13,14 @@ from padiclie.errors import (
     InvalidParameters,
     NotSymmetric,
     PadicLieError,
+    PathDisagreement,
     PrecisionLoss,
 )
 from padiclie.lattice import Algebra
 from padiclie.normal_forms import (
     Mat,
     Span,
+    _index_p_hermite,
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
@@ -29,6 +31,7 @@ from padiclie.normal_forms import (
 )
 from padiclie.padic_core import INF, PrimeContext
 from padiclie.selfsim import construct_simple_ve, sigma_bounds
+from padiclie.subalgebras import enumerate_sublattices
 
 from oracles import (
     int_contains,
@@ -41,6 +44,7 @@ from oracles import (
     lattice_eq,
     membership_mod,
     p_valuation,
+    product_by_terms,
     solve_two_square_classes,
 )
 
@@ -153,6 +157,93 @@ def test_hnf_shape_and_idempotence():
                         assert e == ctx.from_int(e.residue_mod(d))
             H2, _ = hnf_columns(H)
             assert H2 == H
+
+
+def _scalars(M):
+    return [(x.val, x.unit, x.prec) for row in M.data for x in row]
+
+
+def test_index_p_hermite_equals_hnf_columns():
+    """The read-off equals hnf_columns in every (val, unit, prec) on H U, U
+    seeded unimodular: every Hermite H of index p at p = 3, 5, 7 (three U
+    each), and at p = 101 the 102 with the p-pivot below row 0 plus a
+    seeded 400 of the other 10,201 (one U each)."""
+    rng = random.Random(16)
+    for p in (3, 5, 7, 101):
+        for precision in (8, 32):
+            ctx = PrimeContext(p, precision)
+            lattices = list(enumerate_sublattices(ctx, 1))
+            conjugates = 3
+            if p == 101:
+                lattices = lattices[: p + 1] + rng.sample(lattices[p + 1 :], 400)
+                conjugates = 1
+            for H in lattices:
+                assert _scalars(_index_p_hermite(Span(H))) == _scalars(H)
+                for _ in range(conjugates):
+                    M = H * random_unimodular(rng, ctx)
+                    assert _scalars(_index_p_hermite(Span(M))) == _scalars(hnf_columns(M)[0])
+
+
+@pytest.mark.parametrize("exponents", [(0, 0, 0), (0, 1, 1), (0, 0, 2), (1, 1, 1)])
+def test_index_p_hermite_refuses_any_other_index(exponents):
+    ctx = PrimeContext(5)
+    M = Mat.p_power_diagonal(ctx, exponents) * random_unimodular(random.Random(7), ctx)
+    with pytest.raises(PathDisagreement, match="needs a lattice of index p"):
+        _index_p_hermite(Span(M))
+
+
+def _product_or_error(f):
+    try:
+        out = f()
+    except PrecisionLoss as exc:
+        return (type(exc), str(exc))
+    return _scalars(out) if isinstance(out, Mat) else [(x.val, x.unit, x.prec) for x in out]
+
+
+def _mul_vec_by_terms(A, v):
+    return product_by_terms(A, Mat(A.ctx, [[x] for x in v])).col(0)
+
+
+def test_products_skipping_exact_zeros_match_every_term():
+    """Mat.__mul__ and mul_vec against the sum over every term, on seeded
+    matrices of zero, unit, p-power, degraded-window and 1/p entries; terms
+    that cancel through a short window raise the same PrecisionLoss."""
+    rng = random.Random(16)
+    raised = 0
+    for p in (3, 5):
+        for precision in (8, 32):
+            ctx = PrimeContext(p, precision)
+            one = ctx.one()
+            # 1 known to precision - 5 digits only: (1 + (p^5 - 1)) / p^5
+            short = (one + ctx.from_int(p**5 - 1)).shift(-5)
+            pool = [ctx.zero()] * 4 + [
+                one, -one, ctx.from_int(ctx.rho), one.shift(1), ctx.from_int(-2 * p**2),
+                ctx.from_rational(1, p), ctx.from_rational(3, p**2), short, -short,
+            ]
+            for _ in range(300):
+                A, B = (Mat(ctx, [[rng.choice(pool) for _ in range(3)] for _ in range(3)])
+                        for _ in range(2))
+                v = B.col(0)
+                assert _product_or_error(lambda: A * B) == _product_or_error(
+                    lambda: product_by_terms(A, B))
+                assert _product_or_error(lambda: A.mul_vec(v)) == _product_or_error(
+                    lambda: _mul_vec_by_terms(A, v))
+            zero = ctx.zero()
+            A = Mat(ctx, [[short, zero, short], [zero, one, zero], [short, short, zero]])
+            B = Mat(ctx, [[one, zero, zero], [one.shift(1), one, zero], [-one, zero, one]])
+            v = B.col(0)
+            want = _product_or_error(lambda: product_by_terms(A, B))
+            want_vec = _product_or_error(lambda: _mul_vec_by_terms(A, v))
+            assert _product_or_error(lambda: A * B) == want
+            assert _product_or_error(lambda: A.mul_vec(v)) == want_vec
+            if precision == 8:
+                cancelled = (PrecisionLoss, "cancellation exhausted the precision window")
+                assert want == want_vec == cancelled
+                raised += 1
+            for w in (v[:2], v + v[:1]):
+                with pytest.raises(InvalidParameters, match="shape mismatch"):
+                    A.mul_vec(w)
+    assert raised == 2
 
 
 def test_hnf_membership_against_oracle():

@@ -575,6 +575,24 @@ def test_no_hyperbolic_pair_after_the_cassels_move_is_a_path_disagreement(monkey
         construct_simple_ve(Algebra(Mat.identity(ctx, 3)))
 
 
+def test_a_certificate_reads_its_hermite_domain_off_the_adjugate(monkeypatch):
+    """Off the literal hyperbolic shape the certificate runs no hnf_columns,
+    and its domain is still the Hermite form of its span."""
+    hnfs = _counted(monkeypatch, normal_forms, "hnf_columns")
+    rng = random.Random(16)
+    for p in (3, 5, 101):
+        ctx = PrimeContext(p)
+        for family, parameters in ((2, (0, 2, 0)), (3, (1, 3, 0)), (4, (0,))):
+            base = CanonicalForm.from_parameters(family, parameters, p, ctx).algebra()
+            U = Mat.from_ints(ctx, [[1, rng.randrange(-4, 5), 0], [0, 1, 0], [2, 0, 1]])
+            for alg in (base, Algebra(change_of_basis(base, U))):
+                assert not selfsim._is_hyperbolic(alg.matrix)
+                del hnfs[:]
+                domain = construct_simple_ve(alg).domain
+                assert hnfs == []
+                assert _scalars(hnf_columns(domain)[0]) == _scalars(domain)
+
+
 def test_regularity_check_adds_no_hermite_form_to_the_chain(monkeypatch):
     """The escape test is a membership solve: regularity_check(ve, d) runs
     exactly the Hermite forms of domain_chain(ve, d + 1)."""
