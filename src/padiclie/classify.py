@@ -4,7 +4,8 @@ Every unsolvable Lie lattice on Z_p^3 (p odd) has a symmetric nondegenerate
 structure matrix, and the congruence class of that matrix up to a unit
 factor is a complete isomorphism invariant.  Each class contains exactly
 one representative from four diagonal families (rho is the least positive
-non-residue mod p):
+non-residue mod p), stated once as the table FAMILIES, which the canonical
+matrix, the form's eta and canonical_form all read:
 
     1: diag(p^s0, rho^e1 p^s1, rho^e2 p^s2)      0 <= s0 < s1 < s2
     2: diag(p^s0, -rho^e1 p^s0, p^s2)            0 <= s0 < s2
@@ -21,7 +22,9 @@ CanonicalForm reads its own eta off its integers by the closed formula.
 from bisect import bisect_right
 from enum import Enum
 
-from .errors import Degenerate, InvalidParameters, NotLie, PathDisagreement, Record, _set
+from .errors import (
+    Degenerate, InvalidParameters, NotLie, NotSymmetric, PathDisagreement, Record, _set
+)
 from .lattice import Algebra
 from .normal_forms import Mat, congruent_diagonalize
 from .padic_core import PrimeContext, hilbert_additive
@@ -32,9 +35,18 @@ class QpType(Enum):
     SL1D = "sl1d"
 
 
-# Each family's free s-slots and eps-slots.  A tied s-slot copies the slot
-# before it, and an eps-slot a family lacks holds None.
-FAMILIES = {1: ((0, 1, 2), (0, 1)), 2: ((0, 2), (0,)), 3: ((0, 1), (1,)), 4: ((0,), ())}
+# The classification: each family's free s-slots (a tied slot copies the
+# slot before it), then, for each eps bit j it carries, (slot, ref, neg):
+# eps_j is the square class of (-1)^neg u_slot u_ref for the units u_i of a
+# diagonal of the class with ascending valuations, and the canonical matrix
+# has the unit (-1)^neg rho^eps_j in that slot, 1 in the others.  An eps
+# bit a family lacks holds None.
+FAMILIES = {
+    1: ((0, 1, 2), {0: (1, 0, 0), 1: (2, 0, 0)}),
+    2: ((0, 2), {0: (1, 0, 1)}),
+    3: ((0, 1), {1: (2, 1, 1)}),
+    4: ((0,), {}),
+}
 
 
 class CanonicalForm(Record):
@@ -92,18 +104,10 @@ class CanonicalForm(Record):
     def matrix(self):
         """The canonical structure matrix as a Mat in the form's window."""
         ctx = self.ctx
-        p, rho = ctx.p, ctx.rho
-        s0, s1, s2 = self.s
-        e1, e2 = self.eps
-        if self.family == 1:
-            diag = [p**s0, rho**e1 * p**s1, rho**e2 * p**s2]
-        elif self.family == 2:
-            diag = [p**s0, -(rho**e1) * p**s0, p**s2]
-        elif self.family == 3:
-            diag = [p**s0, p**s1, -(rho**e2) * p**s1]
-        else:
-            diag = [p**s0, p**s0, p**s0]
-        return Mat.diagonal(ctx, [ctx.from_int(x) for x in diag])
+        units = [1, 1, 1]
+        for j, (slot, _, neg) in FAMILIES[self.family][1].items():
+            units[slot] = (-1) ** neg * ctx.rho ** self.eps[j]
+        return Mat.diagonal(ctx, [ctx.from_int(u * ctx.p**v) for u, v in zip(units, self.s)])
 
     def algebra(self):
         return Algebra(self.matrix())
@@ -111,7 +115,7 @@ class CanonicalForm(Record):
     def eta(self):
         """eta of the canonical matrix, from the form's integers.
 
-        The family fixes the unit square classes of the diagonal, so the
+        FAMILIES fixes the unit square classes of the diagonal, so the
         closed formula needs no Mat.  Each valuation passes guard_decidable
         in ascending order first, as in eta(self.matrix()).
         """
@@ -119,15 +123,9 @@ class CanonicalForm(Record):
         for v in self.s:
             ctx.guard_decidable(v)
         delta = ctx.delta
-        e1, e2 = self.eps
-        if self.family == 1:
-            chi = (0, e1, e2)
-        elif self.family == 2:
-            chi = (0, (delta + e1) % 2, 0)
-        elif self.family == 3:
-            chi = (0, 0, (delta + e2) % 2)
-        else:
-            chi = (0, 0, 0)
+        chi = [0, 0, 0]
+        for j, (slot, _, neg) in FAMILIES[self.family][1].items():
+            chi[slot] = (neg * delta + self.eps[j]) % 2
         return _eta_closed_route(self.s, chi, delta)
 
 
@@ -138,34 +136,26 @@ def canonical_form(alg):
     The one road from a structure matrix to its form.  Raises NotLie when
     A is not symmetric (an unsolvable Lie bracket forces symmetry),
     Degenerate when det A = 0, and PrecisionLoss when the precision window
-    cannot decide the form.
+    cannot decide the form.  The elimination checks symmetry and guards each
+    pivot, D's diagonal is the pivots, and A keeps only a success; the form
+    is read off D by the rules of FAMILIES.
     """
-    A = alg.matrix
-    if not A.is_symmetric():
-        raise NotLie("structure matrix of an unsolvable Lie lattice must be symmetric")
     try:
-        D, _V = congruent_diagonalize(A)
+        D, _V = congruent_diagonalize(alg.matrix)
+    except NotSymmetric:
+        raise NotLie("structure matrix of an unsolvable Lie lattice must be symmetric") from None
     except Degenerate:
-        # det A is computed once, inside congruent_diagonalize
         raise Degenerate("structure matrix is degenerate") from None
     ctx = D.ctx
     entries = D.diagonal_entries()
-    for x in entries:
-        ctx.guard_decidable(x.valuation())
-    vals = [x.valuation() for x in entries]
+    s = tuple(x.valuation() for x in entries)
     chi = [x.square_class() for x in entries]
+    # the valuations ascend, so the free slots are 0 and each slot above its neighbour
+    free = (0, *(i for i in (1, 2) if s[i] > s[i - 1]))
+    family, rules = next((f, r) for f, (slots, r) in FAMILIES.items() if slots == free)
     delta = ctx.delta
-    s0, s1, s2 = vals
-    if s0 < s1 < s2:
-        family, eps = 1, ((chi[1] + chi[0]) % 2, (chi[2] + chi[0]) % 2)
-    elif s0 == s1 < s2:
-        # eps1 is the class of -u0*u1
-        family, eps = 2, ((delta + chi[0] + chi[1]) % 2, None)
-    elif s0 < s1 == s2:
-        family, eps = 3, (None, (delta + chi[1] + chi[2]) % 2)
-    else:
-        family, eps = 4, (None, None)
-    return CanonicalForm(family, (s0, s1, s2), eps, ctx.p, ctx)
+    bits = {j: (chi[slot] + chi[ref] + neg * delta) % 2 for j, (slot, ref, neg) in rules.items()}
+    return CanonicalForm(family, s, (bits.get(0), bits.get(1)), ctx.p, ctx)
 
 
 def is_isomorphic(a, b):

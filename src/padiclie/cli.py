@@ -181,11 +181,10 @@ def cmd_lcs(args):
     alg = _algebra(args, ctx)
     if args.depth < 0:
         raise InvalidInput("--depth must be >= 0")
+    if args.depth > selfsim.DEPTH_BOUND:
+        raise InvalidInput(f"--depth must be <= {selfsim.DEPTH_BOUND}")
     cf = classify.canonical_form(alg)
-    terms = []
-    for n in range(1, args.depth + 1):
-        exps = lcs_exponents(cf.s, n)
-        terms.append([_val_json(v) for v in exps])
+    terms = [[_val_json(v) for v in lcs_exponents(cf.s, n)] for n in range(1, args.depth + 1)]
     return {"s": list(cf.s), "gamma_exponents": terms}
 
 
@@ -221,7 +220,7 @@ def cmd_named(args):
 def cmd_report(args):
     alg = _algebra(args, _context(args))
     gr = catalog.group_report(alg)
-    out = {
+    return {
         "canonical": _cf_json(gr.selfsim.canonical, gr.selfsim.eta),
         "selfsim": _sigma_json(gr.selfsim),
         "group": {
@@ -237,7 +236,9 @@ def cmd_report(args):
             "notes": list(gr.notes),
         },
     }
-    return out
+
+
+TRIALS_BOUND = 1000  # selftest's most trials: about a second at small primes
 
 
 def cmd_selftest(args):
@@ -249,6 +250,8 @@ def cmd_selftest(args):
     trials = args.trials
     if trials < 1:
         raise InvalidInput("--trials must be at least 1")
+    if trials > TRIALS_BOUND:
+        raise InvalidInput(f"--trials must be at most {TRIALS_BOUND}")
     ok = 0
     for _ in range(trials):
         A = _random_symmetric(rng, ctx)
@@ -258,13 +261,9 @@ def cmd_selftest(args):
         if classify.canonical_form(Algebra(A)) == classify.canonical_form(Algebra(B)):
             ok += 1
     results["orbit_invariance"] = {"trials": trials, "passed": ok}
-    # eta dual route (it raises on disagreement)
-    ok = 0
     for _ in range(trials):
-        A = _random_symmetric(rng, ctx)
-        classify.eta(A)
-        ok += 1
-    results["eta_dual_route"] = {"trials": trials, "passed": ok}
+        classify.eta(_random_symmetric(rng, ctx))  # raises when the routes disagree
+    results["eta_dual_route"] = {"trials": trials, "passed": trials}
     passed = all(v["passed"] == v["trials"] for v in results.values())
     return {"seed": args.seed, "prime": ctx.p, "results": results, "passed": passed}
 

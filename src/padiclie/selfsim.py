@@ -58,6 +58,9 @@ from .padic_core import INF
 from .subalgebras import _key_identity, all_symbols, enumerate_sublattices, nss_condition
 
 CONJECTURED_INFINITE = "conjectured_infinite"
+# The most chain depth, search bound or lcs depth a caller may ask for: a
+# chain that stabilizes never loses precision, so nothing else would stop it.
+DEPTH_BOUND = 1024
 
 
 def decide_index_p(cf):
@@ -135,8 +138,11 @@ def domain_chain(ve, depth):
     """The descending chain D_0 = L, D_{n+1} = {x in M : phi x in D_n}.
 
     Returns the list [D_0, ..., D_depth] of Hermite generator matrices in
-    ambient coordinates.
+    ambient coordinates.  depth may exceed DEPTH_BOUND by one, the step
+    regularity_check takes past its own depth.
     """
+    if depth > DEPTH_BOUND + 1:
+        raise InvalidParameters(f"chain depth must be <= {DEPTH_BOUND + 1}")
     return _domain_chain(ve.domain, ve.phi, depth)
 
 
@@ -169,6 +175,8 @@ def regularity_check(ve, depth):
     """
     if depth < 0:
         raise InvalidParameters("chain depth must be >= 0")
+    if depth > DEPTH_BOUND:
+        raise InvalidParameters(f"chain depth must be <= {DEPTH_BOUND}")
     chain = domain_chain(ve, depth + 1)
     vals = [sum(x.valuation() for x in D.diagonal_entries()) for D in chain]
     exps = [b - a for a, b in zip(vals, vals[1 : depth + 1])]
@@ -188,6 +196,8 @@ def invariant_ideal_search(ve, bound):
     """
     if bound < 0:
         raise InvalidParameters("search bound must be >= 0")
+    if bound > DEPTH_BOUND:
+        raise InvalidParameters(f"search bound must be <= {DEPTH_BOUND}")
     induced_algebra(ve.ambient, ve.domain)  # NotSubalgebra when the domain is open
     d_bound = domain_chain(ve, bound)[-1]
     return _invariant_ideal(ve.ambient.bracket, ve.domain, ve.phi, d_bound, bound)

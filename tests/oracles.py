@@ -12,7 +12,9 @@ lattice equality) were package API that only tests reached; they live
 here as references, and so do the s-invariant shift law and the checked
 key identity at the end.
 The product chain is the reference the column operations of the index-p
-certificate must match scalar for scalar.
+certificate must match scalar for scalar.  The canonical form of an integer
+diagonal is read off by Legendre symbols from the four families'
+definitions, the reference for the package's table of families.
 """
 
 from fractions import Fraction
@@ -250,6 +252,59 @@ def eta_of_diagonal(diag, p):
     for a, b in ((a0, a1), (a0, a2), (a1, a2)):
         sign *= hilbert_symbol(a, b, p)
     return 0 if sign == 1 else 1
+
+
+def canonical_diagonal(family, s, eps, p):
+    """The integer diagonal of the canonical form (family, s, eps), rho the
+    least non-residue mod p:
+
+        1: diag(p^s0, rho^e1 p^s1, rho^e2 p^s2)      0 <= s0 < s1 < s2
+        2: diag(p^s0, -rho^e1 p^s0, p^s2)            0 <= s0 < s2
+        3: diag(p^s0, p^s1, -rho^e2 p^s1)            0 <= s0 < s1
+        4: diag(p^s0, p^s0, p^s0)
+    """
+    rho = least_nonresidue(p)
+    (s0, s1, s2), (e1, e2) = s, eps
+    if family == 1:
+        return p**s0, rho**e1 * p**s1, rho**e2 * p**s2
+    if family == 2:
+        return p**s0, -(rho**e1) * p**s0, p**s2
+    if family == 3:
+        return p**s0, p**s1, -(rho**e2) * p**s1
+    return p**s0, p**s0, p**s0
+
+
+def canonical_of_diagonal(d, p):
+    """(family, s, eps, canonical diagonal) of the form diag(d0, d1, d2),
+    for nonzero integers d_i, from the four families' definitions.
+
+    Over Z_p, p odd, the form splits into Jordan blocks by valuation; a
+    block is fixed by its size and the Legendre symbol of its unit
+    determinant, and the form counts only up to a unit factor c, which
+    multiplies a block's determinant by c^size.  With units u_i in order
+    of ascending valuation s_i:
+      1: s0 < s1 < s2: c = u0 leaves eps1 = (u0 u1 / p), eps2 = (u0 u2 / p);
+      2: s0 = s1 < s2: c = u2, and the block det u0 u1 is that of
+         diag(1, -rho^eps1);
+      3: s0 < s1 = s2: c = u0, and the block det u1 u2 is that of
+         diag(1, -rho^eps2);
+      4: one block of odd size, so c makes its det a square.
+    An eps bit is 0 for a residue symbol +1 and 1 for -1.
+    """
+    s, u = zip(*sorted((p_valuation(x, p), x // p ** p_valuation(x, p)) for x in d))
+
+    def bit(a):
+        return 0 if legendre_symbol(a, p) == 1 else 1
+
+    if s[0] < s[1] < s[2]:
+        family, eps = 1, (bit(u[0] * u[1]), bit(u[0] * u[2]))
+    elif s[0] == s[1] < s[2]:
+        family, eps = 2, (bit(-u[0] * u[1]), None)
+    elif s[0] < s[1] == s[2]:
+        family, eps = 3, (None, bit(-u[1] * u[2]))
+    else:
+        family, eps = 4, (None, None)
+    return family, s, eps, canonical_diagonal(family, s, eps, p)
 
 
 def int_det(M):

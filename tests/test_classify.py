@@ -17,12 +17,13 @@ from padiclie.errors import (
     InvalidParameters,
     NotLie,
     NotSymmetric,
+    PrecisionLoss,
 )
 from padiclie.lattice import Algebra, change_of_basis
 from padiclie.normal_forms import Mat, parse_matrix
 from padiclie.padic_core import PrimeContext
 
-from oracles import eta_of_diagonal, least_nonresidue
+from oracles import canonical_diagonal, canonical_of_diagonal, eta_of_diagonal
 
 
 def random_unimodular(rng, ctx, span=8):
@@ -210,26 +211,13 @@ def test_eta_matches_family_parity_rule():
                 assert val == (cf.eps[1] * (s0 + s1)) % 2
 
 
-def table_diagonal(cf, rho):
-    """The integer diagonal of a canonical form, read off the family table."""
-    p, (s0, s1, s2), (e1, e2) = cf.p, cf.s, cf.eps
-    if cf.family == 1:
-        return p**s0, rho**e1 * p**s1, rho**e2 * p**s2
-    if cf.family == 2:
-        return p**s0, -(rho**e1) * p**s0, p**s2
-    if cf.family == 3:
-        return p**s0, p**s1, -(rho**e2) * p**s1
-    return p**s0, p**s0, p**s0
-
-
 def test_form_eta_matches_both_routes_and_the_hilbert_oracle():
     """CanonicalForm.eta, read off the form's integers, equals eta of its
     matrix and a plain-integer Hilbert-symbol oracle; delta = 1 at
     p = 3, 7, 11 and delta = 0 at p = 5, 13."""
     for p in (3, 5, 7, 11, 13):
-        rho = least_nonresidue(p)
         for cf in all_small_forms(p, 6):
-            oracle = eta_of_diagonal(table_diagonal(cf, rho), p)
+            oracle = eta_of_diagonal(canonical_diagonal(cf.family, cf.s, cf.eps, p), p)
             assert cf.eta() == eta(cf.matrix()).eta == oracle, cf
 
 
@@ -245,3 +233,64 @@ def test_classification_errors():
     b = Algebra(parse_matrix("1,0,0;0,1,0;0,0,1", PrimeContext(5)))
     with pytest.raises(InvalidParameters):
         is_isomorphic(a, b)
+
+
+def test_canonical_form_matches_the_legendre_oracle():
+    """canonical_form of V^T diag(d) V, with arbitrary units in d, its
+    matrix and its eta against the integer oracles, on all nine (family,
+    eps) classes; delta = 1 at p = 3, 7, 11 and delta = 0 at p = 5, 13."""
+    rng = random.Random(23)
+    for p in (3, 5, 7, 11, 13):
+        seen = set()
+        for precision in (16, 32):
+            ctx = PrimeContext(p, precision)
+            for ties in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                for _ in range(6):
+                    s = [rng.randrange(3)]
+                    for tied in ties:
+                        s.append(s[-1] if tied else s[-1] + rng.randrange(1, 3))
+                    units = [rng.choice((1, -1)) * rng.randrange(1, p * p) for _ in s]
+                    d = [(u + (u % p == 0)) * p**v for u, v in zip(units, s)]
+                    rng.shuffle(d)
+                    V = random_unimodular(rng, ctx)
+                    A = V.transpose() * Mat.diagonal(ctx, [ctx.from_int(x) for x in d]) * V
+                    family, s_oracle, eps, rep = canonical_of_diagonal(d, p)
+                    cf = canonical_form(Algebra(A))
+                    assert (cf.family, cf.s, cf.eps) == (family, s_oracle, eps), (p, d)
+                    assert cf.matrix() == Mat.diagonal(ctx, [ctx.from_int(x) for x in rep])
+                    assert cf.eta() == eta_of_diagonal(d, p) == eta_of_diagonal(rep, p)
+                    seen.add((family, eps))
+        assert len(seen) == 9, (p, seen)
+
+
+def test_a_second_read_repeats_no_check_of_the_elimination(monkeypatch):
+    """The elimination checks symmetry and guards every pivot, and the Mat
+    keeps only a success: reading a diagonalized Mat checks neither again.
+    Failures are raised again on every call, with their messages."""
+    alg = Algebra(parse_matrix("2,1,0;1,5,3;0,3,9", PrimeContext(3, 32)))
+    first = canonical_form(alg)
+    calls = []
+    for cls, name in ((Mat, "is_symmetric"), (PrimeContext, "guard_decidable")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    assert canonical_form(alg) == first and calls == []
+    cancelling = (
+        "6104007655641,2034669218547,8138676874209;2034669218547,678223072849,2712892291480;"
+        "8138676874209,2712892291480,10851569165563"
+    )
+    failing = [
+        (3, 32, "1,1,0;0,1,0;0,0,1", NotLie,
+         "structure matrix of an unsolvable Lie lattice must be symmetric"),
+        (3, 32, "1,0,0;0,1,0;0,0,0", Degenerate, "structure matrix is degenerate"),
+        (3, 32, "1,0,0;0,3,0;0,0,1*p^20", PrecisionLoss,
+         "valuation 20 too close to precision window 32"),
+        (7, 10, cancelling, PrecisionLoss, "cancellation exhausted the precision window"),
+    ]
+    for p, precision, literal, error, message in failing:
+        alg = Algebra(parse_matrix(literal, PrimeContext(p, precision)))
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                canonical_form(alg)
+            assert str(caught.value) == message

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from padiclie import cli, errors
+from padiclie import cli, errors, selfsim
 from padiclie.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -247,6 +247,17 @@ def test_selftest_command(capsys):
     assert res["eta_dual_route"]["passed"] == res["eta_dual_route"]["trials"]
 
 
+def test_depth_and_trials_answer_at_their_bounds(capsys):
+    bound = selfsim.DEPTH_BOUND
+    code, out, _ = run(capsys, "lcs", *ENDO, "--depth", str(bound))
+    assert code == 0 and len(out["gamma_exponents"]) == bound
+    code, out, _ = run(capsys, "endo", "chain", *ENDO, *STABLE, "--depth", str(bound))
+    assert code == 0 and out["index_exponents"] == [1] + [0] * (bound - 1)
+    assert len(out["chain"]) == bound + 1
+    code, out, _ = run(capsys, "selftest", "--prime", "5", "--trials", str(cli.TRIALS_BOUND))
+    assert code == 0 and out["passed"] is True
+
+
 def test_selftest_trials_flag(capsys):
     code, out, _ = run(capsys, "selftest", "--prime", "5", "--seed", "11", "--trials", "3")
     assert code == 0 and out["passed"] is True
@@ -300,6 +311,9 @@ def test_leading_minus_matrix_values(capsys):
 ENDO = ["--prime", "3", "--matrix", "1,0,0;0,3,0;0,0,-3"]
 CERT = ["--domain", "1,0,0;0,3,1;0,0,1", "--phi", "1,0,0;0,5,3;0,4,3"]
 SMALL = ["--domain", "1,0;0,3", "--phi", "1,0;0,1"]
+# phi is the identity on M = <x0, 3 x1, x2>, so the domain chain stops at M:
+# nothing but a depth bound ends a walk along it
+STABLE = ["--domain", "1,0,0;0,3,0;0,0,1", "--phi", "1,0,0;0,3,0;0,0,1"]
 
 
 MALFORMED = {
@@ -342,6 +356,14 @@ MALFORMED = {
     "endo-chain-depth-minus-1": ["endo", "chain", *ENDO, *CERT, "--depth", "-1"],
     "endo-search-bound-minus-1": ["endo", "search", *ENDO, *CERT, "--search-bound", "-1"],
     "lcs-depth-minus-1": ["lcs", *ENDO, "--depth", "-1"],
+    "lcs-depth-above-bound": ["lcs", *ENDO, "--depth", str(selfsim.DEPTH_BOUND + 1)],
+    "endo-chain-depth-above-bound": [
+        "endo", "chain", *ENDO, *STABLE, "--depth", str(selfsim.DEPTH_BOUND + 1),
+    ],
+    "endo-search-bound-above-bound": [
+        "endo", "search", *ENDO, *STABLE, "--search-bound", str(selfsim.DEPTH_BOUND + 1),
+    ],
+    "selftest-trials-above-bound": ["selftest", "--prime", "5", "--trials", str(cli.TRIALS_BOUND + 1)],
 }
 
 

@@ -608,6 +608,18 @@ def test_regularity_check_adds_no_hermite_form_to_the_chain(monkeypatch):
         assert len(hnfs) == in_chain
 
 
+def test_chain_depths_above_the_bound_are_refused():
+    ctx = PrimeContext(3)
+    ve = construct_simple_ve(Algebra(parse_matrix("1,0,0;0,3,0;0,0,-3", ctx)))
+    bound = selfsim.DEPTH_BOUND
+    with pytest.raises(InvalidParameters, match=f"chain depth must be <= {bound + 1}"):
+        domain_chain(ve, bound + 2)
+    with pytest.raises(InvalidParameters, match=f"chain depth must be <= {bound}"):
+        regularity_check(ve, bound + 1)
+    with pytest.raises(InvalidParameters, match=f"search bound must be <= {bound}"):
+        invariant_ideal_search(ve, bound + 1)
+
+
 def test_endo_chain_builds_the_chain_once(monkeypatch, capsys):
     """depth d: d + 1 preimage steps, D_1 .. D_{d+1}, for chain and escapes."""
     steps = _counted(monkeypatch, selfsim, "_preimage_lattice")
