@@ -22,7 +22,7 @@ lower central series shrinks, i.e. when the middle s-invariant is >= 1.
 """
 
 from .classify import FAMILIES, CanonicalForm, QpType, canonical_form, qp_type_of_eta
-from .errors import InvalidParameters, NotAnIdeal, Record, _set
+from .errors import InvalidParameters, NotAnIdeal, Record
 from .lattice import (
     Algebra,
     change_of_basis,
@@ -121,25 +121,8 @@ class GroupReport(Record):
 
     __slots__ = ("group_name", "family", "parameters", "residually_nilpotent", "failing_s",
                  "prime_threshold", "threshold_met", "qp_type", "index_p_self_similar",
-                 "sigma_lower", "sigma_upper", "index_transfer", "notes", "selfsim")
-
-    def __init__(self, group_name, family, parameters, residually_nilpotent, failing_s,
-                 prime_threshold, threshold_met, qp_type, index_p_self_similar, sigma_lower,
-                 sigma_upper, index_transfer, notes, selfsim):
-        _set(self, "group_name", group_name)
-        _set(self, "family", family)
-        _set(self, "parameters", parameters)
-        _set(self, "residually_nilpotent", residually_nilpotent)
-        _set(self, "failing_s", failing_s)
-        _set(self, "prime_threshold", prime_threshold)
-        _set(self, "threshold_met", threshold_met)
-        _set(self, "qp_type", qp_type)
-        _set(self, "index_p_self_similar", index_p_self_similar)
-        _set(self, "sigma_lower", sigma_lower)
-        _set(self, "sigma_upper", sigma_upper)
-        _set(self, "index_transfer", index_transfer)
-        _set(self, "notes", notes)
-        _set(self, "selfsim", selfsim)  # the sigma report; its canonical is the canonical form
+                 "sigma_lower", "sigma_upper", "index_transfer", "notes",
+                 "selfsim")  # the sigma report; its canonical is the canonical form
 
 
 def group_report(alg):
@@ -214,13 +197,6 @@ def group_report(alg):
 
 class IdealSigmaReport(Record):
     __slots__ = ("level", "equals_gamma_term", "index_over_gamma", "verdict", "decided_exponent")
-
-    def __init__(self, level, equals_gamma_term, index_over_gamma, verdict, decided_exponent):
-        _set(self, "level", level)
-        _set(self, "equals_gamma_term", equals_gamma_term)
-        _set(self, "index_over_gamma", index_over_gamma)
-        _set(self, "verdict", verdict)
-        _set(self, "decided_exponent", decided_exponent)
 
 
 def normal_subgroup_sigma(alg, ideal):

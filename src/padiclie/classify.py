@@ -23,7 +23,7 @@ from bisect import bisect_right
 from enum import Enum
 
 from .errors import (
-    Degenerate, InvalidParameters, NotLie, NotSymmetric, PathDisagreement, Record, _set
+    Degenerate, InvalidParameters, NotLie, NotSymmetric, PathDisagreement, Record
 )
 from .lattice import Algebra
 from .normal_forms import Mat, congruent_diagonalize
@@ -60,10 +60,6 @@ class CanonicalForm(Record):
     _hidden = ("ctx",)
 
     def __init__(self, family, s, eps, p, ctx=None):
-        _set(self, "family", family)
-        _set(self, "s", s)
-        _set(self, "eps", eps)
-        _set(self, "p", p)
         free, eps_slots = FAMILIES.get(family, ((), ()))
         s0, s1, s2 = s
         ok = (
@@ -80,9 +76,10 @@ class CanonicalForm(Record):
         for e in eps:
             if e not in (None, 0, 1):
                 raise InvalidParameters("eps entries must be 0, 1, or absent")
-        _set(self, "ctx", ctx or PrimeContext(p))
-        if self.ctx.p != p:
-            raise InvalidParameters(f"context over p = {self.ctx.p} for a form at p = {p}")
+        ctx = ctx or PrimeContext(p)
+        if ctx.p != p:
+            raise InvalidParameters(f"context over p = {ctx.p} for a form at p = {p}")
+        super().__init__(family, s, eps, p, ctx)
 
     @classmethod
     def from_parameters(cls, family, parameters, p, ctx=None):
@@ -174,11 +171,6 @@ class EtaBreakdown(Record):
     """eta = delta * v_p(d(A)) + e(A) mod 2, with both ingredients exposed."""
 
     __slots__ = ("disc_valuation_parity", "hilbert_sum", "eta")
-
-    def __init__(self, disc_valuation_parity, hilbert_sum, eta):
-        _set(self, "disc_valuation_parity", disc_valuation_parity)
-        _set(self, "hilbert_sum", hilbert_sum)
-        _set(self, "eta", eta)
 
 
 def _eta_symbol_route(entries, ctx):

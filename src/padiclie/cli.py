@@ -5,6 +5,7 @@ entries by "," with each entry in the scalar grammar (integer, num/den,
 or u*p^s).  Results go to stdout as one JSON document; errors go to
 stderr as {"error": ..., "message": ...} with exit codes
 
+    1  stdout closed by its reader (nothing on stderr)
     2  invalid input        3  precision loss
     4  unsupported prime    5  precondition violation
 """
@@ -12,6 +13,7 @@ stderr as {"error": ..., "message": ...} with exit codes
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -57,10 +59,6 @@ def _named(args, ctx):
     return catalog.named_algebra(ctx, args.name, k=args.k, s=s, eps=eps, n=args.n)
 
 
-def _mat_json(M):
-    return M.to_rows()
-
-
 def _cf_json(cf, eta_value):
     return {
         "family": cf.family,
@@ -68,7 +66,7 @@ def _cf_json(cf, eta_value):
         "eps": list(cf.eps),
         "eta": eta_value,
         "qp_type": classify.qp_type_of_eta(eta_value).value,
-        "canonical_matrix": _mat_json(cf.matrix()),
+        "canonical_matrix": cf.matrix().to_rows(),
     }
 
 
@@ -113,8 +111,8 @@ def cmd_selfsim(args):
     if report.index_p_self_similar:
         ve = selfsim.construct_simple_ve(alg)
         out["certificate"] = {
-            "domain": _mat_json(ve.domain),
-            "phi": _mat_json(ve.phi),
+            "domain": ve.domain.to_rows(),
+            "phi": ve.phi.to_rows(),
             "is_morphism": selfsim.is_morphism(ve),
         }
     else:
@@ -135,8 +133,8 @@ def cmd_subalgebras(args):
             {
                 "xi": list(r.xi.entries),
                 "class": r.xi.class_index(),
-                "u": _mat_json(r.u_matrix),
-                "b": _mat_json(r.b_matrix),
+                "u": r.u_matrix.to_rows(),
+                "b": r.b_matrix.to_rows(),
                 "is_subalgebra": r.closed,
                 "sub_s_invariants": [_val_json(v) for v in r.sub_s] if r.sub_s else None,
             }
@@ -163,14 +161,14 @@ def cmd_endo(args):
     if args.action == "chain":
         reg = selfsim.regularity_check(ve, args.depth)
         return {
-            "chain": [_mat_json(m) for m in reg.chain[: args.depth + 1]],
+            "chain": [m.to_rows() for m in reg.chain[: args.depth + 1]],
             "index_exponents": list(reg.index_exponents),
             "escapes": list(reg.escapes),
             "regular": reg.regular,
         }
     witness = selfsim.invariant_ideal_search(ve, args.search_bound)
     return {
-        "witness": _mat_json(witness) if witness is not None else None,
+        "witness": witness.to_rows() if witness is not None else None,
         "simple_up_to_bound": witness is None,
         "bound_exponent": args.search_bound,
     }
@@ -199,10 +197,10 @@ def cmd_named(args):
             "dim": rep.dim,
             "s": _val_json(rep.s) if rep.s is not None else None,
             "k": rep.k,
-            "domain": _mat_json(rep.domain),
-            "phi": _mat_json(rep.phi),
+            "domain": rep.domain.to_rows(),
+            "phi": rep.phi.to_rows(),
             "is_morphism": rep.is_morphism,
-            "d_infinity": _mat_json(rep.d_infinity),
+            "d_infinity": rep.d_infinity.to_rows(),
             "invariant_ideal_found": rep.invariant_found,
         }
     alg = _named(args, ctx)
@@ -210,7 +208,7 @@ def cmd_named(args):
     report = selfsim.sigma_bounds(cf)
     return {
         "name": args.name,
-        "matrix": _mat_json(alg.matrix),
+        "matrix": alg.matrix.to_rows(),
         "canonical": _cf_json(cf, report.eta),
         "selfsim": _sigma_json(report),
         "conjectured": report.sigma_upper == selfsim.CONJECTURED_INFINITE,
@@ -390,7 +388,13 @@ def main(argv=None):
     except PadicLieError as e:
         return _fail(e, 5)
     indent = 2 if getattr(args, "pretty", False) else None
-    print(json.dumps(result, indent=indent, sort_keys=False))
+    try:
+        print(json.dumps(result, indent=indent, sort_keys=False), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull, as Python's signal
+        # documentation advises, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -8,23 +8,52 @@ PadicLieError.
 
 from operator import attrgetter
 
-_set = object.__setattr__  # how a Record's __init__ writes its fields
-
 
 class Record:
     """Base of the package's immutable result records.
 
-    A subclass names its fields, in order, in __slots__ and writes them with
-    _set in its own __init__; no code is generated at import.  Equality
-    (with a record of the same class only), hash and repr read every field
-    but those in _hidden, as a frozen dataclass would; assigning to a field
-    raises AttributeError.
+    A subclass's fields are its __slots__, in order; Record.__init__ binds
+    them by position or keyword and raises TypeError on a missing, extra,
+    unknown or repeated field.  A subclass that checks its fields does so in
+    its own __init__ and then calls super().__init__; no code is generated
+    at import.  Equality (with a record of the same class only), hash and
+    repr read every field but those in _hidden, as a frozen dataclass would;
+    assigning to a field raises AttributeError.
     """
 
     __slots__ = ()
     _hidden = ()
 
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for put, value in zip(setters, args):
+            put(self, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """All field values in __slots__ order, bound as a signature binds them."""
+        names, given = cls.__slots__, len(args)
+        rest = names[given:]
+        if given + len(kwargs) == len(names):  # kwargs is exactly rest if it holds rest
+            try:
+                return args + tuple([kwargs[name] for name in rest])
+            except KeyError:
+                pass
+        where = f"{cls.__qualname__}()"
+        if given > len(names):
+            raise TypeError(f"{where} takes {len(names)} fields but {given} were given")
+        for name in kwargs:
+            if name not in rest:
+                how = "multiple values for" if name in names else "an unexpected"
+                raise TypeError(f"{where} got {how} field {name!r}")
+        missing = ", ".join(repr(name) for name in rest if name not in kwargs)
+        raise TypeError(f"{where} is missing field(s) {missing}")
+
     def __init_subclass__(cls):
+        # a field's slot descriptor writes it past the refusing __setattr__
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
         cls._fields = tuple(f for f in cls.__slots__ if f not in cls._hidden)
         get = attrgetter(*cls._fields)
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))

@@ -41,7 +41,6 @@ from .errors import (
     PathDisagreement,
     PreconditionViolated,
     Record,
-    _set,
 )
 from .lattice import change_of_basis, index_exponent, induced_algebra, is_ideal
 from .normal_forms import (
@@ -86,9 +85,6 @@ class VirtualEndomorphism(Record):
     __slots__ = ("ambient", "domain", "phi")
 
     def __init__(self, ambient, domain, phi):
-        _set(self, "ambient", ambient)
-        _set(self, "domain", domain)
-        _set(self, "phi", phi)
         if domain.det().is_zero():
             raise Degenerate("domain must have full rank")
         if not domain.is_integral() or not phi.is_integral():
@@ -96,6 +92,7 @@ class VirtualEndomorphism(Record):
         n = ambient.matrix.nrows
         if any(M.nrows != n or M.ncols != n for M in (domain, phi)):
             raise InvalidParameters(f"domain and images must be {n}x{n}")
+        super().__init__(ambient, domain, phi)
 
     def index_exponent(self):
         return index_exponent(self.domain)
@@ -157,13 +154,8 @@ def _domain_chain(domain, phi, depth):
 
 
 class RegularityReport(Record):
-    __slots__ = ("regular", "index_exponents", "escapes", "chain")
-
-    def __init__(self, regular, index_exponents, escapes, chain):
-        _set(self, "regular", regular)
-        _set(self, "index_exponents", index_exponents)
-        _set(self, "escapes", escapes)
-        _set(self, "chain", chain)  # (D_0, ..., D_{depth+1}), the chain the check walked
+    __slots__ = ("regular", "index_exponents", "escapes",
+                 "chain")  # (D_0, ..., D_{depth+1}), the chain the check walked
 
 
 def regularity_check(ve, depth):
@@ -349,19 +341,9 @@ def non_self_similarity_certificate(alg):
 class SelfSimReport(Record):
     """sigma(L) bounds as p-power exponents, with the certifying data."""
 
-    __slots__ = ("canonical", "eta", "index_p_self_similar", "sigma_lower", "sigma_upper",
+    __slots__ = ("canonical", "eta", "index_p_self_similar", "sigma_lower",
+                 "sigma_upper",  # int exponent, or CONJECTURED_INFINITE
                  "table_row", "witness_exponents", "note")
-
-    def __init__(self, canonical, eta, index_p_self_similar, sigma_lower, sigma_upper,
-                 table_row, witness_exponents, note):
-        _set(self, "canonical", canonical)
-        _set(self, "eta", eta)
-        _set(self, "index_p_self_similar", index_p_self_similar)
-        _set(self, "sigma_lower", sigma_lower)
-        _set(self, "sigma_upper", sigma_upper)  # int exponent, or CONJECTURED_INFINITE
-        _set(self, "table_row", table_row)
-        _set(self, "witness_exponents", witness_exponents)
-        _set(self, "note", note)
 
 
 def _table_row(cf):
@@ -444,18 +426,8 @@ def witness_subalgebra(cf):
 class LowDimReport(Record):
     """Simple virtual endomorphism data in dimension 1 or 2."""
 
-    __slots__ = ("dim", "s", "k", "domain", "phi", "is_morphism", "d_infinity",
-                 "invariant_found")
-
-    def __init__(self, dim, s, k, domain, phi, is_morphism, d_infinity, invariant_found):
-        _set(self, "dim", dim)
-        _set(self, "s", s)  # dim 2 only: bracket exponent, int or INF
-        _set(self, "k", k)
-        _set(self, "domain", domain)
-        _set(self, "phi", phi)
-        _set(self, "is_morphism", is_morphism)
-        _set(self, "d_infinity", d_infinity)
-        _set(self, "invariant_found", invariant_found)
+    __slots__ = ("dim", "s",  # s: dim 2 only, the bracket exponent, int or INF
+                 "k", "domain", "phi", "is_morphism", "d_infinity", "invariant_found")
 
 
 LOWDIM_BOUND = 4  # lowdim_report's search bound, and the depth of its chain

@@ -23,7 +23,7 @@ pins every such M, which is what makes index-p self-similarity decidable.
 
 from itertools import product
 
-from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record, _set
+from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record
 from .lattice import change_of_basis
 from .normal_forms import Mat, hnf_columns, snf
 
@@ -34,9 +34,9 @@ class XiSymbol(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        _set(self, "entries", entries)
         if len(entries) > 2:
             raise InvalidParameters("symbol has at most two entries")
+        super().__init__(entries)
 
     def class_index(self):
         """Which Xi_i the symbol belongs to (0, 1, or 2)."""
@@ -104,13 +104,6 @@ class SubalgebraReport(Record):
     """What enumerate_index_p records for one symbol."""
 
     __slots__ = ("xi", "u_matrix", "b_matrix", "closed", "sub_s")
-
-    def __init__(self, xi, u_matrix, b_matrix, closed, sub_s):
-        _set(self, "xi", xi)
-        _set(self, "u_matrix", u_matrix)
-        _set(self, "b_matrix", b_matrix)
-        _set(self, "closed", closed)
-        _set(self, "sub_s", sub_s)
 
 
 def enumerate_index_p(alg):

@@ -474,3 +474,21 @@ def test_import_loads_every_module_and_none_of_the_heavy_stdlib():
     package = {p.stem for p in (SRC / "padiclie").glob("*.py")} - {"__init__"}
     assert len(package) == 9
     assert {"padiclie"} | {f"padiclie.{m}" for m in package} <= loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--prime", "5", "--matrix", "1,0,0;0,5,0;0,0,-5"],  # one short line
+    ["subalgebras", "--prime", "7", "--matrix", "1,0,0;0,7,0;0,0,-7"],  # 13 kB, past stdout's buffer
+])
+def test_stdout_closed_by_its_reader_exits_1_quietly(argv):
+    """A reader that closes stdout before the command writes (as `| head`
+    may) ends the command with exit 1 and nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "padiclie.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    child.stdout.close()  # long before the child has imported the package
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (1, b"")

@@ -180,3 +180,21 @@ def test_xi_symbol_check_raises():
         XiSymbol(entries=(0, 0, 0, 0))
     assert XiSymbol(entries=(0, 1)) == XiSymbol((0, 1))
     assert hash(XiSymbol((0, 1))) == hash(((0, 1),))  # the dataclass hash
+
+
+BINDING_ERRORS = {
+    # how each case calls a record's class, given its fields in order
+    "missing-field": lambda cls, f: cls(**dict(list(f.items())[1:])),
+    "extra-positional": lambda cls, f: cls(*f.values(), None),
+    "unknown-keyword": lambda cls, f: cls(*f.values(), no_such_field=None),
+    "keyword-repeats-positional": lambda cls, f: cls(next(iter(f.values())), **f),
+}
+
+
+@pytest.mark.parametrize("call", BINDING_ERRORS.values(), ids=BINDING_ERRORS.keys())
+def test_binding_a_wrong_set_of_fields_raises_type_error(call):
+    records = samples()
+    assert len({type(r) for r in records}) == 10
+    for r in records:
+        with pytest.raises(TypeError):
+            call(type(r), fields(r))
