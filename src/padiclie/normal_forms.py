@@ -249,6 +249,7 @@ def hnf_columns(M):
     if not M.is_integral():
         raise InvalidParameters("Hermite form expects an integral matrix")
     n = M.nrows
+    zero = ctx.zero()
     cols = [list(M.col(j)) for j in range(M.ncols)]
     placed = {}  # pivot row -> column
     active = list(range(len(cols)))
@@ -264,18 +265,18 @@ def hnf_columns(M):
         d = piv[i].valuation()
         ctx.guard_decidable(d)
         u_inv = piv[i].shift(-d).inv()  # unit part inverse
-        piv = [x * u_inv for x in piv]
-        piv[i] = ctx.one().shift(d)
+        # rows below i are exact zeros in every active column
+        piv = [x * u_inv for x in piv[:i]] + [ctx.one().shift(d)] + piv[i + 1 :]
         cols[best] = piv
         for j in active:
             if j == best:
                 continue
-            e = cols[j][i]
+            col = cols[j]
+            e = col[i]
             if e.is_zero():
                 continue
             q = e.shift(-d)
-            cols[j] = [x - q * y for x, y in zip(cols[j], piv)]
-            cols[j][i] = ctx.zero()
+            cols[j] = [x - q * y for x, y in zip(col[:i], piv)] + [zero] + col[i + 1 :]
         placed[i] = best
         active = [j for j in active if j != best]
     order = sorted(placed)
@@ -294,7 +295,7 @@ def hnf_columns(M):
             r = ctx.from_int(e.residue_mod(d))
             q = (e - r).shift(-d)
             if not q.is_zero():
-                result[b] = [x - q * y for x, y in zip(result[b], result[a])]
+                result[b] = [x - q * y for x, y in zip(result[b][:i], result[a])] + result[b][i:]
             result[b][i] = r
     rank = len(order)
     zero_col = [ctx.zero()] * n
@@ -375,6 +376,12 @@ def snf(M):
     Returns (divisors, P, Q) with P * M * Q diagonal, P and Q unimodular,
     and divisors the list of diagonal valuations sorted ascending (INF for
     absent pivots), of length min(nrows, ncols).
+
+    No entry of A is computed only to be overwritten with 0 or p^d: step k
+    works right of column k, where the rows >= k have their only nonzero
+    entries, and after the row operations column k is zero off row k, so
+    the column operations change A only by zeroing A[k][j].  P and Q take
+    every operation.
     """
     ctx = M.ctx
     if not M.is_integral():
@@ -394,6 +401,7 @@ def snf(M):
         for row in Q:
             row[i], row[j] = row[j], row[i]
 
+    zero = ctx.zero()
     r = min(n, m)
     for k in range(r):
         best = None
@@ -409,27 +417,28 @@ def snf(M):
         d = A[k][k].valuation()
         ctx.guard_decidable(d)
         u_inv = A[k][k].shift(-d).inv()
-        A[k] = [x * u_inv for x in A[k]]
+        # entries left of the pivot are exact zeros in every row >= k
+        tail = [x * u_inv for x in A[k][k + 1 :]]
+        A[k] = A[k][:k] + [ctx.one().shift(d)] + tail
         P[k] = [x * u_inv for x in P[k]]
-        A[k][k] = ctx.one().shift(d)
         for i in range(k + 1, n):
-            e = A[i][k]
+            row = A[i]
+            e = row[k]
             if e.is_zero():
                 continue
             q = e.shift(-d)
-            A[i] = [x - q * y for x, y in zip(A[i], A[k])]
+            A[i] = row[:k] + [zero] + [x - q * y for x, y in zip(row[k + 1 :], tail)]
             P[i] = [x - q * y for x, y in zip(P[i], P[k])]
-            A[i][k] = ctx.zero()
+        # column k of A is now zero off row k, so the column operations move
+        # only A[k][j], to zero; Q takes each of them
         for j in range(k + 1, m):
             e = A[k][j]
             if e.is_zero():
                 continue
             q = e.shift(-d)
-            for row in A:
-                row[j] = row[j] - q * row[k]
             for row in Q:
                 row[j] = row[j] - q * row[k]
-            A[k][j] = ctx.zero()
+            A[k][j] = zero
     # already ascending, INF last: each pivot has the least valuation of its
     # block, and eliminating subtracts q * x with v(q) >= 0, which cannot
     # bring an entry below the pivot's valuation
@@ -470,72 +479,100 @@ def congruent_diagonalize(A):
 
 
 def _congruent_elimination(A):
-    """congruent_diagonalize without the memo: the symmetric elimination."""
+    """congruent_diagonalize without the memo: the symmetric elimination.
+
+    Step k works on the trailing block, rows and columns >= k: above it,
+    every off-diagonal entry is the exact zero, and x + q * 0 is x itself,
+    so each kept scalar is the one a full-matrix elimination computes, and
+    terms with an exact-zero factor are skipped as Mat.__mul__ skips them.
+    Clearing B[k][j] stores the exact zero in B[k][j] and B[j][k]: e - (e/d) d
+    is that zero or a PrecisionLoss, never anything else.
+
+    det(A) is taken only when the elimination raises PrecisionLoss, and an
+    exact-zero det turns the failure into Degenerate.  A success needs no
+    det: its pivots are nonzero and guarded, and V is unimodular.
+    """
     ctx = A.ctx
     if A.nrows != A.ncols:
         raise InvalidParameters("congruence requires a square matrix")
     if not A.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    if A.det().is_zero():
-        raise Degenerate("matrix is degenerate")
     n = A.nrows
+    if n not in (2, 3):
+        # the sizes Mat.det takes, which a failure needs
+        raise InvalidParameters("determinant of a matrix other than 2x2 or 3x3")
+    zero = ctx.zero()
     B = [list(row) for row in A.data]
     V = [list(row) for row in Mat.identity(ctx, n).data]
 
-    def add_col_to(i, j, q):
-        # column op: col_i += q * col_j, mirrored on rows to stay congruent
+    def add_col_to(i, j, q, k):
+        # column op: col_i += q * col_j, mirrored on rows to stay congruent;
+        # in B only rows and columns >= k can hold a nonzero term
+        for r in range(k, n):
+            x = B[r][j]
+            if x.val != INF:
+                B[r][i] = B[r][i] + q * x
+        for r in range(k, n):
+            x = B[j][r]
+            if x.val != INF:
+                B[i][r] = B[i][r] + q * x
         for r in range(n):
-            B[r][i] = B[r][i] + q * B[r][j]
-        for r in range(n):
-            B[i][r] = B[i][r] + q * B[j][r]
-        for r in range(n):
-            V[r][i] = V[r][i] + q * V[r][j]
+            x = V[r][j]
+            if x.val != INF:
+                V[r][i] = V[r][i] + q * x
 
-    def swap(i, j):
+    def swap(k, j):
+        # k <= j: rows above k hold exact zeros in both columns
+        for r in range(k, n):
+            B[r][k], B[r][j] = B[r][j], B[r][k]
+        B[k], B[j] = B[j], B[k]
         for r in range(n):
-            B[r][i], B[r][j] = B[r][j], B[r][i]
-        B[i], B[j] = B[j], B[i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+            V[r][k], V[r][j] = V[r][j], V[r][k]
 
-    for k in range(n):
-        diag_best = None
-        for i in range(k, n):
-            v = B[i][i].valuation()
-            if v != INF and (diag_best is None or v < B[diag_best][diag_best].valuation()):
-                diag_best = i
-        off_best = None
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                v = B[i][j].valuation()
-                if v != INF and (
-                    off_best is None or v < B[off_best[0]][off_best[1]].valuation()
-                ):
-                    off_best = (i, j)
-        if diag_best is not None and (
-            off_best is None
-            or B[diag_best][diag_best].valuation() <= B[off_best[0]][off_best[1]].valuation()
-        ):
-            piv = diag_best
-        elif off_best is None:
-            # det(A) is nonzero, so the block only cancelled to zero here
-            raise PrecisionLoss("cancellation exhausted the precision window")
-        else:
-            # surface a diagonal pivot: 2 is a unit, so the new (i,i) entry
-            # B_ii + 2 B_ij + B_jj has the minimal valuation
-            i, j = off_best
-            add_col_to(i, j, ctx.one())
-            piv = i
-        ctx.guard_decidable(B[piv][piv].valuation())
-        swap(k, piv)
-        d = B[k][k]
-        for j in range(k + 1, n):
-            e = B[k][j]
-            if e.is_zero():
-                continue
-            add_col_to(j, k, -(e / d))
-            B[k][j] = ctx.zero()
-            B[j][k] = ctx.zero()
+    try:
+        for k in range(n):
+            diag_best = None
+            for i in range(k, n):
+                v = B[i][i].valuation()
+                if v != INF and (diag_best is None or v < B[diag_best][diag_best].valuation()):
+                    diag_best = i
+            off_best = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    v = B[i][j].valuation()
+                    if v != INF and (
+                        off_best is None or v < B[off_best[0]][off_best[1]].valuation()
+                    ):
+                        off_best = (i, j)
+            if diag_best is not None and (
+                off_best is None
+                or B[diag_best][diag_best].valuation() <= B[off_best[0]][off_best[1]].valuation()
+            ):
+                piv = diag_best
+            elif off_best is None:
+                # the block cancelled to zero: degenerate, or the window ran out
+                raise PrecisionLoss("cancellation exhausted the precision window")
+            else:
+                # surface a diagonal pivot: 2 is a unit, so the new (i,i) entry
+                # B_ii + 2 B_ij + B_jj has the minimal valuation
+                i, j = off_best
+                add_col_to(i, j, ctx.one(), k)
+                piv = i
+            ctx.guard_decidable(B[piv][piv].valuation())
+            swap(k, piv)
+            d = B[k][k]
+            for j in range(k + 1, n):
+                e = B[k][j]
+                if e.is_zero():
+                    continue
+                # B[j][k] keeps its value for the column op's (j, j) term
+                B[k][j] = zero
+                add_col_to(j, k, -(e / d), k + 1)
+                B[j][k] = zero
+    except PrecisionLoss:
+        if A.det().is_zero():
+            raise Degenerate("matrix is degenerate") from None
+        raise
     # already ascending: each pivot has the least valuation of its block,
     # and eliminating adds q * x with v(q) >= 0, which cannot bring an entry
     # below the pivot's valuation

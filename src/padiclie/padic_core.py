@@ -308,7 +308,11 @@ class PadicScalar:
         return PadicScalar(ctx, self.val, (-self.unit) % ctx.p_powers[prec], prec)
 
     def __sub__(self, other):
-        return self + (-other)
+        # self + (-other), building -other here: one call fewer than __neg__
+        if other.val == INF:
+            return self
+        ctx, prec = other.ctx, other.prec
+        return self + PadicScalar(ctx, other.val, (-other.unit) % ctx.p_powers[prec], prec)
 
     def __mul__(self, other):
         ctx = self.ctx

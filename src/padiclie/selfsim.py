@@ -234,7 +234,7 @@ def _hyperbolic_ve(alg):
 
 
 def _prepare_hyperbolic(alg, D, V):
-    """Basis-change witness W with change_of_basis(alg, W) hyperbolic.
+    """V^T for a congruence witness V with V^T A V hyperbolic.
 
     (D, V) is the congruent diagonalization of a decide-yes structure
     matrix.  Find an equal-valuation pair i, j whose negated unit product
@@ -244,6 +244,7 @@ def _prepare_hyperbolic(alg, D, V):
     [[2,0,0],[0,1,1],[0,-1,1]]: reorder the columns to (m, i, j), multiply
     column j by w = sqrt(-u_i/u_j), and form (2 v_m, v_i - v_j, v_i + v_j).
     The scalar steps are the products' own, less their terms with 1 and 0.
+    The basis change that rewrites alg into that shape is W = adj(V^T).
     """
     ctx = alg.ctx
 
@@ -281,10 +282,7 @@ def _prepare_hyperbolic(alg, D, V):
             [a + b for a, b in zip(vi, vj)],
         ],
     )
-    # V is a congruence witness (V^T A V hyperbolic).  The structure matrix
-    # transforms by det(W) W^{-1} A W^{-T}, and W = adj(V^T) turns that into
-    # exactly V^T A V, so hand back the adjugate transpose.
-    return Vt.adjugate()
+    return Vt
 
 
 def construct_simple_ve(alg):
@@ -302,11 +300,13 @@ def construct_simple_ve(alg):
     if _is_hyperbolic(alg.matrix):
         return _hyperbolic_ve(alg)
     D, V = congruent_diagonalize(alg.matrix)  # the memoized pair cf was read from
-    W = _prepare_hyperbolic(alg, D, V)
-    # cross-check: the rewritten matrix really is hyperbolic
-    H = change_of_basis(alg, W)
-    if not _is_hyperbolic(H):
+    Vt = _prepare_hyperbolic(alg, D, V)
+    # cross-check: the rewritten matrix really is hyperbolic.  The structure
+    # matrix transforms by det(W) W^{-1} A W^{-T}; for W = adj(V^T) that is
+    # V^T A V, since adj(adj X) = det(X) X and det(adj X) = det(X)^2 in 3x3
+    if not _is_hyperbolic(Vt * alg.matrix * Vt.transpose()):
         raise PathDisagreement("preparation failed to reach the hyperbolic shape")
+    W = Vt.adjugate()
     # rewrite phi on the Hermite domain basis: columns of domain expressed
     # in the prepared basis, mapped through the prepared phi
     span = Span(W.shift_columns((0, 1, 0)))

@@ -12,15 +12,26 @@ lattice equality) were package API that only tests reached; they live
 here as references, and so do the s-invariant shift law and the checked
 key identity at the end.
 The product chain is the reference the column operations of the index-p
-certificate must match scalar for scalar.  The canonical form of an integer
+certificate must match scalar for scalar, and the full-matrix, det-first
+elimination the one the block-local congruent elimination must match.  The canonical form of an integer
 diagonal is read off by Legendre symbols from the four families'
-definitions, the reference for the package's table of families.
+definitions, the reference for the package's table of families, and an
+integer diagonal congruent to a symmetric matrix comes from elimination
+over Fractions.
 """
 
 from fractions import Fraction
 
 from padiclie import lattice
-from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement, PreconditionViolated
+from padiclie.errors import (
+    Degenerate,
+    InvalidParameters,
+    NotSubalgebra,
+    NotSymmetric,
+    PathDisagreement,
+    PrecisionLoss,
+    PreconditionViolated,
+)
 from padiclie.lattice import induced_algebra
 from padiclie.normal_forms import (
     Mat,
@@ -211,6 +222,68 @@ def product_by_terms(A, B):
     return type(A)(A.ctx, rows)
 
 
+def reference_congruent_elimination(A):
+    """(D, V) with D = V^T A V by the full-matrix elimination that takes
+    det(A) first (the package's earlier algorithm): every column and row
+    operation runs over all n rows and columns, and the operation that
+    clears B[k][j] computes e - (e/d) d before storing the exact zero.
+    normal_forms._congruent_elimination must match it field for field
+    wherever it answers or raises Degenerate."""
+    ctx = A.ctx
+    if A.nrows != A.ncols:
+        raise InvalidParameters("congruence requires a square matrix")
+    if not A.is_symmetric():
+        raise NotSymmetric("matrix is not symmetric")
+    if A.det().is_zero():
+        raise Degenerate("matrix is degenerate")
+    n = A.nrows
+    B = [list(row) for row in A.data]
+    V = [list(row) for row in Mat.identity(ctx, n).data]
+
+    def add_col_to(i, j, q):
+        for r in range(n):
+            B[r][i] = B[r][i] + q * B[r][j]
+        for r in range(n):
+            B[i][r] = B[i][r] + q * B[j][r]
+        for r in range(n):
+            V[r][i] = V[r][i] + q * V[r][j]
+
+    def swap(i, j):
+        for r in range(n):
+            B[r][i], B[r][j] = B[r][j], B[r][i]
+        B[i], B[j] = B[j], B[i]
+        for r in range(n):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    for k in range(n):
+        diag = [i for i in range(k, n) if not B[i][i].is_zero()]
+        off = [(i, j) for i in range(k, n) for j in range(i + 1, n) if not B[i][j].is_zero()]
+        diag_best = min(diag, key=lambda i: B[i][i].valuation(), default=None)
+        off_best = min(off, key=lambda ij: B[ij[0]][ij[1]].valuation(), default=None)
+        if diag_best is not None and (
+            off_best is None
+            or B[diag_best][diag_best].valuation() <= B[off_best[0]][off_best[1]].valuation()
+        ):
+            piv = diag_best
+        elif off_best is None:
+            raise PrecisionLoss("cancellation exhausted the precision window")
+        else:
+            i, j = off_best
+            add_col_to(i, j, ctx.one())
+            piv = i
+        ctx.guard_decidable(B[piv][piv].valuation())
+        swap(k, piv)
+        d = B[k][k]
+        for j in range(k + 1, n):
+            e = B[k][j]
+            if e.is_zero():
+                continue
+            add_col_to(j, k, -(e / d))
+            B[k][j] = ctx.zero()
+            B[j][k] = ctx.zero()
+    return Mat(ctx, B), Mat(ctx, V)
+
+
 def trial_division_is_prime(n):
     """Primality by trial division up to sqrt(n) (the package's original
     test, kept as the reference for its Miller-Rabin replacement)."""
@@ -305,6 +378,47 @@ def canonical_of_diagonal(d, p):
     else:
         family, eps = 4, (None, None)
     return family, s, eps, canonical_diagonal(family, s, eps, p)
+
+
+def rational_congruent_diagonal(rows, p):
+    """Nonzero integers d with diag(d) congruent over Z_p to the
+    nondegenerate symmetric integer matrix rows, by exact elimination over
+    Fractions, with no precision window.  Each step pivots on an entry of
+    least p-valuation in the trailing block, a diagonal one or one surfaced
+    by adding column j and row j to column i and row i, so every operation
+    is p-integral and invertible over Z_p.  A pivot a/b is returned as a*b,
+    which has the same valuation and square class."""
+    n = len(rows)
+    B = [[Fraction(x) for x in row] for row in rows]
+
+    def val(x):
+        return p_valuation(x.numerator, p) - p_valuation(x.denominator, p)
+
+    diagonal = []
+    for k in range(n):
+        block = range(k, n)
+        piv = min((i for i in block if B[i][i]), key=lambda i: val(B[i][i]), default=None)
+        off = min(((i, j) for i in block for j in block if i < j and B[i][j]),
+                  key=lambda ij: val(B[ij[0]][ij[1]]), default=None)
+        if piv is None or (off is not None and val(B[off[0]][off[1]]) < val(B[piv][piv])):
+            i, j = off
+            for r in range(n):
+                B[r][i] += B[r][j]
+            for r in range(n):
+                B[i][r] += B[j][r]
+            piv = i
+        for r in range(n):
+            B[r][k], B[r][piv] = B[r][piv], B[r][k]
+        B[k], B[piv] = B[piv], B[k]
+        d = B[k][k]
+        for j in range(k + 1, n):
+            q = B[k][j] / d
+            for r in range(n):
+                B[r][j] -= q * B[r][k]
+            for r in range(n):
+                B[j][r] -= q * B[k][r]
+        diagonal.append(d.numerator * d.denominator)
+    return diagonal
 
 
 def int_det(M):

@@ -1,11 +1,12 @@
 """Matrix layer: HNF vs a brute-force membership oracle, SNF witnesses,
 congruent diagonalization, and the square-class adjustment move."""
 
+import json
 import random
 
 import pytest
 
-from padiclie import normal_forms
+from padiclie import cli, normal_forms
 from padiclie.catalog import group_report
 from padiclie.classify import canonical_form, eta
 from padiclie.errors import (
@@ -34,6 +35,8 @@ from padiclie.selfsim import construct_simple_ve, sigma_bounds
 from padiclie.subalgebras import enumerate_sublattices
 
 from oracles import (
+    canonical_diagonal,
+    canonical_of_diagonal,
     int_contains,
     int_det,
     int_elementary_divisors,
@@ -45,6 +48,8 @@ from oracles import (
     membership_mod,
     p_valuation,
     product_by_terms,
+    rational_congruent_diagonal,
+    reference_congruent_elimination,
     solve_two_square_classes,
 )
 
@@ -601,6 +606,112 @@ def test_seeded_congruence_sweep_returns_or_raises_typed_errors():
             except PadicLieError:
                 refused += 1
     assert refused > 0
+
+
+def _orbit_case(rng, p):
+    """V^T D V for a canonical diagonal D with s up to 15 and a seeded V."""
+    family = rng.randrange(1, 5)
+    a = rng.randrange(6)
+    b, c = a + rng.randrange(1, 6), a + rng.randrange(6, 11)
+    s = {1: (a, b, c), 2: (a, a, c), 3: (a, c, c), 4: (a, a, a)}[family]
+    d = canonical_diagonal(family, s, (rng.randrange(2), rng.randrange(2)), p)
+    rows = _congruent(int_unimodular(rng, p), [[d[i] if i == j else 0 for j in range(3)]
+                                               for i in range(3)])
+    return lambda ctx: Mat.from_ints(ctx, rows)
+
+
+def _selftest_case(rng, p):
+    """(V^T A V) u as selftest builds it, in the context: its mirrored
+    entries can differ in precision."""
+    e = [[rng.randrange(1, p) * p ** rng.randrange(3) if rng.random() < 0.8 else 0
+          for _ in range(3)] for _ in range(3)]
+    a = [[e[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+    v = [[rng.randrange(-p * p, p * p) for _ in range(3)] for _ in range(3)]
+    while int_det(v) % p == 0:
+        v = [[rng.randrange(-p * p, p * p) for _ in range(3)] for _ in range(3)]
+    u = rng.randrange(1, p)
+
+    def build(ctx):
+        V = Mat.from_ints(ctx, v)
+        return (V.transpose() * Mat.from_ints(ctx, a) * V).scale(ctx.from_int(u))
+
+    return build
+
+
+def _singular_case(rng, p):
+    """V^T diag(+-p^a, +-p^b, 0) V: rank 2."""
+    d = [rng.choice((1, -1)) * p ** rng.randrange(6) for _ in range(2)] + [0]
+    rows = _congruent(int_unimodular(rng, p), [[d[i] if i == j else 0 for j in range(3)]
+                                               for i in range(3)])
+    return lambda ctx: Mat.from_ints(ctx, rows)
+
+
+def _elimination_outcome(f, A):
+    try:
+        D, V = f(A)
+    except PadicLieError as error:
+        return type(error), str(error), None
+    fields = tuple((x.val, x.unit, x.prec) for M in (D, V) for row in M.data for x in row)
+    return None, fields, D
+
+
+def _form_of(D):
+    p = D.ctx.p
+    return canonical_of_diagonal([x.unit * p**x.val for x in D.diagonal_entries()], p)
+
+
+def test_block_local_elimination_matches_the_full_matrix_reference():
+    """Where the full-matrix, det-first elimination answers or raises
+    Degenerate, the block-local one gives the same D and V field for field,
+    or the same error.  Where the reference raises PrecisionLoss, it raises
+    PrecisionLoss too, or answers the form the reference gives at a wider
+    window; the clearing operations it skips can raise where it needs none."""
+    rng = random.Random(19)
+    seen, answered = set(), 0
+    for trial in range(2400):
+        p, precision = rng.choice((3, 5, 7, 11)), rng.choice((8, 16, 32))
+        build = (_orbit_case, _selftest_case, _singular_case)[trial % 3](rng, p)
+        A = build(PrimeContext(p, precision))
+        error, ref, _ = _elimination_outcome(reference_congruent_elimination, A)
+        new_error, new, D = _elimination_outcome(normal_forms._congruent_elimination, A)
+        seen.add(error)
+        if error is not PrecisionLoss:
+            assert (new_error, new) == (error, ref)
+        elif new_error is not None:
+            assert new_error is PrecisionLoss
+        else:
+            wider = precision
+            while error is not None:
+                wider *= 2
+                error, _, wide_D = _elimination_outcome(
+                    reference_congruent_elimination, build(PrimeContext(p, wider))
+                )
+            assert _form_of(D) == _form_of(wide_D)
+            answered += 1
+    assert seen == {None, Degenerate, PrecisionLoss}
+    assert answered > 0
+
+
+# classify --prime 3 --precision 16 refused this with "cancellation exhausted
+# the precision window": a clearing operation computed e - (e/d) d in a
+# window already shrunk below 16/2
+DECIDABLE = "3894,-1950,-3876;-1950,3894,7764;-3876,7764,15576"
+
+
+def test_a_form_inside_the_guard_is_decided_at_the_callers_window(capsys):
+    rows = [[int(x) for x in row.split(",")] for row in DECIDABLE.split(";")]
+    family, s, eps, _ = canonical_of_diagonal(rational_congruent_diagonal(rows, 3), 3)
+    assert (family, s, eps) == (1, (1, 5, 6), (1, 1))
+    for precision in (16, 32):
+        cf = canonical_form(Algebra(parse_matrix(DECIDABLE, PrimeContext(3, precision))))
+        assert (cf.family, cf.s, cf.eps) == (family, s, eps)
+    answers = []
+    for precision in ("16", "32"):
+        argv = ["classify", "--prime", "3", "--precision", precision, f"--matrix={DECIDABLE}"]
+        assert cli.main(argv) == 0
+        answers.append(json.loads(capsys.readouterr().out))
+    assert answers[0] == answers[1]
+    assert (answers[0]["family"], answers[0]["s"], answers[0]["eps"]) == (1, [1, 5, 6], [1, 1])
 
 
 # ---------------------------------------------------------------------------

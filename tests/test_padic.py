@@ -128,6 +128,48 @@ def test_precision_loss_on_degraded_cancellation():
     assert (c - d).is_zero()
 
 
+def _seeded_scalar(rng, ctx):
+    """The exact zero, or p^v u with v in [-4, 6] and a window of 1 to
+    ctx.precision digits: shrunk windows, as sums that cancelled leave them."""
+    if rng.random() < 0.1:
+        return ctx.zero()
+    prec = rng.choice((ctx.precision, rng.randrange(1, ctx.precision + 1)))
+    mod = ctx.p**prec
+    unit = rng.randrange(1, mod)
+    while unit % ctx.p == 0:
+        unit = rng.randrange(1, mod)
+    return PadicScalar(ctx, rng.randrange(-4, 7), unit, prec)
+
+
+def _difference(f, x, y):
+    try:
+        z = f(x, y)
+    except PrecisionLoss as error:
+        return str(error)
+    return z.val, z.unit, z.prec
+
+
+def test_sub_equals_adding_the_negation():
+    """x - y builds -y itself; it must give x + (-y) in val, unit and prec,
+    and the same PrecisionLoss.  Half the pairs share their low digits, so
+    the difference cancels, fully when the two are equal."""
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(4000):
+        ctx = PrimeContext(rng.choice((3, 5, 7, 101)), rng.choice((8, 16, 32)))
+        x = _seeded_scalar(rng, ctx)
+        y = _seeded_scalar(rng, ctx)
+        if rng.random() < 0.5 and not x.is_zero():
+            if rng.random() < 0.5:
+                y = PadicScalar(ctx, x.val, x.unit, rng.randrange(1, ctx.precision + 1))
+            else:
+                y = x + PadicScalar(ctx, x.val + rng.randrange(1, 9), 1, ctx.precision)
+        sub = _difference(lambda a, b: a - b, x, y)
+        assert sub == _difference(lambda a, b: a + (-b), x, y)
+        outcomes.add("raised" if isinstance(sub, str) else "zero" if sub[0] == INF else "value")
+    assert outcomes == {"raised", "zero", "value"}
+
+
 def test_guard_decidable():
     ctx = PrimeContext(3, precision=32)
     ctx.guard_decidable(15)

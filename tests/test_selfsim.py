@@ -487,8 +487,8 @@ def test_one_eta_per_analysis(monkeypatch):
 
 
 def test_certificate_runs_four_matrix_products(monkeypatch):
-    """Off the literal hyperbolic shape: two in the change_of_basis
-    cross-check, one in the Span solve and one for phi."""
+    """Off the literal hyperbolic shape: two in the V^T A V cross-check,
+    one in the Span solve and one for phi."""
     ctx = PrimeContext(5)
     alg = Algebra(Mat.from_ints(ctx, [[1, 1, 0], [1, 6, 5], [0, 5, 0]]))
     products = _counted(monkeypatch, Mat, "__mul__")
@@ -534,7 +534,7 @@ def test_cassels_move_only_on_family_4_pair_01(monkeypatch):
     form needs it exactly when -1 is a non-square, p = 3 mod 4.
 
     Two conjugates of diag(1, p^6, -p^6) lose their window in the
-    change_of_basis cross-check at precision 32; the move, if any, has
+    V^T A V cross-check at precision 32; the move, if any, has
     been made by then, so their calls are checked too."""
     moves = _counted(monkeypatch, selfsim, "cassels_move")
     rng = random.Random(14)
