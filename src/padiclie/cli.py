@@ -18,9 +18,9 @@ import re
 import sys
 
 from . import catalog, classify, selfsim, subalgebras
-from .errors import InvalidInput, PadicLieError, PrecisionLoss, UnsupportedPrime
+from .errors import Degenerate, InvalidInput, PadicLieError, PrecisionLoss, UnsupportedPrime
 from .lattice import Algebra, lcs_exponents
-from .normal_forms import Mat, parse_matrix
+from .normal_forms import Mat, congruent_diagonalize, parse_matrix
 from .padic_core import INF, PrimeContext
 
 
@@ -267,32 +267,34 @@ def cmd_selftest(args):
 
 
 def _random_symmetric(rng, ctx):
+    """A nonsingular symmetric draw, already diagonalized for canonical_form
+    and eta.  Nine entries are drawn row by row, and the one at (i, j),
+    i <= j, fills (i, j) and (j, i); only those six become scalars.  A
+    singular draw, on which congruent_diagonalize raises Degenerate, is
+    drawn again, and its PrecisionLoss propagates."""
+    p = ctx.p
     while True:
-        entries = [
-            [
-                ctx.from_int(rng.randrange(1, ctx.p) * ctx.p ** rng.randrange(0, 3))
-                if rng.random() < 0.8
-                else ctx.zero()
-                for _ in range(3)
-            ]
-            for _ in range(3)
+        draws = [
+            rng.randrange(1, p) * p ** rng.randrange(0, 3) if rng.random() < 0.8 else 0
+            for _ in range(9)
         ]
-        rows = [
-            [entries[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)
-        ]
-        M = Mat(ctx, rows)
-        if not M.det().is_zero():
-            return M
+        upper = {(i, j): ctx.from_int(draws[3 * i + j]) for i in range(3) for j in range(i, 3)}
+        M = Mat(ctx, [[upper[min(i, j), max(i, j)] for j in range(3)] for i in range(3)])
+        try:
+            congruent_diagonalize(M)
+        except Degenerate:
+            continue
+        return M
 
 
 def _random_unimodular(rng, ctx):
+    """A draw with entries in [-p^2, p^2) and det a unit, tested in integers."""
+    p = ctx.p
     while True:
-        M = Mat.from_ints(
-            ctx, [[rng.randrange(-ctx.p**2, ctx.p**2) for _ in range(3)] for _ in range(3)]
-        )
-        d = M.det()
-        if not d.is_zero() and d.valuation() == 0:
-            return M
+        rows = [[rng.randrange(-p * p, p * p) for _ in range(3)] for _ in range(3)]
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        if (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p:
+            return Mat.from_ints(ctx, rows)
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged

@@ -377,31 +377,39 @@ def snf(M):
     and divisors the list of diagonal valuations sorted ascending (INF for
     absent pivots), of length min(nrows, ncols).
 
-    No entry of A is computed only to be overwritten with 0 or p^d: step k
+    One elimination, _smith_elimination, gives the divisors and a log of
+    its row and of its column operations; P is the row log replayed on the
+    identity, and Q the column log, in the order the elimination took
+    them, so every witness scalar is the one an interleaved elimination
+    computes.
+    """
+    divisors, row_log, col_log = _smith_elimination(M)
+    ctx = M.ctx
+    P = Mat(ctx, _replay(ctx, M.nrows, row_log))
+    Q = Mat(ctx, _replay(ctx, M.ncols, col_log)).transpose()
+    return divisors, P, Q
+
+
+def _smith_elimination(M):
+    """snf's elimination: (divisors, row_log, col_log).
+
+    Each log holds one (k, swap, scale, ops) per pivot step: exchange
+    lines k and swap, multiply line k by scale (None for columns), then
+    line i -= q * line k for each (i, q) in ops.
+
+    No entry of M is computed only to be overwritten with 0 or p^d: step k
     works right of column k, where the rows >= k have their only nonzero
     entries, and after the row operations column k is zero off row k, so
-    the column operations change A only by zeroing A[k][j].  P and Q take
-    every operation.
+    a column operation only clears an entry of row k, which no later step
+    reads.
     """
     ctx = M.ctx
     if not M.is_integral():
         raise InvalidParameters("Smith form expects an integral matrix")
     n, m = M.nrows, M.ncols
     A = [list(row) for row in M.data]
-    P = [list(row) for row in Mat.identity(ctx, n).data]
-    Q = [list(row) for row in Mat.identity(ctx, m).data]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        P[i], P[j] = P[j], P[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in Q:
-            row[i], row[j] = row[j], row[i]
-
     zero = ctx.zero()
+    divisors, row_log, col_log = [], [], []
     r = min(n, m)
     for k in range(r):
         best = None
@@ -412,15 +420,16 @@ def snf(M):
                     best = (i, j)
         if best is None:
             break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
+        bi, bj = best
+        A[k], A[bi] = A[bi], A[k]
+        for row in A:
+            row[k], row[bj] = row[bj], row[k]
         d = A[k][k].valuation()
         ctx.guard_decidable(d)
         u_inv = A[k][k].shift(-d).inv()
         # entries left of the pivot are exact zeros in every row >= k
         tail = [x * u_inv for x in A[k][k + 1 :]]
-        A[k] = A[k][:k] + [ctx.one().shift(d)] + tail
-        P[k] = [x * u_inv for x in P[k]]
+        row_ops = []
         for i in range(k + 1, n):
             row = A[i]
             e = row[k]
@@ -428,30 +437,40 @@ def snf(M):
                 continue
             q = e.shift(-d)
             A[i] = row[:k] + [zero] + [x - q * y for x, y in zip(row[k + 1 :], tail)]
-            P[i] = [x - q * y for x, y in zip(P[i], P[k])]
-        # column k of A is now zero off row k, so the column operations move
-        # only A[k][j], to zero; Q takes each of them
-        for j in range(k + 1, m):
-            e = A[k][j]
-            if e.is_zero():
-                continue
-            q = e.shift(-d)
-            for row in Q:
-                row[j] = row[j] - q * row[k]
-            A[k][j] = zero
+            row_ops.append((i, q))
+        # column k is now zero off row k: the column operations clear row k
+        col_ops = [(j, e.shift(-d)) for j, e in enumerate(tail, k + 1) if not e.is_zero()]
+        row_log.append((k, bi, u_inv, row_ops))
+        col_log.append((k, bj, None, col_ops))
+        divisors.append(d)
     # already ascending, INF last: each pivot has the least valuation of its
     # block, and eliminating subtracts q * x with v(q) >= 0, which cannot
     # bring an entry below the pivot's valuation
-    divisors = tuple(A[k][k].valuation() for k in range(r))
-    return divisors, Mat(ctx, P), Mat(ctx, Q)
+    return tuple(divisors) + (INF,) * (r - len(divisors)), row_log, col_log
+
+
+def _replay(ctx, size, log):
+    """The rows of the size x size identity after a Smith log's operations."""
+    W = [list(row) for row in Mat.identity(ctx, size).data]
+    for k, swap, scale, ops in log:
+        W[k], W[swap] = W[swap], W[k]
+        if scale is not None:
+            W[k] = [x * scale for x in W[k]]
+        for i, q in ops:
+            W[i] = [x - q * y for x, y in zip(W[i], W[k])]
+    return W
 
 
 def kernel_basis(M):
-    """Basis (as columns) of the kernel of M over Z_p; saturated submodule."""
-    divisors, _P, Q = snf(M)
+    """Basis (as columns) of the kernel of M over Z_p; saturated submodule.
+
+    The columns r.. of snf's Q, r the rank: the column log of the one
+    Smith elimination replayed, with no row witness built.
+    """
+    divisors, _, col_log = _smith_elimination(M)
     r = sum(1 for d in divisors if d != INF)
-    cols = [Q.col(j) for j in range(r, M.ncols)]
     ctx = M.ctx
+    cols = _replay(ctx, M.ncols, col_log)[r:]  # row j of Q^T is column j of Q
     if not cols:
         return Mat(ctx, [[] for _ in range(M.ncols)])
     return Mat(ctx, list(zip(*cols)))

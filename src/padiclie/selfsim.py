@@ -42,7 +42,7 @@ from .errors import (
     PreconditionViolated,
     Record,
 )
-from .lattice import change_of_basis, index_exponent, induced_algebra, is_ideal
+from .lattice import index_exponent, induced_algebra, is_ideal
 from .normal_forms import (
     Mat,
     Span,
@@ -54,7 +54,14 @@ from .normal_forms import (
     lattice_contains,
 )
 from .padic_core import INF
-from .subalgebras import _key_identity, all_symbols, enumerate_sublattices, nss_condition
+from .subalgebras import (
+    _key_identity,
+    closed_symbols,
+    enumerate_sublattices,
+    index_p_matrix,
+    nss_condition,
+    refuse_large_sweep,
+)
 
 CONJECTURED_INFINITE = "conjectured_infinite"
 # The most chain depth, search bound or lcs depth a caller may ask for: a
@@ -320,16 +327,18 @@ def non_self_similarity_certificate(alg):
 
     Returns a dict with the NSS flag and the per-symbol key identity
     results; meaningful on a diagonal sorted basis of a decide-no form.
+    Closure is decided in integers first (closed_symbols), and only the
+    closed symbols have their B built and the key identity checked.  More
+    than SWEEP_BOUND symbols is refused before any work.
     """
+    refuse_large_sweep(alg.ctx.p)
     ok, witness = nss_condition(alg.matrix)
     if not ok:
         raise PreconditionViolated(f"basis fails NSS at {witness}")
     results = {}
-    for xi in all_symbols(alg.ctx.p):
+    for xi in closed_symbols(alg.matrix):
         U = xi.u_matrix(alg.ctx)
-        B = change_of_basis(alg, U)
-        if B.is_integral():
-            results[xi.entries] = _key_identity(alg, xi, U, B)
+        results[xi.entries] = _key_identity(alg, xi, U, index_p_matrix(alg.matrix, xi))
     return {"nss": True, "key_identity": results}
 
 

@@ -25,7 +25,8 @@ from itertools import product
 
 from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record
 from .lattice import change_of_basis
-from .normal_forms import Mat, hnf_columns, snf
+from .normal_forms import Mat, _smith_elimination, hnf_columns
+from .padic_core import INF
 
 
 class XiSymbol(Record):
@@ -106,27 +107,100 @@ class SubalgebraReport(Record):
     __slots__ = ("xi", "u_matrix", "b_matrix", "closed", "sub_s")
 
 
+# The most index-p symbols a sweep takes, counted before any work: p = 139
+# (19,461 symbols, a 5 MB subalgebras answer) is the largest prime under it.
+SWEEP_BOUND = 20000
+
+
+def refuse_large_sweep(p):
+    """InvalidParameters when a sweep over the 1 + p + p^2 symbols would
+    take more than SWEEP_BOUND of them."""
+    count = 1 + p + p * p
+    if count > SWEEP_BOUND:
+        raise InvalidParameters(
+            f"an index-p sweep at p = {p} takes {count} symbols, more than {SWEEP_BOUND}"
+        )
+
+
+def index_p_matrix(A, xi):
+    """change_of_basis(Algebra(A), xi.u_matrix(ctx)) from the symbol's own
+    row and column operations, equal to it scalar for scalar.
+
+    det U = p, and adj(U) is diag(1, p, p), [[p,0,0],[-e,1,0],[0,0,p]] or
+    [[p,0,0],[0,p,0],[-e,-f,1]]: row m = len(xi.entries) of adj(U) is
+    (-t, 1, 0..) and every other row is p e_r.  So B = adj(U) A adj(U)^T / p
+    is p A off row and column m, row m is the axpy row of adj(U) A, column
+    m the axpy of each row, and B[m][m] the axpy of row m over p.  Each
+    axpy sums in index order and skips a term with an exact-zero factor,
+    as Mat.__mul__ does; a factor 1 leaves a scalar's fields unchanged, and
+    shifts commute with every sum and product, so the scalars, and any
+    PrecisionLoss, are change_of_basis's own.
+    """
+    ctx = A.ctx
+    m = len(xi.entries)
+    coef = [-ctx.from_int(t) for t in xi.entries]
+
+    def axpy(v):
+        acc = ctx.zero()
+        for c, x in zip(coef, v):
+            if c.val != INF and x.val != INF:
+                acc = acc + c * x
+        return acc + v[m] if v[m].val != INF else acc
+
+    row_m = [axpy(col) for col in zip(*A.data)]  # row m of adj(U) A
+    rows = []
+    for r, row in enumerate(A.data):
+        if r == m:
+            rows.append(row_m[:m] + [axpy(row_m).shift(-1)] + row_m[m + 1 :])
+        else:
+            rows.append([axpy(row) if c == m else x.shift(1) for c, x in enumerate(row)])
+    return Mat(ctx, rows)
+
+
 def enumerate_index_p(alg):
     """Reports for every index-p submodule of the algebra.
 
-    b_matrix comes from the generic change-of-basis law; when the ambient
-    matrix is diagonal it is cross-checked against the closed form.
+    b_matrix is index_p_matrix, the symbol's own row and column operations
+    on the structure matrix; when the ambient matrix is diagonal it is
+    cross-checked against the closed form b_xi.  sub_s is the divisors of
+    the Smith elimination, with no witness built.  More than SWEEP_BOUND
+    symbols is refused before any work.
     """
     ctx = alg.ctx
+    refuse_large_sweep(ctx.p)
     diag = alg.matrix.is_diagonal()
     reports = []
     for xi in all_symbols(ctx.p):
-        U = xi.u_matrix(ctx)
-        B = change_of_basis(alg, U)
+        B = index_p_matrix(alg.matrix, xi)
         if diag:
             if B != b_xi(alg.matrix, xi):
                 raise PathDisagreement("closed form disagrees with base change")
         closed = B.is_integral()
-        sub_s = None
-        if closed:
-            sub_s, _, _ = snf(B)
-        reports.append(SubalgebraReport(xi, U, B, closed, sub_s))
+        sub_s = _smith_elimination(B)[0] if closed else None
+        reports.append(SubalgebraReport(xi, xi.u_matrix(ctx), B, closed, sub_s))
     return reports
+
+
+def closed_symbols(A):
+    """The symbols whose L^xi is a subalgebra, for a diagonal integral A,
+    in all_symbols order.
+
+    b_xi has one entry that can be fractional, and it is integral iff
+    v(a0) >= 1 for (), v(e^2 a0 + a1) >= 1 for (e), and
+    v(e^2 a0 + f^2 a1 + a2) >= 1 for (e, f): a test on the residues of
+    the a_i mod p, in integers, that builds only the symbols it keeps.
+    """
+    if not A.is_diagonal():
+        raise NotDiagonal("the integer closure test reads a diagonal matrix")
+    p = A.ctx.p
+    refuse_large_sweep(p)
+    r0, r1, r2 = (x.residue_mod(1) for x in A.diagonal_entries())
+    out = [XiSymbol(())] if r0 == 0 else []
+    out += [XiSymbol((e,)) for e in range(p) if (e * e * r0 + r1) % p == 0]
+    for e in range(p):
+        head = e * e * r0 + r2
+        out += [XiSymbol((e, f)) for f in range(p) if (head + f * f * r1) % p == 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,26 +227,25 @@ def nss_condition(A):
     if sorted(vals) != vals:
         raise InvalidParameters("diagonal must be sorted by valuation")
     p = ctx.p
+    # e^2 a0 and f^2 a1 once each, the products every sum below reads
+    ee_a0 = [ctx.from_int(e * e) * a0 for e in range(p)]
+    ff_a1 = [ctx.from_int(f * f) * a1 for f in range(p)]
     for e in range(1, p):
-        ee = ctx.from_int(e * e)
-        if (ee * a0 + a1).valuation() != a0.valuation():
+        if (ee_a0[e] + a1).valuation() != a0.valuation():
             return False, (1, e, None)
     for e in range(1, p):
-        ee = ctx.from_int(e * e)
         for f in range(p):
-            ff = ctx.from_int(f * f)
-            if (ee * a0 + ff * a1 + a2).valuation() != a0.valuation():
+            if (ee_a0[e] + ff_a1[f] + a2).valuation() != a0.valuation():
                 return False, (2, e, f)
     for f in range(1, p):
-        ff = ctx.from_int(f * f)
-        if (ff * a1 + a2).valuation() != a1.valuation():
+        if (ff_a1[f] + a2).valuation() != a1.valuation():
             return False, (3, None, f)
     return True, None
 
 
 def _key_identity(alg, xi, U, B):
     """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi, compared as
-    Hermite forms; U = xi.u_matrix and B the integral change_of_basis(alg, U)."""
+    Hermite forms; U = xi.u_matrix and B the integral index_p_matrix(alg.matrix, xi)."""
     ctx = alg.ctx
     s = [x.valuation() for x in alg.matrix.diagonal_entries()]
     si = s[xi.class_index()]

@@ -17,7 +17,10 @@ elimination the one the block-local congruent elimination must match.  The canon
 diagonal is read off by Legendre symbols from the four families'
 definitions, the reference for the package's table of families, and an
 integer diagonal congruent to a symmetric matrix comes from elimination
-over Fractions.
+over Fractions.  The last group freezes the index-p sweep through the
+generic change_of_basis, the Smith elimination that updates its witnesses
+as it goes, the certificate loop and selftest's random draws, as the
+references their rewrites must match field for field.
 """
 
 from fractions import Fraction
@@ -42,7 +45,13 @@ from padiclie.normal_forms import (
     lattice_contains,
 )
 from padiclie.padic_core import INF
-from padiclie.subalgebras import _key_identity, nss_condition
+from padiclie.subalgebras import (
+    SubalgebraReport,
+    _key_identity,
+    all_symbols,
+    b_xi,
+    nss_condition,
+)
 
 
 def egcd(a, b):
@@ -667,3 +676,132 @@ def key_identity_check(alg, xi):
         raise PreconditionViolated(f"basis is not NSS, witness {witness}")
     U = xi.u_matrix(alg.ctx)
     return _key_identity(alg, xi, U, induced_algebra(alg, U).matrix)
+
+
+# ---------------------------------------------------------------------------
+# The index-p sweep, the Smith form and the selftest draws as they were
+# ---------------------------------------------------------------------------
+
+
+def reference_snf(M):
+    """(divisors, P, Q) by the Smith elimination that updates P and Q as it
+    goes (the package's earlier snf): snf, which replays its elimination's
+    logs, must match it field for field."""
+    ctx = M.ctx
+    if not M.is_integral():
+        raise InvalidParameters("Smith form expects an integral matrix")
+    n, m = M.nrows, M.ncols
+    A = [list(row) for row in M.data]
+    P = [list(row) for row in Mat.identity(ctx, n).data]
+    Q = [list(row) for row in Mat.identity(ctx, m).data]
+    zero = ctx.zero()
+    r = min(n, m)
+    for k in range(r):
+        best = None
+        for i in range(k, n):
+            for j in range(k, m):
+                v = A[i][j].valuation()
+                if v != INF and (best is None or v < A[best[0]][best[1]].valuation()):
+                    best = (i, j)
+        if best is None:
+            break
+        A[k], A[best[0]] = A[best[0]], A[k]
+        P[k], P[best[0]] = P[best[0]], P[k]
+        for rows in (A, Q):
+            for row in rows:
+                row[k], row[best[1]] = row[best[1]], row[k]
+        d = A[k][k].valuation()
+        ctx.guard_decidable(d)
+        u_inv = A[k][k].shift(-d).inv()
+        tail = [x * u_inv for x in A[k][k + 1 :]]
+        A[k] = A[k][:k] + [ctx.one().shift(d)] + tail
+        P[k] = [x * u_inv for x in P[k]]
+        for i in range(k + 1, n):
+            row = A[i]
+            e = row[k]
+            if e.is_zero():
+                continue
+            q = e.shift(-d)
+            A[i] = row[:k] + [zero] + [x - q * y for x, y in zip(row[k + 1 :], tail)]
+            P[i] = [x - q * y for x, y in zip(P[i], P[k])]
+        for j in range(k + 1, m):
+            e = A[k][j]
+            if e.is_zero():
+                continue
+            q = e.shift(-d)
+            for row in Q:
+                row[j] = row[j] - q * row[k]
+            A[k][j] = zero
+    divisors = tuple(A[k][k].valuation() for k in range(r))
+    return divisors, Mat(ctx, P), Mat(ctx, Q)
+
+
+def reference_kernel_basis(M):
+    """The kernel basis as the columns r.. of reference_snf's Q."""
+    divisors, _P, Q = reference_snf(M)
+    r = sum(1 for d in divisors if d != INF)
+    cols = [Q.col(j) for j in range(r, M.ncols)]
+    if not cols:
+        return Mat(M.ctx, [[] for _ in range(M.ncols)])
+    return Mat(M.ctx, list(zip(*cols)))
+
+
+def reference_enumerate_index_p(alg):
+    """The index-p sweep symbol by symbol through the generic base change
+    (the package's earlier enumerate_index_p): B = change_of_basis(alg, U),
+    the b_xi cross-check on a diagonal matrix, B.is_integral(), and the
+    reference_snf divisors of a closed B."""
+    diag = alg.matrix.is_diagonal()
+    reports = []
+    for xi in all_symbols(alg.ctx.p):
+        U = xi.u_matrix(alg.ctx)
+        B = lattice.change_of_basis(alg, U)
+        if diag and B != b_xi(alg.matrix, xi):
+            raise PathDisagreement("closed form disagrees with base change")
+        closed = B.is_integral()
+        sub_s = reference_snf(B)[0] if closed else None
+        reports.append(SubalgebraReport(xi, U, B, closed, sub_s))
+    return reports
+
+
+def reference_certificate(alg):
+    """non_self_similarity_certificate with B = change_of_basis(alg, U) on
+    every symbol, and the key identity on each integral B."""
+    ok, witness = nss_condition(alg.matrix)
+    if not ok:
+        raise PreconditionViolated(f"basis fails NSS at {witness}")
+    results = {}
+    for xi in all_symbols(alg.ctx.p):
+        U = xi.u_matrix(alg.ctx)
+        B = lattice.change_of_basis(alg, U)
+        if B.is_integral():
+            results[xi.entries] = _key_identity(alg, xi, U, B)
+    return {"nss": True, "key_identity": results}
+
+
+def reference_random_symmetric(rng, ctx):
+    """selftest's symmetric draw as it was: nine scalars, then det != 0."""
+    while True:
+        entries = [
+            [
+                ctx.from_int(rng.randrange(1, ctx.p) * ctx.p ** rng.randrange(0, 3))
+                if rng.random() < 0.8
+                else ctx.zero()
+                for _ in range(3)
+            ]
+            for _ in range(3)
+        ]
+        M = Mat(ctx, [[entries[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)])
+        if not M.det().is_zero():
+            return M
+
+
+def reference_random_unimodular(rng, ctx):
+    """selftest's unimodular draw as it was: the Mat, then its det's valuation."""
+    while True:
+        M = Mat.from_ints(
+            ctx, [[rng.randrange(-ctx.p**2, ctx.p**2) for _ in range(3)] for _ in range(3)]
+        )
+        d = M.det()
+        if not d.is_zero() and d.valuation() == 0:
+            return M

@@ -651,15 +651,20 @@ def test_hyperbolic_cross_check_raises_path_disagreement(monkeypatch):
         construct_simple_ve(alg)
 
 
-def test_certificate_scans_nss_once_and_changes_basis_once_per_symbol(monkeypatch):
+def test_certificate_scans_nss_once_and_builds_b_once_per_closed_symbol(monkeypatch):
+    """Closure is decided in integers, so B is built for the closed symbols
+    only, and never by the generic change_of_basis."""
     ctx = PrimeContext(3)
-    alg = Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in (3, ctx.rho * 9, ctx.rho * 27)]))
-    closed = [xi for xi in subalgebras.all_symbols(3) if is_subalgebra(alg, xi.u_matrix(ctx))]
-    expected = {
-        "nss": True,
-        "key_identity": {xi.entries: key_identity_check(alg, xi) for xi in closed},
-    }
     scans = _counted(monkeypatch, subalgebras, "nss_condition")
+    builds = _counted(monkeypatch, subalgebras, "index_p_matrix")
     changes = _counted(monkeypatch, lattice, "change_of_basis")
-    assert non_self_similarity_certificate(alg) == expected
-    assert (len(scans), len(changes)) == (1, 13)
+    for units, closed_count in (((3, ctx.rho * 9, ctx.rho * 27), 13), ((1, 3, ctx.rho * 9), 4)):
+        alg = Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in units]))
+        closed = [xi for xi in subalgebras.all_symbols(3) if is_subalgebra(alg, xi.u_matrix(ctx))]
+        expected = {
+            "nss": True,
+            "key_identity": {xi.entries: key_identity_check(alg, xi) for xi in closed},
+        }
+        del scans[:], builds[:], changes[:]
+        assert non_self_similarity_certificate(alg) == expected
+        assert (len(scans), len(builds), len(changes)) == (1, closed_count, 0)
