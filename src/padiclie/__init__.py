@@ -22,7 +22,6 @@ from .normal_forms import (
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
-    kernel_basis,
     lattice_contains,
     parse_matrix,
     snf,
@@ -78,7 +77,6 @@ __all__ = [
     "invariant_ideal_search",
     "is_isomorphic",
     "is_morphism",
-    "kernel_basis",
     "lattice_contains",
     "lcs_exponents",
     "legendre_class",

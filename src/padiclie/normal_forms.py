@@ -135,12 +135,6 @@ class Mat:
         """Multiply column j by p^exponents[j]: self * diag(p^k), without the product."""
         return Mat(self.ctx, [[x.shift(k) for x, k in zip(row, exponents)] for row in self.data])
 
-    def hstack(self, other):
-        return Mat(
-            self.ctx,
-            [tuple(self.data[i]) + tuple(other.data[i]) for i in range(self.nrows)],
-        )
-
     def mul_vec(self, v):
         """self * v for a vector v, skipping exact-zero terms as __mul__ does."""
         if self.ncols != len(v):
@@ -390,12 +384,16 @@ def snf(M):
     return divisors, P, Q
 
 
-def _smith_elimination(M):
+def _smith_elimination(M, stop=INF):
     """snf's elimination: (divisors, row_log, col_log).
 
     Each log holds one (k, swap, scale, ops) per pivot step: exchange
     lines k and swap, multiply line k by scale (None for columns), then
     line i -= q * line k for each (i, q) in ops.
+
+    It stops once the least valuation left in the block is >= stop, and
+    reports each divisor it did not reach as INF: a caller that reads M
+    only mod p^stop has no pivot at or above it guarded.  snf passes none.
 
     No entry of M is computed only to be overwritten with 0 or p^d: step k
     works right of column k, where the rows >= k have their only nonzero
@@ -421,11 +419,13 @@ def _smith_elimination(M):
         if best is None:
             break
         bi, bj = best
+        d = A[bi][bj].valuation()
+        if d >= stop:
+            break
+        ctx.guard_decidable(d)
         A[k], A[bi] = A[bi], A[k]
         for row in A:
             row[k], row[bj] = row[bj], row[k]
-        d = A[k][k].valuation()
-        ctx.guard_decidable(d)
         u_inv = A[k][k].shift(-d).inv()
         # entries left of the pivot are exact zeros in every row >= k
         tail = [x * u_inv for x in A[k][k + 1 :]]
@@ -459,21 +459,6 @@ def _replay(ctx, size, log):
         for i, q in ops:
             W[i] = [x - q * y for x, y in zip(W[i], W[k])]
     return W
-
-
-def kernel_basis(M):
-    """Basis (as columns) of the kernel of M over Z_p; saturated submodule.
-
-    The columns r.. of snf's Q, r the rank: the column log of the one
-    Smith elimination replayed, with no row witness built.
-    """
-    divisors, _, col_log = _smith_elimination(M)
-    r = sum(1 for d in divisors if d != INF)
-    ctx = M.ctx
-    cols = _replay(ctx, M.ncols, col_log)[r:]  # row j of Q^T is column j of Q
-    if not cols:
-        return Mat(ctx, [[] for _ in range(M.ncols)])
-    return Mat(ctx, list(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,11 @@ from .normal_forms import (
     Mat,
     Span,
     _index_p_hermite,
+    _replay,
+    _smith_elimination,
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
-    kernel_basis,
     lattice_contains,
 )
 from .padic_core import INF
@@ -127,15 +128,25 @@ def _bracket_law(bracket, domain, phi):
 
 
 def _preimage_lattice(phi, S):
-    """Generator matrix of {c integral : phi c in span S} (full rank)."""
-    stacked = phi.hstack(S.scale(-phi.ctx.one()))
-    K = kernel_basis(stacked)
-    n = phi.ncols
-    top = Mat(phi.ctx, [K.row(i) for i in range(n)])
-    H, rank = hnf_columns(top)
-    if rank < n:
-        raise Degenerate("preimage degenerated; phi and S must be full rank")
-    return H
+    """Generator matrix of {c integral : phi c in span S}, S of full rank.
+
+    With X = S^{-1} phi (Span's solve) and m = max(0, -min v(X)), phi c lies
+    in span S iff p^m X c = 0 mod p^m.  The Smith elimination of p^m X,
+    stopped at m, gives P p^m X Q = diag(p^d_j) mod p^m with Q its column
+    log replayed, so the preimage is Q diag(p^max(0, m - d_j)).
+
+    Why it is sound: the question reads p^m X only mod p^m, so a pivot or
+    an entry at or above m puts no condition on c and is never guarded; a
+    divisor not reached is INF, exponent 0.  A pivot below m is guarded as
+    snf's are, so a misread zero, of valuation >= precision/2 on integral
+    operands, is never taken for one.
+    """
+    ctx = phi.ctx
+    X = Span(S).solve(phi)
+    m = max(0, -min(x.valuation() for row in X.data for x in row))
+    divisors, _, col_log = _smith_elimination(X.shift(m), m)
+    Q = Mat(ctx, _replay(ctx, phi.ncols, col_log)).transpose()
+    return Q.shift_columns([max(0, m - d) for d in divisors])
 
 
 def domain_chain(ve, depth):
@@ -154,8 +165,7 @@ def _domain_chain(domain, phi, depth):
     """domain_chain for a domain and phi of any size."""
     chain = [Mat.identity(domain.ctx, domain.nrows)]
     for _ in range(depth):
-        pre_c = _preimage_lattice(phi, chain[-1])
-        nxt, _ = hnf_columns(domain * pre_c)
+        nxt, _ = hnf_columns(domain * _preimage_lattice(phi, chain[-1]))
         chain.append(nxt)
     return chain
 

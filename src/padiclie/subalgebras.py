@@ -25,7 +25,7 @@ from itertools import product
 
 from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record
 from .lattice import change_of_basis
-from .normal_forms import Mat, _smith_elimination, hnf_columns
+from .normal_forms import Mat, _smith_elimination
 from .padic_core import INF
 
 
@@ -244,16 +244,22 @@ def nss_condition(A):
 
 
 def _key_identity(alg, xi, U, B):
-    """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi, compared as
-    Hermite forms; U = xi.u_matrix and B the integral index_p_matrix(alg.matrix, xi)."""
-    ctx = alg.ctx
+    """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi, A diagonal;
+    U = xi.u_matrix and B the integral index_p_matrix(alg.matrix, xi).
+
+    The right side is diag(p^r_j) Z_p^3, r_j = min(s_j + 1, s_i).  The left
+    side U (B Z_p^3 + p^{s_i} Z_p^3) lies in it iff row j of U B has
+    valuation >= r_j, and is then equal to it iff its index, 1 + sum_k
+    min(d_k, s_i) for the Smith divisors d_k of B (one elimination stopped
+    at s_i), is sum_j r_j.
+    """
     s = [x.valuation() for x in alg.matrix.diagonal_entries()]
     si = s[xi.class_index()]
-    lhs = (U * B).hstack(U.shift(si))
-    rhs = alg.matrix.shift(1).hstack(Mat.identity(ctx, 3).shift(si))
-    H1, _ = hnf_columns(lhs)
-    H2, _ = hnf_columns(rhs)
-    return H1 == H2
+    r = [min(sj + 1, si) for sj in s]
+    if any(x.valuation() < rj for row, rj in zip((U * B).data, r) for x in row):
+        return False
+    divisors = _smith_elimination(B, si)[0]
+    return 1 + sum(min(d, si) for d in divisors) == sum(r)
 
 
 # ---------------------------------------------------------------------------

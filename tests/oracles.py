@@ -19,8 +19,10 @@ definitions, the reference for the package's table of families, and an
 integer diagonal congruent to a symmetric matrix comes from elimination
 over Fractions.  The last group freezes the index-p sweep through the
 generic change_of_basis, the Smith elimination that updates its witnesses
-as it goes, the certificate loop and selftest's random draws, as the
-references their rewrites must match field for field.
+as it goes, the domain chain through the kernel of the 3 x 6 stack
+[phi | -S], the key identity as two 3 x 6 Hermite forms, the certificate
+loop and selftest's random draws, as the references their rewrites must
+match.
 """
 
 from fractions import Fraction
@@ -47,7 +49,6 @@ from padiclie.normal_forms import (
 from padiclie.padic_core import INF
 from padiclie.subalgebras import (
     SubalgebraReport,
-    _key_identity,
     all_symbols,
     b_xi,
     nss_condition,
@@ -675,18 +676,20 @@ def key_identity_check(alg, xi):
     if not ok:
         raise PreconditionViolated(f"basis is not NSS, witness {witness}")
     U = xi.u_matrix(alg.ctx)
-    return _key_identity(alg, xi, U, induced_algebra(alg, U).matrix)
+    return reference_key_identity(alg, xi, U, induced_algebra(alg, U).matrix)
 
 
 # ---------------------------------------------------------------------------
-# The index-p sweep, the Smith form and the selftest draws as they were
+# The index-p sweep, the Smith form, the domain chain, the key identity and
+# the selftest draws as they were
 # ---------------------------------------------------------------------------
 
 
-def reference_snf(M):
+def reference_snf(M, with_rows=True):
     """(divisors, P, Q) by the Smith elimination that updates P and Q as it
     goes (the package's earlier snf): snf, which replays its elimination's
-    logs, must match it field for field."""
+    logs, must match it field for field.  with_rows=False builds no P, and
+    returns None in its place, as the package's earlier kernel basis did."""
     ctx = M.ctx
     if not M.is_integral():
         raise InvalidParameters("Smith form expects an integral matrix")
@@ -715,7 +718,8 @@ def reference_snf(M):
         u_inv = A[k][k].shift(-d).inv()
         tail = [x * u_inv for x in A[k][k + 1 :]]
         A[k] = A[k][:k] + [ctx.one().shift(d)] + tail
-        P[k] = [x * u_inv for x in P[k]]
+        if with_rows:
+            P[k] = [x * u_inv for x in P[k]]
         for i in range(k + 1, n):
             row = A[i]
             e = row[k]
@@ -723,7 +727,8 @@ def reference_snf(M):
                 continue
             q = e.shift(-d)
             A[i] = row[:k] + [zero] + [x - q * y for x, y in zip(row[k + 1 :], tail)]
-            P[i] = [x - q * y for x, y in zip(P[i], P[k])]
+            if with_rows:
+                P[i] = [x - q * y for x, y in zip(P[i], P[k])]
         for j in range(k + 1, m):
             e = A[k][j]
             if e.is_zero():
@@ -733,17 +738,48 @@ def reference_snf(M):
                 row[j] = row[j] - q * row[k]
             A[k][j] = zero
     divisors = tuple(A[k][k].valuation() for k in range(r))
-    return divisors, Mat(ctx, P), Mat(ctx, Q)
+    return divisors, Mat(ctx, P) if with_rows else None, Mat(ctx, Q)
 
 
-def reference_kernel_basis(M):
-    """The kernel basis as the columns r.. of reference_snf's Q."""
-    divisors, _P, Q = reference_snf(M)
+def side_by_side(X, Y):
+    """[X | Y]: each row of X followed by the same row of Y."""
+    return Mat(X.ctx, [X.row(i) + Y.row(i) for i in range(X.nrows)])
+
+
+def reference_preimage_lattice(phi, S):
+    """{c integral : phi c in span S} as the package built it before:
+    the kernel of the 3 x 6 stack [phi | -S] (the columns r.. of
+    reference_snf's Q, with no P built), then the Hermite form of its top
+    rows."""
+    ctx, n = phi.ctx, phi.ncols
+    divisors, _, Q = reference_snf(side_by_side(phi, S.scale(-ctx.one())), with_rows=False)
     r = sum(1 for d in divisors if d != INF)
-    cols = [Q.col(j) for j in range(r, M.ncols)]
-    if not cols:
-        return Mat(M.ctx, [[] for _ in range(M.ncols)])
-    return Mat(M.ctx, list(zip(*cols)))
+    top = Mat(ctx, [Q.row(i)[r:] for i in range(n)])
+    H, rank = hnf_columns(top)
+    if rank < n:
+        raise Degenerate("preimage degenerated; phi and S must be full rank")
+    return H
+
+
+def reference_domain_chain(domain, phi, depth):
+    """The domain chain D_0 .. D_depth through reference_preimage_lattice."""
+    chain = [Mat.identity(domain.ctx, domain.nrows)]
+    for _ in range(depth):
+        pre_c = reference_preimage_lattice(phi, chain[-1])
+        nxt, _ = hnf_columns(domain * pre_c)
+        chain.append(nxt)
+    return chain
+
+
+def reference_key_identity(alg, xi, U, B):
+    """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi as the package
+    compared it before: the Hermite forms of the two 3 x 6 generator
+    matrices [U B | p^{s_i} U] and [p A | p^{s_i} I]."""
+    s = [x.valuation() for x in alg.matrix.diagonal_entries()]
+    si = s[xi.class_index()]
+    lhs = side_by_side(U * B, U.shift(si))
+    rhs = side_by_side(alg.matrix.shift(1), Mat.identity(alg.ctx, 3).shift(si))
+    return hnf_columns(lhs)[0] == hnf_columns(rhs)[0]
 
 
 def reference_enumerate_index_p(alg):
@@ -775,7 +811,7 @@ def reference_certificate(alg):
         U = xi.u_matrix(alg.ctx)
         B = lattice.change_of_basis(alg, U)
         if B.is_integral():
-            results[xi.entries] = _key_identity(alg, xi, U, B)
+            results[xi.entries] = reference_key_identity(alg, xi, U, B)
     return {"nss": True, "key_identity": results}
 
 

@@ -25,7 +25,6 @@ from padiclie.normal_forms import (
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
-    kernel_basis,
     lattice_contains,
     parse_matrix,
     snf,
@@ -313,24 +312,6 @@ def test_snf_divisor_containment():
         assert lattice_contains(M, Mat.identity(ctx, 3).shift(d))
         if d > 0:
             assert not lattice_contains(M, Mat.identity(ctx, 3).shift(d - 1))
-
-
-def test_kernel_basis_rectangular():
-    ctx = PrimeContext(3)
-    # map (x,y,z,w) -> (x - 3y, z) has a rank-2 kernel
-    M = Mat(
-        ctx,
-        [
-            [ctx.one(), ctx.from_int(-3), ctx.zero(), ctx.zero()],
-            [ctx.zero(), ctx.zero(), ctx.one(), ctx.zero()],
-        ],
-    )
-    K = kernel_basis(M)
-    assert K.ncols == 2 and K.nrows == 4
-    prod = M * K
-    for i in range(2):
-        for j in range(2):
-            assert prod[i, j].is_zero()
 
 
 def test_congruent_diagonalize_properties():

@@ -1,7 +1,9 @@
-"""The index-p sweep, the Smith form and the selftest draws against the
-references in tests/oracles.py: the per-symbol loop through the generic
-change_of_basis, the Smith elimination that updates its witnesses as it
-goes, and the draws that took a det of every Mat."""
+"""The index-p sweep, the Smith form, the domain chain, the key identity
+and the selftest draws against the references in tests/oracles.py: the
+per-symbol loop through the generic change_of_basis, the Smith
+elimination that updates its witnesses as it goes, the chain through the
+kernel of a 3 x 6 stack, the key identity as two 3 x 6 Hermite forms, and
+the draws that took a det of every Mat."""
 
 import contextlib
 import io
@@ -9,16 +11,16 @@ import random
 
 import pytest
 
-import oracles
 from padiclie import cli, selfsim, subalgebras
 from padiclie.classify import FAMILIES, CanonicalForm
 from padiclie.errors import InvalidParameters, PadicLieError, PrecisionLoss
 from padiclie.lattice import Algebra, change_of_basis
-from padiclie.normal_forms import Mat, congruent_diagonalize, kernel_basis, snf
-from padiclie.padic_core import PrimeContext
+from padiclie.normal_forms import Mat, _smith_elimination, congruent_diagonalize, snf
+from padiclie.padic_core import INF, PrimeContext
 from padiclie.selfsim import non_self_similarity_certificate
 from padiclie.subalgebras import (
     SWEEP_BOUND,
+    XiSymbol,
     all_symbols,
     closed_symbols,
     enumerate_index_p,
@@ -28,13 +30,18 @@ from padiclie.subalgebras import (
 
 from oracles import (
     canonical_diagonal,
+    int_adjugate,
+    int_contains,
     int_det,
+    p_valuation,
     reference_certificate,
+    reference_domain_chain,
     reference_enumerate_index_p,
-    reference_kernel_basis,
+    reference_key_identity,
     reference_random_symmetric,
     reference_random_unimodular,
     reference_snf,
+    side_by_side,
 )
 
 PRIMES = (3, 5, 7, 11)
@@ -180,11 +187,12 @@ def test_index_p_matrix_is_change_of_basis_scalar_for_scalar():
     assert checked > 2000
 
 
-def test_snf_and_kernel_basis_match_the_interleaved_elimination():
-    """(divisors, P, Q) and kernel_basis field for field, or the same
-    error, on square cases, 3 x 6 stacks as _preimage_lattice builds them,
-    and rank-deficient stacks; a kernel_basis builds no P, so where the
-    reference's P runs out of window it may answer."""
+def test_snf_matches_the_interleaved_elimination():
+    """(divisors, P, Q) field for field, or the same error, on square cases,
+    3 x 6 stacks [A | -S] and rank-deficient stacks [A | A].  A stopping
+    valuation above every divisor, or INF, leaves snf's elimination as it
+    is, and a lower one keeps the divisors below it and reports INF for
+    the rest."""
     rng = random.Random(22)
     seen = set()
     for p, _, _, alg in _seeded_algebras(23, 1000):
@@ -194,24 +202,35 @@ def test_snf_and_kernel_basis_match_the_interleaved_elimination():
             S = other(ctx)
         except PadicLieError:
             S = A
-        for M in (A, A.hstack(S.scale(-ctx.one())), A.hstack(A)):
+        for M in (A, side_by_side(A, S.scale(-ctx.one())), side_by_side(A, A)):
             error, ref = _outcome(reference_snf, M)
             new_error, new = _outcome(snf, M)
             seen.add(error)
             assert new_error is error
-            if error is None:
-                assert new[0] == ref[0]
-                assert (_fields(new[1]), _fields(new[2])) == (_fields(ref[1]), _fields(ref[2]))
-            error, ref = _outcome(reference_kernel_basis, M)
-            new_error, new = _outcome(kernel_basis, M)
-            if error is PrecisionLoss:
-                assert new_error in (None, PrecisionLoss)
-            else:
-                assert new_error is error
-                if error is None:
-                    assert (new.nrows, new.ncols, _fields(new)) == (
-                        ref.nrows, ref.ncols, _fields(ref))
+            if error is not None:
+                continue
+            assert new[0] == ref[0]
+            assert (_fields(new[1]), _fields(new[2])) == (_fields(ref[1]), _fields(ref[2]))
+            finite = [d for d in ref[0] if d != INF]
+            full = _logs(_smith_elimination(M))
+            for stop in (INF, 1 + max(finite, default=0)):
+                assert _logs(_smith_elimination(M, stop)) == full
+            stop = rng.randrange(1 + max(finite, default=0))
+            assert _smith_elimination(M, stop)[0] == tuple(
+                d if d < stop else INF for d in ref[0])
     assert None in seen
+
+
+def _logs(elimination):
+    """A Smith elimination's divisors and logs, every scalar as its fields."""
+    divisors, row_log, col_log = elimination
+
+    def plain(log):
+        return [(k, swap, None if scale is None else (scale.val, scale.unit, scale.prec),
+                 [(i, (q.val, q.unit, q.prec)) for i, q in ops])
+                for k, swap, scale, ops in log]
+
+    return divisors, plain(row_log), plain(col_log)
 
 
 def _nss_forms(p, smax):
@@ -238,22 +257,10 @@ def _bits(n):
     return [tuple((b >> i) & 1 for i in range(n)) for b in range(2**n)]
 
 
-def test_the_certificate_matches_the_change_of_basis_loop(monkeypatch):
-    """Every NSS diagonal canonical form with s <= 6 at p = 3, 5, 7, 11, 13.
-    Both sides run the one _key_identity; a result is kept for its exact
-    arguments, so a call the reference repeats is answered by the
-    certificate's own."""
-    kept = {}
-    key_identity = subalgebras._key_identity
-
-    def keeping(alg, xi, U, B):
-        key = (_fields(alg.matrix), xi.entries, _fields(U), _fields(B))
-        if key not in kept:
-            kept[key] = key_identity(alg, xi, U, B)
-        return kept[key]
-
-    monkeypatch.setattr(selfsim, "_key_identity", keeping)
-    monkeypatch.setattr(oracles, "_key_identity", keeping)
+def test_the_certificate_matches_the_change_of_basis_loop():
+    """Every NSS diagonal canonical form with s <= 6 at p = 3, 5, 7, 11, 13,
+    against the loop through change_of_basis and the frozen 3 x 6 key
+    identity."""
     checked = 0
     for p in (3, 5, 7, 11, 13):
         for alg in _nss_forms(p, 6):
@@ -323,3 +330,160 @@ def test_selftest_draws_match_the_det_filtered_draws():
             ):
                 assert _fields(draw(new, ctx)) == _fields(ref_draw(old, ctx))
                 assert new.getstate() == old.getstate()
+
+
+def _ints(M):
+    """The integral M as integer rows: each entry's value, read off its fields."""
+    return [[0 if x.is_zero() else x.unit * x.ctx.p**x.val for x in row] for row in M.data]
+
+
+def _against_the_reference(p, precision, answer, reference):
+    """answer(ctx) against reference(ctx), both plain values.  Where the
+    reference does not raise PrecisionLoss, the same value or error; where
+    it does, PrecisionLoss again or the reference's answer at precision 64.
+    Returns the two outcomes at this precision."""
+    ref = _outcome(reference, PrimeContext(p, precision))
+    new = _outcome(answer, PrimeContext(p, precision))
+    if ref[0] is not PrecisionLoss:
+        assert new == ref
+    elif new[0] is None:
+        assert new[1] == reference(PrimeContext(p, 64))
+    else:
+        assert new[0] is PrecisionLoss
+    return ref, new
+
+
+def _endo_pair(rng, p):
+    """(domain, phi) in integers.  Half the draws are built as the
+    benchmark's endo inputs are: U diag(1, p, 1) and U diag(1, 1, p) for U
+    a product of four elementary matrices, one in five with two images
+    swapped.  The other half are a random nonsingular domain and a random
+    phi, singular one time in three."""
+    if rng.randrange(2) == 0:
+        U = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(4):
+            i, j = rng.sample(range(3), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            for row in U:
+                row[j] += c * row[i]
+        domain = [[U[i][j] * (p if j == 1 else 1) for j in range(3)] for i in range(3)]
+        phi = [[U[i][j] * (p if j == 2 else 1) for j in range(3)] for i in range(3)]
+        if rng.randrange(5) == 0:
+            phi = [[row[0], row[2], row[1]] for row in phi]
+        return domain, phi
+
+    def draw():
+        return [[rng.randrange(-p * p, p * p + 1) * p ** rng.randrange(3) for _ in range(3)]
+                for _ in range(3)]
+
+    domain = draw()
+    while int_det(domain) == 0:
+        domain = draw()
+    phi = draw()
+    if rng.randrange(3) == 0:
+        a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+        for row in phi:
+            row[2] = a * row[0] + b * row[1]
+    return domain, phi
+
+
+def test_the_domain_chain_matches_the_3x6_kernel_chain():
+    """1,000 seeded (domain, phi) pairs at p = 3, 5, 7, 11 and precision 8,
+    16 and 32, chains of depth 3 or 8, against the chain through the kernel of
+    [phi | -S] frozen in tests/oracles.py.  Every term the new route gives
+    is checked in integers: D_{n+1} lies in the domain, and phi maps it
+    into D_n."""
+    rng = random.Random(25)
+    outcomes = set()
+    for _ in range(1000):
+        p, precision = rng.choice(PRIMES), rng.choice(PRECISIONS)
+        domain, phi = _endo_pair(rng, p)
+        depth = rng.choice((3, 8))
+
+        def chain_by(route):
+            return lambda ctx: [_ints(D) for D in route(
+                Mat.from_ints(ctx, domain), Mat.from_ints(ctx, phi), depth)]
+
+        ref, new = _against_the_reference(
+            p, precision, chain_by(selfsim._domain_chain), chain_by(reference_domain_chain))
+        outcomes.add((ref[0], new[0]))
+        if new[0] is not None:
+            continue
+        v = p_valuation(int_det(domain), p)
+        pulled = [[sum(x * y for x, y in zip(row, col)) for col in zip(*int_adjugate(domain))]
+                  for row in phi]  # phi adj(domain) = det(domain) phi domain^{-1}
+        for D, E in zip(new[1], new[1][1:]):
+            assert int_contains(domain, E, p)
+            image = [[sum(x * y for x, y in zip(row, col)) for col in zip(*E)] for row in pulled]
+            assert int_contains([[x * p**v for x in row] for row in D], image, p)
+    assert (None, None) in outcomes
+
+
+def _diagonal_forms(rng, count):
+    """count diagonals (p, entries) at p = 3, 5, 7: even draws a canonical
+    form's, odd draws u p^v, with v ascending or, one time in three, in any
+    order; many of them are not NSS."""
+    for trial in range(count):
+        p = rng.choice((3, 5, 7))
+        if trial % 2 == 0:
+            family = rng.randrange(1, 5)
+            a = rng.randrange(3)
+            b, c = a + rng.randrange(0, 4), a + rng.randrange(0, 7)
+            s = {1: (a, b, max(b, c)), 2: (a, a, max(a, c)), 3: (a, c, c), 4: (a, a, a)}[family]
+            yield p, canonical_diagonal(family, s, (rng.randrange(2), rng.randrange(2)), p)
+        else:
+            v = [rng.randrange(7) for _ in range(3)]
+            if rng.randrange(3):
+                v.sort()
+            yield p, [rng.choice((1, -1)) * rng.randrange(1, p * p) * p**e for e in v]
+
+
+def test_the_key_identity_matches_the_3x6_hermite_forms():
+    """Every closed symbol of 400 seeded diagonal forms, NSS and not, at
+    precision 8, 16 and 32, against the Hermite forms of the two 3 x 6
+    stacks frozen in tests/oracles.py; the comparison sees both answers."""
+    rng = random.Random(26)
+    answers = set()
+    checked = 0
+    for p, d in _diagonal_forms(rng, 400):
+        precision = rng.choice(PRECISIONS)
+        for xi in closed_symbols(Mat.diagonal(PrimeContext(p), [
+                PrimeContext(p).from_int(x) for x in d])):
+
+            def identity_by(route, xi=xi):
+                def run(ctx):
+                    A = Mat.diagonal(ctx, [ctx.from_int(x) for x in d])
+                    U = xi.u_matrix(ctx)
+                    return route(Algebra(A), xi, U, index_p_matrix(A, xi))
+                return run
+
+            ref, new = _against_the_reference(
+                p, precision, identity_by(subalgebras._key_identity),
+                identity_by(reference_key_identity))
+            answers.add(new[1])
+            checked += 1
+    assert answers >= {True, False}
+    assert checked > 3000
+
+
+def test_the_key_identity_says_no_where_the_3x6_forms_differ():
+    """Diagonal bases on which the frozen identity is False at precision 32:
+    on the sorted ones, all of them not NSS, the indices differ; on the
+    unsorted (9, 6, 27) a row of U B lies outside the right side."""
+    cases = [
+        (3, (6, -27, 27), (0, 1)),
+        (3, (3, -3, 27), (1,)),
+        (5, (2, -15, -15), (0, 2)),
+        (7, (-21, 42, -98), (3,)),
+        (3, (9, 6, 27), (1,)),
+    ]
+    for p, d, entries in cases:
+        xi = XiSymbol(entries)
+        for precision in (32, 16, 8):
+            ctx = PrimeContext(p, precision)
+            A = Mat.diagonal(ctx, [ctx.from_int(x) for x in d])
+            U, B = xi.u_matrix(ctx), index_p_matrix(A, xi)
+            if precision == 32:
+                assert d == (9, 6, 27) or not nss_condition(A)[0]
+                assert reference_key_identity(Algebra(A), xi, U, B) is False
+            assert subalgebras._key_identity(Algebra(A), xi, U, B) is False
