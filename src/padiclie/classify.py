@@ -26,7 +26,7 @@ from .errors import (
     Degenerate, InvalidParameters, NotLie, NotSymmetric, PathDisagreement, Record
 )
 from .lattice import Algebra
-from .normal_forms import Mat, congruent_diagonalize
+from .normal_forms import Mat, congruent_valuations
 from .padic_core import PrimeContext, hilbert_additive
 
 
@@ -127,26 +127,25 @@ class CanonicalForm(Record):
 
 
 def canonical_form(alg):
-    """Canonical form of an unsolvable Lie lattice, read off the sorted
-    congruent diagonalization D of its structure matrix A.
+    """Canonical form of an unsolvable Lie lattice, read off the Jordan
+    data (s, chi) of its structure matrix A: congruent_valuations, one
+    integer elimination kept on A.
 
     The one road from a structure matrix to its form.  Raises NotLie when
     A is not symmetric (an unsolvable Lie bracket forces symmetry),
-    Degenerate when det A = 0, and PrecisionLoss when the precision window
-    cannot decide the form.  The elimination checks symmetry and guards each
-    pivot, D's diagonal is the pivots, and A keeps only a success; the form
-    is read off D by the rules of FAMILIES.
+    Degenerate when A lifted to integers has det 0, and PrecisionLoss
+    naming the least valuation that the window, or the digits the entries
+    carry, cannot decide.  The read-off
+    checks symmetry and guards each valuation, and A keeps only a success;
+    the form is read off (s, chi) by the rules of FAMILIES.
     """
     try:
-        D, _V = congruent_diagonalize(alg.matrix)
+        s, chi = congruent_valuations(alg.matrix)
     except NotSymmetric:
         raise NotLie("structure matrix of an unsolvable Lie lattice must be symmetric") from None
     except Degenerate:
         raise Degenerate("structure matrix is degenerate") from None
-    ctx = D.ctx
-    entries = D.diagonal_entries()
-    s = tuple(x.valuation() for x in entries)
-    chi = [x.square_class() for x in entries]
+    ctx = alg.matrix.ctx
     # the valuations ascend, so the free slots are 0 and each slot above its neighbour
     free = (0, *(i for i in (1, 2) if s[i] > s[i - 1]))
     family, rules = next((f, r) for f, (slots, r) in FAMILIES.items() if slots == free)
@@ -200,19 +199,22 @@ def _eta_closed_route(s, chi, delta):
 def eta(A):
     """eta invariant of a symmetric nondegenerate matrix over Q_p.
 
-    Both routes are always evaluated; disagreement raises PathDisagreement.
+    Both routes read the Jordan data (s, chi) of congruent_valuations, as
+    canonical_form does, and raise its NotSymmetric, Degenerate and
+    PrecisionLoss.  The symbol route takes p^s_i times a unit of class
+    chi_i (1 or rho) as the diagonal; both routes are always evaluated,
+    and disagreement raises PathDisagreement.
     """
     if isinstance(A, Algebra):
         A = A.matrix
     ctx = A.ctx
     if A.nrows == A.ncols != 3:
         raise InvalidParameters("eta needs a 3x3 matrix")
-    D, _ = congruent_diagonalize(A)  # raises NotSymmetric / Degenerate
-    entries = D.diagonal_entries()
+    s, chi = congruent_valuations(A)
+    units = (ctx.one(), ctx.from_int(ctx.rho))
+    entries = [units[c].shift(v) for v, c in zip(s, chi)]
     via_symbols, disc_parity, e_sum = _eta_symbol_route(entries, ctx)
-    via_formula = _eta_closed_route(
-        [x.valuation() for x in entries], [x.square_class() for x in entries], ctx.delta
-    )
+    via_formula = _eta_closed_route(s, chi, ctx.delta)
     if via_symbols != via_formula:
         raise PathDisagreement(
             f"eta routes disagree: symbols {via_symbols}, closed formula {via_formula}"

@@ -9,10 +9,16 @@ power of p.  The three workhorses here are
                    of lattices),
 * snf           -- the Smith form with unimodular witnesses (the divisor
                    valuations are the elementary-divisor exponents),
-* congruent_diagonalize -- diagonalization of a symmetric matrix under the
-                   congruence action V^T A V, valuations sorted ascending;
-                   each Mat keeps its own first success, an immutable pair
-                   that later calls share, and never a failure.
+* congruent_valuations -- the valuations s and unit square classes chi
+                   of a congruent diagonal of a symmetric matrix, read off
+                   one fraction-free elimination of its entries lifted to
+                   integers; the Jordan data every classification reads,
+* congruent_diagonalize -- the diagonalization itself under the congruence
+                   action V^T A V in the precision window, valuations sorted
+                   ascending, for the callers that consume D and V.
+
+Each Mat keeps the first success of both, an immutable value that later
+calls share, and never a failure.
 
 cassels_move shuffles a unit between two diagonal entries of equal
 valuation without leaving the congruence class, and Span answers every
@@ -28,13 +34,13 @@ from .errors import (
     PrecisionLoss,
     ValuationMismatch,
 )
-from .padic_core import INF, parse_scalar, sqrt_mod_p
+from .padic_core import INF, legendre_class, parse_scalar, sqrt_mod_p
 
 
 class Mat:
     """Immutable dense matrix of PadicScalar entries."""
 
-    __slots__ = ("ctx", "nrows", "ncols", "data", "_congruent")
+    __slots__ = ("ctx", "nrows", "ncols", "data", "_congruent", "_valuations")
 
     def __init__(self, ctx, rows):
         self.ctx = ctx
@@ -45,6 +51,7 @@ class Mat:
             if len(row) != self.ncols:
                 raise InvalidParameters("ragged matrix")
         self._congruent = None  # congruent_diagonalize's (D, V), once it succeeded
+        self._valuations = None  # congruent_valuations' (s, chi), once it succeeded
 
     # -- constructors -------------------------------------------------------
 
@@ -464,6 +471,125 @@ def _replay(ctx, size, log):
 # ---------------------------------------------------------------------------
 # Symmetric congruence: diagonalization and Cassels moves
 # ---------------------------------------------------------------------------
+
+
+def congruent_valuations(A):
+    """The Jordan data (s, chi) of the symmetric A over Q_p.
+
+    s holds the valuations of a diagonal congruent to A, ascending, and chi
+    the square classes of their units, both tuples of ints: the values
+    congruent_diagonalize's D carries, without building D or V.  Raises
+    NotSymmetric; Degenerate when A, lifted to integers, is singular and
+    every entry holds at least half the window; and PrecisionLoss naming
+    the least valuation the window or the entries' digits cannot decide.
+
+    The first success is kept on the object A and returned by every later
+    call; an error is not kept, and is raised again on every call.
+    """
+    if A._valuations is None:
+        A._valuations = _congruent_read_off(A)
+    return A._valuations
+
+
+def _congruent_read_off(A):
+    """congruent_valuations without the memo: one integer elimination.
+
+    Lift: each nonzero entry p^val u becomes the integer p^val r, r the
+    symmetric residue of u mod p^prec, scaled by p^(2m), m = max(0, -min
+    val), so that every entry is integral; a scale by a square moves each
+    s by 2m and no chi.  The lift differs from A by entries of valuation at
+    least t, the least val + prec over the nonzero entries.
+
+    Elimination: _congruent_elimination's pivot rule, fraction-free.  Step
+    k holds B_k = c_k S_k, S_k the exact Schur complement and c_0 = 1;
+    with pivot d_k, B_k+1 = d_k B_k' - b b^T is c_k+1 S_k+1 for c_k+1 =
+    d_k c_k, so the diagonal entry d_k / c_k has s_k = v(d_k) - v(c_k) - 2m
+    and chi_k = class(unit(d_k) unit(c_k)); of c_k only its valuation and
+    class are kept.  Each pivot has the least valuation of its block, so
+    s ascends.  A zero block means the lift is singular.  That is
+    Degenerate when every entry holds at least half the window, so that A
+    differs from its lift only by what PadicScalar.__add__ treats as the
+    exact zero, and PrecisionLoss otherwise.
+
+    Guards: each s_k, ascending, passes guard_decidable, and then must stay
+    below t.  Below t the answer is A's own: moved to a congruent diagonal
+    by an integral unimodular V, the lift's error keeps valuation >= t
+    through every step, and changes no pivot's valuation or class.
+    """
+    ctx = A.ctx
+    if A.nrows != A.ncols:
+        raise InvalidParameters("congruence requires a square matrix")
+    if not A.is_symmetric():
+        raise NotSymmetric("matrix is not symmetric")
+    n, p, data = A.nrows, ctx.p, A.data
+    held = [x for i, row in enumerate(data) for x in row[i:] if x.val != INF]
+    if not held:
+        raise Degenerate("matrix is degenerate")
+    m = max(0, -min(x.val for x in held))
+    t = min(x.val + x.prec for x in held)
+    exact = 2 * min(x.prec for x in held) >= ctx.precision
+    B = [[0] * n for _ in range(n)]
+    w = [[INF] * n for _ in range(n)]  # w[i][j] = v(B[i][j]), for the block's entries
+    for i in range(n):
+        for j in range(i, n):
+            x = data[i][j]
+            if x.val != INF:
+                e = x.val + 2 * m
+                B[i][j] = B[j][i] = x._symmetric_unit() * p**e
+                w[i][j] = w[j][i] = e
+    s, chi = [], []
+    vc = cc = 0  # the valuation and unit square class of c_k
+    for k in range(n):
+        # the first diagonal entry of least valuation, unless an
+        # off-diagonal one, first in row order, has a smaller valuation
+        piv, v = k, w[k][k]
+        for i in range(k + 1, n):
+            if w[i][i] < v:
+                piv, v = i, w[i][i]
+        oi = oj = None
+        ov = INF
+        for i in range(k, n):
+            for j in range(i + 1, n):
+                if w[i][j] < ov:
+                    oi, oj, ov = i, j, w[i][j]
+        if ov < v:
+            # surface a diagonal pivot: col_i += col_j, then row_i += row_j;
+            # 2 is a unit, so the new (i, i) entry has valuation ov
+            for r in range(k, n):
+                B[r][oi] += B[r][oj]
+            for r in range(k, n):
+                B[oi][r] += B[oj][r]
+            piv, v = oi, ov
+        elif v == INF:
+            if exact:
+                raise Degenerate("matrix is degenerate")
+            raise PrecisionLoss(f"a block cancelled to zero within the {t} digits of the entries")
+        B[k], B[piv] = B[piv], B[k]
+        for r in range(k, n):
+            row = B[r]
+            row[k], row[piv] = row[piv], row[k]
+        b = B[k]
+        d = b[k]
+        for i in range(k + 1, n):
+            bi, row, wi = b[i], B[i], w[i]
+            for j in range(i, n):
+                x = row[j] = B[j][i] = d * row[j] - bi * b[j]
+                e = INF
+                if x:
+                    e = 0
+                    while x % p == 0:
+                        x //= p
+                        e += 1
+                wi[j] = w[j][i] = e
+        s.append(v - vc - 2 * m)
+        cc = (legendre_class(d // p**v, p) + cc) % 2
+        chi.append(cc)
+        vc += v
+    for v in s:
+        ctx.guard_decidable(v)
+        if v >= t:
+            raise PrecisionLoss(f"valuation {v} not below {t}, the digits the entries carry")
+    return tuple(s), tuple(chi)
 
 
 def congruent_diagonalize(A):

@@ -169,7 +169,15 @@ class PrimeContext:
         return PadicScalar(self, 0, 1, self.precision)
 
     def from_int(self, n):
-        return self.from_rational(n, 1)
+        """The exact scalar n: from_rational(n, 1) without inverting a denominator."""
+        if n == 0:
+            return self._zero
+        p = self.p
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return PadicScalar(self, v, n % self.modulus, self.precision)
 
     def from_rational(self, num, den):
         """The exact scalar num/den; valuation may be negative."""

@@ -316,7 +316,7 @@ def construct_simple_ve(alg):
         )
     if _is_hyperbolic(alg.matrix):
         return _hyperbolic_ve(alg)
-    D, V = congruent_diagonalize(alg.matrix)  # the memoized pair cf was read from
+    D, V = congruent_diagonalize(alg.matrix)  # the one windowed elimination of a request
     Vt = _prepare_hyperbolic(alg, D, V)
     # cross-check: the rewritten matrix really is hyperbolic.  The structure
     # matrix transforms by det(W) W^{-1} A W^{-T}; for W = adj(V^T) that is

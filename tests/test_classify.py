@@ -16,14 +16,23 @@ from padiclie.errors import (
     Degenerate,
     InvalidParameters,
     NotLie,
+    NotSubalgebra,
     NotSymmetric,
     PrecisionLoss,
 )
-from padiclie.lattice import Algebra, change_of_basis
-from padiclie.normal_forms import Mat, parse_matrix
-from padiclie.padic_core import PrimeContext
+from padiclie import normal_forms
+from padiclie.lattice import Algebra, change_of_basis, induced_algebra
+from padiclie.normal_forms import Mat, congruent_valuations, parse_matrix
+from padiclie.padic_core import PadicScalar, PrimeContext
+from padiclie.subalgebras import enumerate_sublattices
 
-from oracles import canonical_diagonal, canonical_of_diagonal, eta_of_diagonal
+from oracles import (
+    canonical_diagonal,
+    canonical_of_diagonal,
+    eta_of_diagonal,
+    int_det,
+    rational_congruent_diagonal,
+)
 
 
 def random_unimodular(rng, ctx, span=8):
@@ -264,9 +273,10 @@ def test_canonical_form_matches_the_legendre_oracle():
 
 
 def test_a_second_read_repeats_no_check_of_the_elimination(monkeypatch):
-    """The elimination checks symmetry and guards every pivot, and the Mat
-    keeps only a success: reading a diagonalized Mat checks neither again.
-    Failures are raised again on every call, with their messages."""
+    """The read-off checks symmetry and guards every valuation, and the Mat
+    keeps only a success: reading a Mat read before checks neither again.
+    Failures are raised again on every call, with their messages; the
+    cancelling input's lift names its valuation 14."""
     alg = Algebra(parse_matrix("2,1,0;1,5,3;0,3,9", PrimeContext(3, 32)))
     first = canonical_form(alg)
     calls = []
@@ -286,7 +296,7 @@ def test_a_second_read_repeats_no_check_of_the_elimination(monkeypatch):
         (3, 32, "1,0,0;0,1,0;0,0,0", Degenerate, "structure matrix is degenerate"),
         (3, 32, "1,0,0;0,3,0;0,0,1*p^20", PrecisionLoss,
          "valuation 20 too close to precision window 32"),
-        (7, 10, cancelling, PrecisionLoss, "cancellation exhausted the precision window"),
+        (7, 10, cancelling, PrecisionLoss, "valuation 14 too close to precision window 10"),
     ]
     for p, precision, literal, error, message in failing:
         alg = Algebra(parse_matrix(literal, PrimeContext(p, precision)))
@@ -294,3 +304,185 @@ def test_a_second_read_repeats_no_check_of_the_elimination(monkeypatch):
             with pytest.raises(error) as caught:
                 canonical_form(alg)
             assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The integer read-off against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def _orbit_rows(rng, p, d):
+    """V^T diag(d) V in integers, for a V with entries in [-2, 2] and det a
+    unit mod p."""
+    while True:
+        V = [[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]
+        if int_det(V) % p:
+            break
+    return [[sum(V[k][i] * d[k] * V[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _raised(f, *args):
+    with pytest.raises(Exception) as caught:
+        f(*args)
+    return type(caught.value), str(caught.value)
+
+
+def test_the_read_off_matches_the_rational_oracle():
+    """canonical_form and eta of 3,000 seeded orbit representatives against
+    an exact elimination over Fractions, at p in {3, 5, 7, 11} and precision
+    in {8, 16, 32}: the same answer when every oracle s is below
+    precision/2, else PrecisionLoss naming the least s at or above it, and
+    Degenerate exactly when the integer det is 0.  Each representative
+    keeps its entries below p^precision / 2, so its Mat holds it exactly."""
+    rng = random.Random(24)
+    outcomes = {"answered": 0, "refused": 0, "degenerate": 0}
+    for p in (3, 5, 7, 11):
+        for precision in (8, 16, 32):
+            ctx = PrimeContext(p, precision)
+            half = precision // 2
+            drawn = 0
+            while drawn < 250:
+                s = [
+                    rng.randrange(half) if rng.random() < 0.9 else rng.randrange(half, half + 4)
+                    for _ in range(3)
+                ]
+                d = [rng.choice((1, -1)) * rng.randrange(1, p) * p**v for v in s]
+                if rng.random() < 0.1:
+                    d[rng.randrange(3)] = 0
+                rows = _orbit_rows(rng, p, d)
+                if max(abs(x) for row in rows for x in row) >= p**precision // 2:
+                    continue
+                drawn += 1
+                alg = Algebra(Mat.from_ints(ctx, rows))
+                fresh = Mat.from_ints(ctx, rows)  # eta reads its own, unshared
+                if int_det(rows) == 0:
+                    assert _raised(canonical_form, alg)[0] is Degenerate
+                    assert _raised(eta, fresh)[0] is Degenerate
+                    outcomes["degenerate"] += 1
+                    continue
+                diagonal = rational_congruent_diagonal(rows, p)
+                family, s_oracle, eps, _ = canonical_of_diagonal(diagonal, p)
+                late = [v for v in s_oracle if v >= precision / 2]
+                if late:
+                    message = f"valuation {late[0]} too close to precision window {precision}"
+                    assert _raised(canonical_form, alg) == (PrecisionLoss, message)
+                    assert _raised(eta, fresh) == (PrecisionLoss, message)
+                    outcomes["refused"] += 1
+                    continue
+                cf = canonical_form(alg)
+                assert (cf.family, cf.s, cf.eps) == (family, s_oracle, eps), (p, rows)
+                assert eta(fresh).eta == cf.eta() == eta_of_diagonal(diagonal, p)
+                outcomes["answered"] += 1
+    assert sum(outcomes.values()) == 3000
+    assert min(outcomes.values()) > 150, outcomes
+
+
+def _windowed(A):
+    """(s, chi) off the windowed elimination's D."""
+    D, _ = normal_forms._congruent_elimination(A)
+    entries = D.diagonal_entries()
+    return tuple(x.valuation() for x in entries), tuple(x.square_class() for x in entries)
+
+
+def _outcome(f, A):
+    try:
+        return None, f(A)
+    except PrecisionLoss:
+        return PrecisionLoss, None
+
+
+def test_the_read_off_matches_the_windowed_elimination():
+    """congruent_valuations against the (s, chi) of _congruent_elimination's
+    D, on seeded matrices of three kinds at p in {3, 5, 7, 11} and precision
+    in {8, 16, 32}: num/den input with valuations down to -3, and the
+    structure matrices induced_algebra gives on index-p and index-p^2
+    sublattices, where every windowed answer is the read-off's; and orbit
+    representatives whose entries carry 1 to precision digits, where no
+    two answers differ (the read-off, which trusts no valuation at or above
+    the least val + prec of an entry, may refuse more), and each answer of
+    canonical_form holds for random integer completions of the missing
+    digits, by the oracle over Fractions."""
+    rng = random.Random(25)
+    agreed = {"num/den": 0, "induced": 0, "short": 0}
+    completed = 0
+    for p in (3, 5, 7, 11):
+        for precision in (8, 16, 32):
+            ctx = PrimeContext(p, precision)
+            half = precision // 2
+            sublattices = [*enumerate_sublattices(ctx, 1), *enumerate_sublattices(ctx, 2)]
+            for _ in range(40):
+                d = [rng.choice((1, -1)) * rng.randrange(1, p) * p ** rng.randrange(half)
+                     for _ in range(3)]
+                k = rng.randrange(1, 4)
+                literal = ";".join(
+                    ",".join(f"{x}/{p**k}" for x in row) for row in _orbit_rows(rng, p, d)
+                )
+                A = parse_matrix(literal, ctx)
+                error, answer = _outcome(_windowed, A)
+                if error is None:
+                    assert congruent_valuations(A) == answer
+                    agreed["num/den"] += 1
+
+                d = [rng.choice((1, -1)) * rng.randrange(1, p) * p ** rng.randrange(1, 5)
+                     for _ in range(3)]
+                alg = Algebra(Mat.from_ints(ctx, _orbit_rows(rng, p, d)))
+                try:
+                    A = induced_algebra(alg, rng.choice(sublattices)).matrix
+                except NotSubalgebra:
+                    pass
+                else:
+                    error, answer = _outcome(_windowed, A)
+                    if error is None:
+                        assert congruent_valuations(A) == answer
+                        agreed["induced"] += 1
+
+                d = [rng.choice((1, -1)) * rng.randrange(1, p) * p ** rng.randrange(half)
+                     for _ in range(3)]
+                rows = _orbit_rows(rng, p, d)
+                digits = {
+                    (i, j): rng.randrange(1, precision + 1) for i in range(3) for j in range(i, 3)
+                }
+                full = Mat.from_ints(ctx, rows)
+                short = [[None] * 3 for _ in range(3)]
+                for (i, j), n in digits.items():
+                    x = full[i, j]
+                    if not x.is_zero():
+                        x = PadicScalar(ctx, x.val, x.unit % p**n, n)
+                    short[i][j] = short[j][i] = x
+                A = Mat(ctx, short)
+                windowed = _outcome(_windowed, A)
+                read = _outcome(congruent_valuations, A)
+                if windowed[0] is None and read[0] is None:
+                    assert read == windowed
+                    agreed["short"] += 1
+                if read[0] is None:
+                    cf = canonical_form(Algebra(A))
+                    e = eta(A).eta
+                    for _ in range(2):
+                        rows = [[0] * 3 for _ in range(3)]
+                        for (i, j), n in digits.items():
+                            x = full[i, j]
+                            if not x.is_zero():
+                                unit = x.unit % p**n + p**n * rng.randrange(-p**4, p**4)
+                                rows[i][j] = rows[j][i] = unit * p**x.val
+                        diagonal = rational_congruent_diagonal(rows, p)
+                        assert canonical_of_diagonal(diagonal, p)[:3] == (cf.family, cf.s, cf.eps)
+                        assert e == eta_of_diagonal(diagonal, p)
+                        completed += 1
+    assert min(agreed.values()) >= 100 and completed >= 300, (agreed, completed)
+
+
+def test_a_singular_lift_is_degenerate_only_when_the_entries_hold_half_the_window():
+    """A singular lift differs from A by what the window treats as zero
+    only when every entry holds at least half the window; short entries
+    leave the block undecided."""
+    ctx = PrimeContext(5, 16)
+    full = Mat.from_ints(ctx, [[1, 2, 0], [2, 4, 0], [0, 0, 5]])
+    short = Mat(ctx, [
+        [x if x.is_zero() else PadicScalar(ctx, x.val, x.unit % 5**3, 3) for x in row]
+        for row in full.data
+    ])
+    assert _raised(congruent_valuations, full) == (Degenerate, "matrix is degenerate")
+    assert _raised(congruent_valuations, short) == (
+        PrecisionLoss, "a block cancelled to zero within the 3 digits of the entries"
+    )

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from padiclie import cli, errors, selfsim
+from padiclie import cli, errors, normal_forms, selfsim
 from padiclie.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -374,8 +374,8 @@ def test_malformed_input_exits_2_with_a_typed_error(capsys, argv):
     assert issubclass(getattr(errors, err["error"]), errors.InvalidInput), err
 
 
-# det has valuation 16, yet at precision 10 the diagonalization's remaining
-# block cancels to the exact zero
+# det has valuation 16, and the form's largest valuation, 14, lies past the
+# half of the precision window 10 that a decision may use
 CANCELLING = [
     "--prime", "7", "--precision", "10",
     "--matrix=6104007655641,2034669218547,8138676874209;"
@@ -492,3 +492,29 @@ def test_stdout_closed_by_its_reader_exits_1_quietly(argv):
     err = child.stderr.read()
     child.stderr.close()
     assert (child.wait(timeout=60), err) == (1, b"")
+
+
+def test_only_the_certificate_runs_the_windowed_elimination(monkeypatch, capsys):
+    """classify, eta, report, named, lcs and selftest consume no D or V, and
+    run no windowed elimination; selfsim runs it once, for the decide-yes
+    certificate."""
+    runs = []
+    original = normal_forms._congruent_elimination
+    monkeypatch.setattr(
+        normal_forms, "_congruent_elimination", lambda A: runs.append(A) or original(A)
+    )
+    lattice = ["--prime", "3", "--matrix", "1,1,0;1,4,3;0,3,0"]  # decide-yes, family 3
+    for argv, expected in (
+        (["classify", *lattice], 0),
+        (["eta", *lattice], 0),
+        (["report", *lattice], 0),
+        (["lcs", *lattice], 0),
+        (["named", "sl2_sylow", "--prime", "5"], 0),
+        (["named", "L4", "--prime", "3", "--s", "1"], 0),
+        (["selftest", "--prime", "5", "--seed", "1"], 0),
+        (["selfsim", *lattice], 1),
+    ):
+        del runs[:]
+        assert main(argv) == 0, argv
+        assert len(runs) == expected, argv
+    assert "certificate" in capsys.readouterr().out

@@ -273,3 +273,21 @@ def test_inf_is_zero_valuation_marker():
     ctx = PrimeContext(3)
     assert ctx.zero().valuation() == INF
     assert math.isinf(INF)
+
+
+def test_from_int_equals_from_rational_over_one():
+    """from_int builds its scalar without inverting a denominator, and
+    equals from_rational(n, 1) field for field: 0, negatives, and multiples
+    of p up to p^40, at windows narrower and wider than the valuation."""
+    rng = random.Random(26)
+    for p in (3, 5, 7, 101):
+        for precision in (8, 32):
+            ctx = PrimeContext(p, precision)
+            values = [0, 1, -1, p, -p, p**40, -(p**40)]
+            for _ in range(200):
+                unit = rng.randrange(1, p**12)
+                values.append(rng.choice((1, -1)) * unit * p ** rng.randrange(41))
+            for n in values:
+                x, y = ctx.from_int(n), ctx.from_rational(n, 1)
+                assert (x.val, x.unit, x.prec) == (y.val, y.unit, y.prec), (p, precision, n)
+                assert x.ctx is ctx

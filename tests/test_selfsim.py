@@ -456,11 +456,14 @@ def test_one_diagonalization_per_certificate_and_group_report(monkeypatch):
 
 
 def test_one_diagonalization_per_report_command(monkeypatch, capsys):
-    diagonalizations = _counted(monkeypatch, normal_forms, "congruent_diagonalize")
+    """report reads the Jordan data off one integer elimination and runs no
+    windowed elimination: it consumes no D or V."""
+    read_offs = _counted(monkeypatch, normal_forms, "_congruent_read_off")
+    eliminations = _counted(monkeypatch, normal_forms, "_congruent_elimination")
     for matrix in ("1,1,0;1,6,5;0,5,0", "3,0,0;0,-6,0;0,0,27"):
-        del diagonalizations[:]
+        del read_offs[:]
         assert cli.main(["report", "--prime", "5", "--matrix", matrix]) == 0
-        assert len(diagonalizations) == 1
+        assert (len(read_offs), len(eliminations)) == (1, 0)
     capsys.readouterr()
 
 

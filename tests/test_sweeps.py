@@ -317,18 +317,23 @@ def test_the_certificate_answers_at_p_101():
 
 
 def test_selftest_draws_match_the_det_filtered_draws():
-    """The same entries, field for field, and the same generator state after
-    every draw, for 200 seeds at p = 3, 5, 7, 101 and precision 32."""
+    """The same matrices, now drawn as integer rows, and the same generator
+    state after every draw, for 200 seeds at p = 3, 5, 7, 101 and precision
+    32: the rows enter Mat.from_ints as the reference's scalars, field for
+    field, and the symmetric draw's own Mat is that Mat."""
     for p in (3, 5, 7, 101):
         ctx = PrimeContext(p, 32)
         for seed in range(200):
             old, new = random.Random(seed), random.Random(seed)
             for ref_draw, draw in (
                 (reference_random_symmetric, cli._random_symmetric),
-                (reference_random_unimodular, cli._random_unimodular),
+                (reference_random_unimodular, lambda *args: (cli._random_unimodular(*args),)),
                 (reference_random_symmetric, cli._random_symmetric),
             ):
-                assert _fields(draw(new, ctx)) == _fields(ref_draw(old, ctx))
+                rows, *kept = draw(new, ctx)
+                ref = _fields(ref_draw(old, ctx))
+                assert _fields(Mat.from_ints(ctx, rows)) == ref
+                assert all(_fields(M) == ref for M in kept)
                 assert new.getstate() == old.getstate()
 
 
