@@ -31,7 +31,8 @@ from .lattice import (
     lcs_exponents,
     residually_nilpotent,
 )
-from .normal_forms import Mat, Span, hnf_columns
+from .normal_forms import IntSpan, Mat, hnf_columns, lift
+from .padic_core import INF
 from .selfsim import decide_index_p, sigma_bounds
 
 
@@ -217,16 +218,19 @@ def normal_subgroup_sigma(alg, ideal):
     if not is_ideal(alg.bracket, I):
         raise NotAnIdeal("submodule is not an ideal of the Sylow lattice")
     s = (0, 1, 1)
-    inside = Span(I)
+    # I is a Hermite form and each gamma term an exact p-power diagonal, so
+    # the containment test reads both as exact
+    inside = IntSpan(I, lift(I)[0][0], INF)
     level = 0
     while True:
-        gamma = Mat.p_power_diagonal(ctx, lcs_exponents(s, level))
-        if inside.coordinates(gamma) is not None:
+        exps = lcs_exponents(s, level)
+        gamma = [[ctx.p**e if i == j else 0 for j in range(3)] for i, e in enumerate(exps)]
+        if inside.adj_solve(gamma) is not None:
             break
         level += 1
         if level > 4 * ctx.precision:
             raise InvalidParameters("gamma terms never entered the ideal")
-    gh, _ = hnf_columns(gamma)
+    gh, _ = hnf_columns(Mat.p_power_diagonal(ctx, exps))
     equals = gh == I
     idx = sum(x.valuation() for x in gh.diagonal_entries()) - sum(
         x.valuation() for x in I.diagonal_entries()

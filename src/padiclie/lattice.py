@@ -21,8 +21,13 @@ subalgebra, and then B is the structure matrix of the submodule.
 """
 
 from .errors import Degenerate, InvalidParameters, NotSubalgebra
-from .normal_forms import Mat, Span
+from .normal_forms import IntSpan, Mat, lift
 from .padic_core import INF
+
+# The pairs (a, b) whose brackets [e_a, e_b] are the columns of a structure
+# matrix S, by dimension.  In dimension 3 they are cyclic, so S is the A
+# above: [e1, e2] = A e0, [e2, e0] = A e1, [e0, e1] = A e2.
+PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
 
 
 def cross(x, y):
@@ -74,24 +79,56 @@ def induced_algebra(alg, U):
     return Algebra(B)
 
 
+def structure_matrix(bracket, ctx, n):
+    """The Mat whose columns are the brackets [e_a, e_b], (a, b) in PAIRS[n]."""
+    e = Mat.identity(ctx, n).cols()
+    return Mat(ctx, list(zip(*(bracket(e[a], e[b]) for a, b in PAIRS[n]))))
+
+
+def compound(R):
+    """The minors of the integer square R on the row and column pairs of
+    PAIRS: column c holds those of R's columns PAIRS[c], so S compound(R)
+    lists the brackets of R's column pairs.  In dimension 3 it is adj(R)^T."""
+    pairs = PAIRS[len(R)]
+    return [[R[i][a] * R[k][b] - R[i][b] * R[k][a] for a, b in pairs] for i, k in pairs]
+
+
+def ad_images(S, R):
+    """The brackets [e_a, r] for every a and every column r of R, all in
+    integers, as the columns of one matrix: [e_a, r] = sum_c S_c m_c with
+    m_c the minor of (e_a, r) on the pair PAIRS[c]."""
+    pairs = PAIRS[len(R)]
+    images = []
+    for a in range(len(R)):
+        for r in zip(*R):
+            m = [r[k] if a == i else -r[i] if a == k else 0 for i, k in pairs]
+            images.append([sum(s * x for s, x in zip(row, m)) for row in S])
+    return [list(row) for row in zip(*images)]
+
+
 def is_ideal(bracket, J):
     """Whether the column span of the full-rank J is an ideal: [x, j] lies
     in span J for every standard basis vector x and every column j of J.
 
-    bracket maps two coordinate tuples to one, in any dimension.  The n^2
-    brackets go into one membership solve.
+    bracket maps two coordinate tuples to one, in any dimension PAIRS
+    lists; it is read only on basis pairs, and the n^2 brackets are formed
+    in integers from J's lift and go into one containment test.  A J that
+    is not integral lifts scaled by p^m, so its brackets carry p^2m and are
+    tested against p^m span J.
     """
-    span = Span(J)
-    images = [bracket(x, j) for x in Mat.identity(J.ctx, J.nrows).cols() for j in J.cols()]
-    return span.coordinates(Mat(J.ctx, list(zip(*images)))) is not None
+    S = structure_matrix(bracket, J.ctx, J.nrows)
+    (R, RS), (t, u), _, m = lift(J, S)
+    return IntSpan(J, R, t).adj_solve(ad_images(RS, R), min(t, u), m) is not None
 
 
 def index_exponent(U):
-    """v_p(det U): the index of the column span in Z_p^3 is p to this."""
-    d = U.det()
-    if d.is_zero():
-        raise Degenerate("submodule has rank < 3")
-    return d.valuation()
+    """v_p(det U): the index of the column span in Z_p^3 is p to this.
+
+    Read off the integer det of U's lift by IntSpan, so its Degenerate and
+    PrecisionLoss rules are the ones every lattice question follows.
+    """
+    (R,), (t,), _, m = lift(U)
+    return IntSpan(U, R, t).delta - U.nrows * m
 
 
 def saturating_scale(n, s):

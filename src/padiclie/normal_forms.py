@@ -21,9 +21,15 @@ Each Mat keeps the first success of both, an immutable value that later
 calls share, and never a failure.
 
 cassels_move shuffles a unit between two diagonal entries of equal
-valuation without leaving the congruence class, and Span answers every
-"does span N lie in span M" question.
+valuation without leaving the congruence class.  Every "does span N lie
+in span M" question is IntSpan's, in integers: the entries are lifted
+(lift), and adj(M) N = 0 mod p^v(det M) decides it while v(det M) stays
+below the digits the entries hold.  Span solves M^{-1} N in the window for
+the constructions that need the coordinates themselves.
 """
+
+import math
+import operator
 
 from .errors import (
     Degenerate,
@@ -306,18 +312,11 @@ def hnf_columns(M):
 
 
 class Span:
-    """The column span of a square, full-rank M: one det and one adjugate.
+    """The column span of a square, full-rank M in the window: one det and
+    one adjugate, for the constructions that need M^{-1} N as scalars.
+    Whether N lies in span M is IntSpan's question, not this one's."""
 
-    coordinates(N) is the one membership test: it solves M^{-1} N exactly,
-    guards d_max = v(det M) - min v(adj M), the largest elementary divisor
-    of M (p^(d_max + 1) Z_p^n lies in span M), and reads integrality.  Why
-    this guard: PadicScalar.__add__ makes a sum the exact zero only after
-    it cancelled through half the window, so on integral operands a misread
-    zero has valuation >= precision/2 > d_max, and an error inside span M
-    cannot move a vector in or out of it.  d_max bounds every Hermite pivot.
-    """
-
-    __slots__ = ("adj", "d_inv", "d_max")
+    __slots__ = ("adj", "d_inv")
 
     def __init__(self, M):
         d = M.det()
@@ -325,17 +324,10 @@ class Span:
             raise Degenerate("matrix is singular")
         self.adj = M.adjugate()
         self.d_inv = d.inv()
-        self.d_max = d.valuation() - min(x.valuation() for row in self.adj.data for x in row)
 
     def solve(self, N):
         """M^{-1} N, exactly, over Q_p; no membership is decided."""
         return (self.adj * N).scale(self.d_inv)
-
-    def coordinates(self, N):
-        """M^{-1} N when every column of N lies in span M, else None."""
-        X = self.solve(N)
-        self.adj.ctx.guard_decidable(self.d_max)
-        return X if X.is_integral() else None
 
 
 def _index_p_hermite(span):
@@ -361,9 +353,183 @@ def _index_p_hermite(span):
     return Mat(ctx, H)
 
 
+# ---------------------------------------------------------------------------
+# Lattice questions in integers
+# ---------------------------------------------------------------------------
+
+
+def lift(*mats):
+    """The entries of the Mats as integers: (the rows of each, the t of
+    each, the g of each, m).
+
+    A nonzero entry p^val u becomes p^(val + m) r, r the symmetric residue
+    of u mod p^prec, with one m = max(0, -least val) for all the Mats, so
+    that every lift is integral (m = 0 on integral Mats); the exact zero
+    becomes 0.  A Mat's t is the least val + m + prec over its nonzero
+    entries and g the least val + m, both INF when there is none: its lift
+    differs from p^m times any completion of the known digits by entries
+    of valuation >= t, and g is the least valuation in both.
+    """
+    ctx = mats[0].ctx
+    p, powers = ctx.p, ctx.p_powers
+    m = max(0, -min((x.val for M in mats for row in M.data for x in row), default=0))
+    rows, ts, gs = [], [], []
+    for M in mats:
+        t = g = INF
+        R = []
+        for row in M.data:
+            r = []
+            for x in row:
+                v = x.val
+                if v == INF:
+                    r.append(0)
+                    continue
+                q, u = powers[x.prec], x.unit
+                if u > q >> 1:  # the symmetric residue
+                    u -= q
+                r.append(u * p ** (v + m) if v + m else u)
+                if v < g:
+                    g = v
+                if v + x.prec < t:
+                    t = v + x.prec
+            R.append(r)
+        rows.append(R)
+        ts.append(t + m)
+        gs.append(g + m)
+    return rows, ts, gs, m
+
+
+def int_det(R):
+    """Closed-form determinant of a 2x2 or 3x3 integer matrix, Mat.det's terms."""
+    n = len(R)
+    if any(len(row) != n for row in R):
+        raise InvalidParameters("determinant of a non-square matrix")
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = R
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n != 2:
+        raise InvalidParameters("determinant of a matrix other than 2x2 or 3x3")
+    (a, b), (c, d) = R
+    return a * d - b * c
+
+
+def int_adjugate(R):
+    """Classical adjugate of a 2x2 or 3x3 integer matrix, R adj(R) = det(R) I."""
+    if len(R) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = R
+        return [
+            [e * i - f * h, c * h - b * i, b * f - c * e],
+            [f * g - d * i, a * i - c * g, c * d - a * f],
+            [d * h - e * g, b * g - a * h, a * e - b * d],
+        ]
+    (a, b), (c, d) = R
+    return [[d, -b], [-c, a]]
+
+
+def int_mul(X, Y):
+    """The product of two integer matrices given as lists of rows."""
+    if len(Y) == 3 and len(Y[0]) == 3:
+        # the common case, spelled out: a third of the time of the sums
+        (a, b, c), (d, e, f), (g, h, i) = Y
+        return [[x * a + y * d + z * g, x * b + y * e + z * h, x * c + y * f + z * i]
+                for x, y, z in X]
+    cols = list(zip(*Y))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in X]
+
+
+def p_valuation(n, p):
+    """v_p of the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def least_valuation(R, t, p):
+    """A lower bound on the valuation of every entry of every completion
+    of the integer matrix R known to within p^t: R's least, or t."""
+    g = math.gcd(*[x for row in R for x in row])
+    return min(p_valuation(g, p), t) if g else t
+
+
+def product_bound(tx, gx, ty, gy):
+    """The error bound of X Y for X, Y known to within p^tx, p^ty whose
+    entries have valuation >= gx, gy: every error term has one factor's
+    error and the other's value."""
+    return min(tx + gy, gx + ty)
+
+
+class IntSpan:
+    """The column span of a square, full-rank M, from its lift R in integers.
+
+    t bounds R's error (lift's t; INF for a Mat known to be exact, as
+    hnf_columns' forms are).  delta = v(det R), the index exponent.  adj
+    and det are R's adjugate and det divided by p^g, g the least valuation
+    in adj(R), so that R adj = det I still holds and e = v(det) is the
+    largest elementary divisor of R.  self.t bounds their error.
+
+    Raises Degenerate when det R is 0 and every entry of M holds at least
+    half the window, the congruent read-off's rule, and PrecisionLoss when
+    det R is 0 otherwise, or when g or delta reach the valuation the lift's
+    error can give them: then not every completion of M's known digits has
+    this delta and g.  The error bounds: every entry of R has valuation
+    >= g1 (the lift's g, when the caller passes it) and error >= t, so an
+    entry of a 3 x 3 adjugate, a 2 x 2 minor, has error >= t + g1, and
+    det R, the sum of R_0j adj_j0, has error >= min(t + g, g1 + that).
+    """
+
+    __slots__ = ("p", "delta", "det", "adj", "e", "t")
+
+    def __init__(self, M, R, t, g1=None):
+        ctx = M.ctx
+        p = ctx.p
+        d = int_det(R)
+        if d == 0:
+            if all(2 * x.prec >= ctx.precision for row in M.data for x in row if x.val != INF):
+                raise Degenerate("matrix is singular")
+            raise PrecisionLoss(f"the determinant cancelled to zero within {t} digits")
+        g1 = least_valuation(R, t, p) if g1 is None else min(g1, t)
+        t_adj = t + g1 if len(R) == 3 else t  # a 2 x 2 adjugate holds entries of R
+        adj = int_adjugate(R)
+        g = least_valuation(adj, INF, p)
+        delta = p_valuation(d, p)
+        if g >= t_adj or delta >= min(t + g, g1 + t_adj):
+            raise PrecisionLoss(f"determinant valuation {delta} not decided by the digits held")
+        self.p, self.delta, self.e, self.t = p, delta, delta - g, min(t_adj - g, t)
+        if g:
+            q = p**g
+            d //= q
+            adj = [[x // q for x in row] for row in adj]
+        self.det, self.adj = d, adj
+
+    def error(self, N, t=INF):
+        """The error bound of adj N for N known to within p^t: adj is
+        primitive, so it is product_bound with N's least valuation."""
+        return product_bound(self.t, 0, t, least_valuation(N, t, self.p))
+
+    def adj_solve(self, N, t=INF, shift=0):
+        """adj N, which is det M^{-1} N, when every column of the integer
+        matrix N lies in p^shift span M, else None: the one containment
+        test.  N holds its values to within p^t.
+
+        The columns lie there iff adj N = 0 mod p^(e + shift).  Below the
+        error bound of adj N every completion of M and N gives the same
+        answer, and PrecisionLoss is raised otherwise.
+        """
+        e = self.e + shift
+        bound = self.error(N, t)
+        if e >= bound:
+            raise PrecisionLoss(f"containment mod p^{e} needs more than {bound} digits")
+        X = int_mul(self.adj, N)
+        q = self.p**e
+        return None if any(x % q for row in X for x in row) else X
+
+
 def lattice_contains(M, N):
     """Column span of the full-rank M contains column span of N."""
-    return Span(M).coordinates(N) is not None
+    (R, S), (t, u), _, _ = lift(M, N)
+    return IntSpan(M, R, t).adj_solve(S, u) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,9 @@ from .errors import (
     PreconditionViolated,
     Record,
 )
-from .lattice import index_exponent, induced_algebra, is_ideal
+from .lattice import compound, index_exponent, induced_algebra, is_ideal, structure_matrix
 from .normal_forms import (
+    IntSpan,
     Mat,
     Span,
     _index_p_hermite,
@@ -52,7 +53,10 @@ from .normal_forms import (
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
-    lattice_contains,
+    int_mul,
+    least_valuation,
+    lift,
+    product_bound,
 )
 from .padic_core import INF
 from .subalgebras import (
@@ -93,8 +97,11 @@ class VirtualEndomorphism(Record):
     __slots__ = ("ambient", "domain", "phi")
 
     def __init__(self, ambient, domain, phi):
-        if domain.det().is_zero():
-            raise Degenerate("domain must have full rank")
+        (R,), (t,), (g,), _ = lift(domain)
+        try:
+            IntSpan(domain, R, t, g)  # the rank, read off the integer det of the lift
+        except Degenerate:
+            raise Degenerate("domain must have full rank") from None
         if not domain.is_integral() or not phi.is_integral():
             raise InvalidParameters("domain and images must be integral")
         n = ambient.matrix.nrows
@@ -109,22 +116,65 @@ class VirtualEndomorphism(Record):
 def is_morphism(ve):
     """Check phi[x, y] = [phi x, phi y] on the domain basis pairs; raises
     NotSubalgebra when the domain is not closed under the bracket."""
-    return _bracket_law(ve.ambient.bracket, ve.domain, ve.phi)
+    return _bracket_law(ve.ambient.matrix, ve.domain, ve.phi)
 
 
-def _bracket_law(bracket, domain, phi):
-    """is_morphism for a bracket, domain and phi of any size.  One solve
-    of the brackets [u_i, u_j] (i < j) of the domain basis decides closure
-    and gives the coordinates that phi maps; in dimension 3 those are the
-    columns of det(U) U^{-1} A U^{-T} up to sign and order."""
-    pairs = [(i, j) for j in range(domain.ncols) for i in range(j)]
-    dom, im = domain.cols(), phi.cols()
-    brackets = Mat(domain.ctx, list(zip(*(bracket(dom[i], dom[j]) for i, j in pairs))))
-    coords = Span(domain).coordinates(brackets)
-    if coords is None:
+def _bracket_law(S, domain, phi):
+    """is_morphism for a structure matrix S (lattice.PAIRS), domain and phi
+    of any size, in integers.
+
+    The brackets of the column pairs of U = domain are B = S compound(U)
+    (in dimension 3, A cof(U)), and the domain is closed iff they lie in
+    span U: the containment test, which also gives X = adj B = det U^{-1} B
+    (IntSpan's adj and det).  The law, phi applied to the coordinates
+    U^{-1} B equal to the brackets S compound(F) of phi's columns F, then
+    reads F X = det S compound(F).  Each side is compared mod the least
+    error bound of the two, carried through every product from the lifts'
+    t and the least valuations of the factors (a minor of a matrix known
+    to within p^t, of least valuation g, is known to within p^(t + g)).
+    """
+    (RS, U, F), (t_s, t_u, t_f), (g_s, g_u, g_f), _ = lift(S, domain, phi)
+    span = IntSpan(domain, U, t_u, g_u)
+    p = span.p
+    C = compound(U)
+    B = int_mul(RS, C)
+    t_b = product_bound(t_s, g_s, t_u + g_u, least_valuation(C, t_u + g_u, p))
+    X = span.adj_solve(B, t_b)
+    if X is None:
         raise NotSubalgebra("domain of a virtual endomorphism must be a subalgebra")
-    lhs = (phi * coords).cols()
-    return all(lhs[t] == bracket(im[i], im[j]) for t, (i, j) in enumerate(pairs))
+    t_x = span.error(B, t_b)
+    lhs_t = product_bound(t_f, g_f, t_x, least_valuation(X, t_x, p))
+    C = compound(F)
+    rhs = int_mul(RS, C)
+    t_r = product_bound(t_s, g_s, t_f + g_f, least_valuation(C, t_f + g_f, p))
+    rhs_t = product_bound(span.t, span.e, t_r, least_valuation(rhs, t_r, p))
+    q = p ** min(lhs_t, rhs_t)
+    d = span.det
+    return all((x - d * y) % q == 0
+               for lrow, rrow in zip(int_mul(F, X), rhs) for x, y in zip(lrow, rrow))
+
+
+def _invariance(domain, phi):
+    """The test "D lies in the domain and phi(D) in D" for a Hermite form D
+    of hnf_columns, in integers.
+
+    With X = adj(domain) D (IntSpan's reduced adjugate, which also decides
+    D in the domain), phi maps the domain coordinates of D into span D iff
+    F X lies in p^e span D, F = phi and e the domain's largest elementary
+    divisor.  D enters as exact, its guarded pivots and residues being the
+    Hermite form of the lattice itself, so F X has the error bound of F and
+    of the domain's adj.
+    """
+    (U, F), (t_u, t_f), _, _ = lift(domain, phi)
+    inside = IntSpan(domain, U, t_u)
+
+    def invariant(D):
+        (R,), _, _, _ = lift(D)
+        X = inside.adj_solve(R)
+        return X is not None and IntSpan(D, R, INF).adj_solve(
+            int_mul(F, X), min(t_f, inside.t), inside.e) is not None
+
+    return invariant
 
 
 def _preimage_lattice(phi, S):
@@ -189,8 +239,8 @@ def regularity_check(ve, depth):
     chain = domain_chain(ve, depth + 1)
     vals = [sum(x.valuation() for x in D.diagonal_entries()) for D in chain]
     exps = [b - a for a, b in zip(vals, vals[1 : depth + 1])]
-    in_domain = Span(ve.domain).solve
-    escapes = [not lattice_contains(D, ve.phi * in_domain(D)) for D in chain[1 : depth + 1]]
+    invariant = _invariance(ve.domain, ve.phi)
+    escapes = [not invariant(D) for D in chain[1 : depth + 1]]
     return RegularityReport(all(e == 1 for e in exps), tuple(exps), tuple(escapes), tuple(chain))
 
 
@@ -217,14 +267,11 @@ def _invariant_ideal(bracket, domain, phi, d_bound, bound):
     v_bound = sum(x.valuation() for x in d_bound.diagonal_entries())
     if v_bound > bound:
         return None
-    inside = Span(domain)
+    invariant = _invariance(domain, phi)
     for rel in range(max(0, 1 - v_bound), bound - v_bound + 1):
         for H in enumerate_sublattices(domain.ctx, rel, domain.nrows):
             J = hnf_columns(d_bound * H)[0]
-            if not is_ideal(bracket, J):
-                continue
-            c = inside.coordinates(J)
-            if c is not None and lattice_contains(J, phi * c):
+            if is_ideal(bracket, J) and invariant(J):
                 return J
     return None
 
@@ -495,7 +542,7 @@ def lowdim_report(ctx, dim, k, s=None):
         phi = Mat.from_ints(ctx, [[1, 0], [0, 1]])
     d_inf = Mat.from_ints(ctx, [[0, 0], [0, 0 if s == INF else 1]])
     bracket = functools.partial(_dim2_bracket, ctx, s)
-    ok = _bracket_law(bracket, domain, phi)
+    ok = _bracket_law(structure_matrix(bracket, ctx, 2), domain, phi)
     d_bound = _domain_chain(domain, phi, LOWDIM_BOUND)[-1]
     invariant = _invariant_ideal(bracket, domain, phi, d_bound, LOWDIM_BOUND)
     return LowDimReport(2, s, k, domain, phi, ok, d_inf, invariant is not None)

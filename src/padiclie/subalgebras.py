@@ -51,13 +51,14 @@ class XiSymbol(Record):
         return 1 if t[1] != 0 else 2
 
     def u_matrix(self, ctx):
-        """Generator matrix of the submodule L^xi."""
+        """Generator matrix of the submodule L^xi: the identity's scalars,
+        with p at (m, m) and the symbol's entries left of it in row m,
+        m = len(entries), one from_int each."""
         t = self.entries
-        if len(t) == 0:
-            return Mat.from_ints(ctx, [[ctx.p, 0, 0], [0, 1, 0], [0, 0, 1]])
-        if len(t) == 1:
-            return Mat.from_ints(ctx, [[1, 0, 0], [t[0], ctx.p, 0], [0, 0, 1]])
-        return Mat.from_ints(ctx, [[1, 0, 0], [0, 1, 0], [t[0], t[1], ctx.p]])
+        m = len(t)
+        rows = [list(row) for row in Mat.identity(ctx, 3).data]
+        rows[m][: m + 1] = [ctx.from_int(x) for x in t] + [ctx.one().shift(1)]
+        return Mat(ctx, rows)
 
 
 def all_symbols(p):
@@ -251,12 +252,17 @@ def _key_identity(alg, xi, U, B):
     side U (B Z_p^3 + p^{s_i} Z_p^3) lies in it iff row j of U B has
     valuation >= r_j, and is then equal to it iff its index, 1 + sum_k
     min(d_k, s_i) for the Smith divisors d_k of B (one elimination stopped
-    at s_i), is sum_j r_j.
+    at s_i), is sum_j r_j.  U B = A adj(U)^T, so row j is a_j times column
+    j of adj(U), which index_p_matrix describes for m = len(xi.entries):
+    1 in row m for j = m, p in row j and -U[m, j] in row m for j < m, p
+    alone for j > m.  Its least valuation is 0 where it holds a unit, else 1.
     """
     s = [x.valuation() for x in alg.matrix.diagonal_entries()]
     si = s[xi.class_index()]
     r = [min(sj + 1, si) for sj in s]
-    if any(x.valuation() < rj for row, rj in zip((U * B).data, r) for x in row):
+    m = len(xi.entries)
+    least = [0 if j == m or (j < m and U[m, j].is_unit()) else 1 for j in range(3)]
+    if any(sj + c < rj for sj, c, rj in zip(s, least, r)):
         return False
     divisors = _smith_elimination(B, si)[0]
     return 1 + sum(min(d, si) for d in divisors) == sum(r)

@@ -22,7 +22,9 @@ generic change_of_basis, the Smith elimination that updates its witnesses
 as it goes, the domain chain through the kernel of the 3 x 6 stack
 [phi | -S], the key identity as two 3 x 6 Hermite forms, the certificate
 loop and selftest's random draws, as the references their rewrites must
-match.
+match.  The windowed membership test Span.coordinates, with lattice_contains,
+is_ideal and the bracket law that read it, is frozen last, the reference
+for the integer containment test.
 """
 
 from fractions import Fraction
@@ -841,3 +843,49 @@ def reference_random_unimodular(rng, ctx):
         d = M.det()
         if not d.is_zero() and d.valuation() == 0:
             return M
+
+
+def reference_span_coordinates(M, N):
+    """Span(M).coordinates(N) as the package computed it before: M^{-1} N
+    solved in the window, the largest elementary divisor d_max = v(det M)
+    - min v(adj M) guarded at precision/2, and integrality read off."""
+    d = M.det()
+    if d.is_zero():
+        raise Degenerate("matrix is singular")
+    adj = M.adjugate()
+    d_max = d.valuation() - min(x.valuation() for row in adj.data for x in row)
+    X = (adj * N).scale(d.inv())
+    M.ctx.guard_decidable(d_max)
+    return X if X.is_integral() else None
+
+
+def reference_lattice_contains(M, N):
+    """lattice_contains through reference_span_coordinates."""
+    return reference_span_coordinates(M, N) is not None
+
+
+def reference_is_ideal(bracket, J):
+    """is_ideal as it was: the n^2 brackets in the window, one windowed solve."""
+    images = [bracket(x, j) for x in Mat.identity(J.ctx, J.nrows).cols() for j in J.cols()]
+    return reference_span_coordinates(J, Mat(J.ctx, list(zip(*images)))) is not None
+
+
+def reference_bracket_law(bracket, domain, phi):
+    """is_morphism's law as it was: the brackets of the domain pairs solved
+    in the window, mapped by phi, compared scalar by scalar with the
+    brackets of phi's columns; NotSubalgebra when the domain is open."""
+    pairs = [(i, j) for j in range(domain.ncols) for i in range(j)]
+    dom, im = domain.cols(), phi.cols()
+    brackets = Mat(domain.ctx, list(zip(*(bracket(dom[i], dom[j]) for i, j in pairs))))
+    coords = reference_span_coordinates(domain, brackets)
+    if coords is None:
+        raise NotSubalgebra("domain of a virtual endomorphism must be a subalgebra")
+    lhs = (phi * coords).cols()
+    return all(lhs[t] == bracket(im[i], im[j]) for t, (i, j) in enumerate(pairs))
+
+
+def reference_escapes(domain, phi, terms):
+    """regularity_check's escapes as they were: phi of each term's domain
+    coordinates, solved in the window, against the term's span."""
+    in_domain = Span(domain).solve
+    return [not reference_lattice_contains(D, phi * in_domain(D)) for D in terms]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from padiclie import lattice
+from padiclie import lattice, normal_forms
 from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement, PrecisionLoss
 from padiclie.lattice import (
     Algebra,
@@ -269,17 +269,21 @@ def test_is_ideal_against_integer_oracle():
 
 
 def test_is_ideal_takes_one_det_and_adjugate(monkeypatch):
+    """One integer det and adjugate, of J's lift, and none in the window."""
     ctx = PrimeContext(5)
     alg = Algebra(Mat.from_ints(ctx, [[1, 0, 0], [0, 5, 0], [0, 0, -5]]))
-    dets, adjugates = [], []
-    for name, calls in (("det", dets), ("adjugate", adjugates)):
-        orig = getattr(Mat, name)
+    calls = {}
+    for owner, name in ((Mat, "det"), (Mat, "adjugate"),
+                        (normal_forms, "int_det"), (normal_forms, "int_adjugate")):
+        orig = getattr(owner, name)
+        calls[name] = []
         monkeypatch.setattr(
-            Mat, name, lambda self, orig=orig, calls=calls: calls.append(self) or orig(self)
+            owner, name, lambda *a, orig=orig, seen=calls[name]: seen.append(a) or orig(*a)
         )
-    # pL is an ideal, so every one of the nine brackets is solved
+    # pL is an ideal, so every one of the nine brackets is tested
     assert is_ideal(alg.bracket, Mat.identity(ctx, 3).shift(1))
-    assert (len(dets), len(adjugates)) == (1, 1)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "det": 0, "adjugate": 0, "int_det": 1, "int_adjugate": 1}
 
 
 def lcs_oracle(s, n):

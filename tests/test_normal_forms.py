@@ -418,8 +418,8 @@ def containment_case(rng, p):
 
 def test_lattice_contains_against_integer_oracle():
     """Every answer matches exact integers; the refusals are PrecisionLoss,
-    or Degenerate when det M has valuation >= precision/2 and so cancels to
-    zero in the window."""
+    or Degenerate when the lifted det is 0, which takes v(det M) >= the
+    digits the entries hold, at least precision/2."""
     rng = random.Random(21)
     answers = {True: 0, False: 0}
     for p in (3, 5):
@@ -458,7 +458,7 @@ def test_lattice_contains_against_integer_oracle():
 )
 def test_lattice_contains_refuses_where_the_bare_solve_is_wrong(p, precision, M, N):
     """The unguarded solve M^{-1} N reads integrality wrongly on these; the
-    guard on the largest elementary divisor refuses them."""
+    integer test refuses them, since v(det M) reaches the digits held."""
     ctx = PrimeContext(p, precision)
     rows = lambda text: [[int(x) for x in row.split(",")] for row in text.split(";")]
     truth = int_contains(rows(M), rows(N), p)

@@ -451,8 +451,12 @@ def test_one_diagonalization_per_certificate_and_group_report(monkeypatch):
     assert gr.qp_type == "sl2" and gr.index_p_self_similar
     dets = _counted(monkeypatch, Mat, "det")
     adjugates = _counted(monkeypatch, Mat, "adjugate")
+    int_dets = _counted(monkeypatch, normal_forms, "int_det")
+    int_adjugates = _counted(monkeypatch, normal_forms, "int_adjugate")
     assert is_morphism(ve)
-    assert (len(dets), len(adjugates)) == (1, 1)
+    # the law reads one integer det and adjugate of the domain's lift
+    assert (len(dets), len(adjugates)) == (0, 0)
+    assert (len(int_dets), len(int_adjugates)) == (1, 1)
 
 
 def test_one_diagonalization_per_report_command(monkeypatch, capsys):

@@ -48,6 +48,30 @@ def test_symbol_count_and_classes():
         assert by_class[0] == 1 + (p - 1) + p * (p - 1)
 
 
+def test_u_matrix_matches_the_nine_from_int_construction(monkeypatch):
+    """Every (val, unit, prec) of u_matrix equals that of the matrix built
+    from nine from_int calls, for every symbol at p = 3, 5 and 101, with
+    one from_int per symbol entry."""
+    for p in (3, 5, 101):
+        ctx = PrimeContext(p)
+        for xi in all_symbols(p):
+            t = xi.entries
+            rows = [[p, 0, 0], [0, 1, 0], [0, 0, 1]]
+            if len(t) == 1:
+                rows = [[1, 0, 0], [t[0], p, 0], [0, 0, 1]]
+            elif len(t) == 2:
+                rows = [[1, 0, 0], [0, 1, 0], [t[0], t[1], p]]
+            old = Mat.from_ints(ctx, rows)
+            calls = []
+            from_int = ctx.from_int
+            monkeypatch.setattr(ctx, "from_int", lambda n: calls.append(n) or from_int(n))
+            new = xi.u_matrix(ctx)
+            monkeypatch.undo()
+            assert len(calls) == len(t)
+            assert [(x.val, x.unit, x.prec) for row in new.data for x in row] == [
+                (x.val, x.unit, x.prec) for row in old.data for x in row]
+
+
 def test_symbols_are_distinct_index_p_sublattices():
     ctx = PrimeContext(3)
     mats = [xi.u_matrix(ctx) for xi in all_symbols(3)]
