@@ -31,8 +31,7 @@ from .lattice import (
     lcs_exponents,
     residually_nilpotent,
 )
-from .normal_forms import IntSpan, Mat, hnf_columns, lift
-from .padic_core import INF
+from .normal_forms import IntSpan, Mat, hnf_columns
 from .selfsim import decide_index_p, sigma_bounds
 
 
@@ -215,12 +214,12 @@ def normal_subgroup_sigma(alg, ideal):
     I, rank = hnf_columns(ideal)
     if rank < 3:
         raise InvalidParameters("ideal must be full rank (nonzero closed ideals are)")
-    if not is_ideal(alg.bracket, I):
+    if not is_ideal(alg.matrix, I):
         raise NotAnIdeal("submodule is not an ideal of the Sylow lattice")
     s = (0, 1, 1)
     # I is a Hermite form and each gamma term an exact p-power diagonal, so
     # the containment test reads both as exact
-    inside = IntSpan(I, lift(I)[0][0], INF)
+    inside = IntSpan(I, exact=True)
     level = 0
     while True:
         exps = lcs_exponents(s, level)

@@ -93,6 +93,20 @@ def compound(R):
     return [[R[i][a] * R[k][b] - R[i][b] * R[k][a] for a, b in pairs] for i, k in pairs]
 
 
+def compound_bounds(M):
+    """The error bound of each entry of compound(R), R the lift of the
+    integral Mat M: each of a minor's two products is known to within
+    p^(its factors' valuations + the lesser prec), PadicScalar's rule."""
+    pairs = PAIRS[M.nrows]
+
+    def term(x, y):
+        return x.val + y.val + min(x.prec, y.prec)
+
+    d = M.data
+    return [[min(term(d[i][a], d[k][b]), term(d[i][b], d[k][a])) for a, b in pairs]
+            for i, k in pairs]
+
+
 def ad_images(S, R):
     """The brackets [e_a, r] for every a and every column r of R, all in
     integers, as the columns of one matrix: [e_a, r] = sum_c S_c m_c with
@@ -106,19 +120,20 @@ def ad_images(S, R):
     return [list(row) for row in zip(*images)]
 
 
-def is_ideal(bracket, J):
-    """Whether the column span of the full-rank J is an ideal: [x, j] lies
-    in span J for every standard basis vector x and every column j of J.
+def is_ideal(S, J):
+    """Whether the column span of the full-rank J is an ideal of the
+    algebra with structure matrix S (PAIRS' columns, in J's dimension):
+    [x, j] lies in span J for every standard basis vector x and every
+    column j of J.
 
-    bracket maps two coordinate tuples to one, in any dimension PAIRS
-    lists; it is read only on basis pairs, and the n^2 brackets are formed
-    in integers from J's lift and go into one containment test.  A J that
-    is not integral lifts scaled by p^m, so its brackets carry p^2m and are
-    tested against p^m span J.
+    The n^2 brackets are formed in integers from the lifts of J and S and
+    go into one containment test.  J's lift is p^m J, so the brackets of
+    its columns are those of J scaled by p^m, and S's lift scales them by
+    p^(S's m): they are tested against p^(S's m) span p^m J.
     """
-    S = structure_matrix(bracket, J.ctx, J.nrows)
-    (R, RS), (t, u), _, m = lift(J, S)
-    return IntSpan(J, R, t).adj_solve(ad_images(RS, R), min(t, u), m) is not None
+    span = IntSpan(J)
+    RS, u, _, m = lift(S)
+    return span.adj_solve(ad_images(RS, span.R), min(span.t_R, u), m) is not None
 
 
 def index_exponent(U):
@@ -127,8 +142,8 @@ def index_exponent(U):
     Read off the integer det of U's lift by IntSpan, so its Degenerate and
     PrecisionLoss rules are the ones every lattice question follows.
     """
-    (R,), (t,), _, m = lift(U)
-    return IntSpan(U, R, t).delta - U.nrows * m
+    span = IntSpan(U)
+    return span.delta - U.nrows * span.m
 
 
 def saturating_scale(n, s):

@@ -358,45 +358,46 @@ def _index_p_hermite(span):
 # ---------------------------------------------------------------------------
 
 
-def lift(*mats):
-    """The entries of the Mats as integers: (the rows of each, the t of
-    each, the g of each, m).
+def lift(M):
+    """M's entries as integers: (the rows, t, g, m).
 
     A nonzero entry p^val u becomes p^(val + m) r, r the symmetric residue
-    of u mod p^prec, with one m = max(0, -least val) for all the Mats, so
-    that every lift is integral (m = 0 on integral Mats); the exact zero
-    becomes 0.  A Mat's t is the least val + m + prec over its nonzero
-    entries and g the least val + m, both INF when there is none: its lift
-    differs from p^m times any completion of the known digits by entries
-    of valuation >= t, and g is the least valuation in both.
+    of u mod p^prec, with m = max(0, -least val) so that the lift is
+    integral (m = 0 on an integral M); the exact zero becomes 0.  t is the
+    least val + m + prec over the nonzero entries and g the least val + m,
+    both INF when there is none: the lift differs from p^m times any
+    completion of M's known digits by entries of valuation >= t, and g is
+    the least valuation in both.
     """
-    ctx = mats[0].ctx
-    p, powers = ctx.p, ctx.p_powers
-    m = max(0, -min((x.val for M in mats for row in M.data for x in row), default=0))
-    rows, ts, gs = [], [], []
-    for M in mats:
-        t = g = INF
-        R = []
-        for row in M.data:
-            r = []
-            for x in row:
-                v = x.val
-                if v == INF:
-                    r.append(0)
-                    continue
-                q, u = powers[x.prec], x.unit
-                if u > q >> 1:  # the symmetric residue
-                    u -= q
-                r.append(u * p ** (v + m) if v + m else u)
-                if v < g:
-                    g = v
-                if v + x.prec < t:
-                    t = v + x.prec
-            R.append(r)
-        rows.append(R)
-        ts.append(t + m)
-        gs.append(g + m)
-    return rows, ts, gs, m
+    p = M.ctx.p
+    t = g = INF
+    R = []
+    for row in M.data:
+        r = []
+        for x in row:
+            v = x.val
+            if v == INF:
+                r.append(0)
+                continue
+            r.append(x._symmetric_unit() * p**v if v > 0 else x._symmetric_unit())
+            if v < g:
+                g = v
+            if v + x.prec < t:
+                t = v + x.prec
+        R.append(r)
+    m = 0
+    if g < 0:  # a non-integral M, lifted times p^m
+        m, t, g = -g, t - g, 0
+        R = [[0 if x.val == INF else x._symmetric_unit() * p ** (x.val + m) for x in row]
+             for row in M.data]
+    return R, t, g, m
+
+
+def holds_half_window(entries, ctx):
+    """Whether every nonzero entry holds at least half the window.  Then an
+    entry differs from its lift only by what PadicScalar.__add__ treats as
+    the exact zero, so a singular lift is Degenerate, not PrecisionLoss."""
+    return all(2 * x.prec >= ctx.precision for x in entries if x.val != INF)
 
 
 def int_det(R):
@@ -460,43 +461,104 @@ def product_bound(tx, gx, ty, gy):
     return min(tx + gy, gx + ty)
 
 
+def zero_below(n, p, t):
+    """n = 0 mod p^t; for t INF, n = 0."""
+    return n == 0 if t == INF else n % p**t == 0
+
+
+class Bounded:
+    """An integer n standing for every p-adic value within p^t of it.
+
+    A lifted entry p^val u has t = val + prec (INF for the exact zero).
+    Sums keep the least t, and a product's error has one factor's error
+    and the other's value, so its t is min(t_a + v_b, v_a + t_b), v =
+    min(v_p(n), t) the least valuation of a value it stands for.  That is
+    PadicScalar's precision rule without the window: int_det, int_adjugate,
+    int_mul and lattice.compound run on Bounded entries unchanged and give
+    every entry of the result its own error bound.
+    """
+
+    __slots__ = ("n", "t", "p", "_v")
+
+    def __init__(self, n, t, p, v=None):
+        self.n, self.t, self.p, self._v = n, t, p, v
+
+    @property
+    def v(self):
+        if self._v is None:
+            self._v = min(p_valuation(self.n, self.p), self.t) if self.n else self.t
+        return self._v
+
+    def __add__(self, other):
+        return Bounded(self.n + other.n, min(self.t, other.t), self.p)
+
+    def __radd__(self, other):
+        """0 + self, the first step of sum()."""
+        return self
+
+    def __neg__(self):
+        return Bounded(-self.n, self.t, self.p, self._v)
+
+    def __sub__(self, other):
+        return Bounded(self.n - other.n, min(self.t, other.t), self.p)
+
+    def __mul__(self, other):
+        return Bounded(self.n * other.n, product_bound(self.t, self.v, other.t, other.v), self.p)
+
+    def refuted(self):
+        """Whether no value it stands for is 0."""
+        return not zero_below(self.n, self.p, self.t)
+
+
+def bounded_lift(M):
+    """lift(M) entry by entry: the rows of Bounded, each entry its own t."""
+    R, _, _, m = lift(M)
+    p = M.ctx.p
+    return [[Bounded(n, x.val + m + x.prec, p, x.val + m) for n, x in zip(r, row)]
+            for r, row in zip(R, M.data)]
+
+
 class IntSpan:
     """The column span of a square, full-rank M, from its lift R in integers.
 
-    t bounds R's error (lift's t; INF for a Mat known to be exact, as
-    hnf_columns' forms are).  delta = v(det R), the index exponent.  adj
-    and det are R's adjugate and det divided by p^g, g the least valuation
-    in adj(R), so that R adj = det I still holds and e = v(det) is the
-    largest elementary divisor of R.  self.t bounds their error.
+    t_R bounds R's error (lift's t; INF when exact, for a Mat known to be
+    exact, as hnf_columns' forms are) and g_R is R's least valuation.
+    delta = v(det R), the index exponent of p^m M.  adj and det are R's
+    adjugate and det divided by p^g, g the least valuation in adj(R), so
+    that R adj = det I still holds and e = v(det) is the largest
+    elementary divisor of R.  self.t bounds their error.
 
     Raises Degenerate when det R is 0 and every entry of M holds at least
-    half the window, the congruent read-off's rule, and PrecisionLoss when
-    det R is 0 otherwise, or when g or delta reach the valuation the lift's
-    error can give them: then not every completion of M's known digits has
-    this delta and g.  The error bounds: every entry of R has valuation
-    >= g1 (the lift's g, when the caller passes it) and error >= t, so an
-    entry of a 3 x 3 adjugate, a 2 x 2 minor, has error >= t + g1, and
-    det R, the sum of R_0j adj_j0, has error >= min(t + g, g1 + that).
+    half the window (holds_half_window, the congruent read-off's rule), and
+    PrecisionLoss when det R is 0 otherwise, or when g or delta reach the
+    valuation the lift's error can give them: then not every completion of
+    M's known digits has this delta and g.  The error bounds: every entry
+    of R has valuation >= g_R and error >= t_R, so an entry of a 3 x 3
+    adjugate, a 2 x 2 minor, has error >= t_R + g_R, and det R, the sum of
+    R_0j adj_j0, has error >= min(t_R + g, g_R + that).
     """
 
-    __slots__ = ("p", "delta", "det", "adj", "e", "t")
+    __slots__ = ("p", "R", "m", "t_R", "g_R", "delta", "det", "adj", "e", "t")
 
-    def __init__(self, M, R, t, g1=None):
-        ctx = M.ctx
-        p = ctx.p
+    def __init__(self, M, exact=False):
+        R, t, g1, m = lift(M)
+        if exact:
+            t = INF
+        p = M.ctx.p
         d = int_det(R)
         if d == 0:
-            if all(2 * x.prec >= ctx.precision for row in M.data for x in row if x.val != INF):
+            if holds_half_window((x for row in M.data for x in row), M.ctx):
                 raise Degenerate("matrix is singular")
             raise PrecisionLoss(f"the determinant cancelled to zero within {t} digits")
-        g1 = least_valuation(R, t, p) if g1 is None else min(g1, t)
+        g1 = min(g1, t)
         t_adj = t + g1 if len(R) == 3 else t  # a 2 x 2 adjugate holds entries of R
         adj = int_adjugate(R)
         g = least_valuation(adj, INF, p)
         delta = p_valuation(d, p)
         if g >= t_adj or delta >= min(t + g, g1 + t_adj):
             raise PrecisionLoss(f"determinant valuation {delta} not decided by the digits held")
-        self.p, self.delta, self.e, self.t = p, delta, delta - g, min(t_adj - g, t)
+        self.p, self.R, self.m, self.t_R, self.g_R = p, R, m, t, g1
+        self.delta, self.e, self.t = delta, delta - g, min(t_adj - g, t)
         if g:
             q = p**g
             d //= q
@@ -510,14 +572,15 @@ class IntSpan:
 
     def adj_solve(self, N, t=INF, shift=0):
         """adj N, which is det M^{-1} N, when every column of the integer
-        matrix N lies in p^shift span M, else None: the one containment
+        matrix N lies in p^shift span R, else None: the one containment
         test.  N holds its values to within p^t.
 
-        The columns lie there iff adj N = 0 mod p^(e + shift).  Below the
-        error bound of adj N every completion of M and N gives the same
-        answer, and PrecisionLoss is raised otherwise.
+        The columns lie there iff adj N = 0 mod p^(e + shift), always when
+        e + shift <= 0, N being integral.  Below the error bound of adj N
+        every completion of M and N gives the same answer, and
+        PrecisionLoss is raised otherwise.
         """
-        e = self.e + shift
+        e = max(0, self.e + shift)
         bound = self.error(N, t)
         if e >= bound:
             raise PrecisionLoss(f"containment mod p^{e} needs more than {bound} digits")
@@ -525,11 +588,16 @@ class IntSpan:
         q = self.p**e
         return None if any(x % q for row in X for x in row) else X
 
+    def contains(self, N):
+        """Whether the column span of the Mat N lies in span M: N's lift,
+        scaled by p^m_N, against p^(m_N - m) span R."""
+        S, u, _, m = lift(N)
+        return self.adj_solve(S, u, m - self.m) is not None
+
 
 def lattice_contains(M, N):
     """Column span of the full-rank M contains column span of N."""
-    (R, S), (t, u), _, _ = lift(M, N)
-    return IntSpan(M, R, t).adj_solve(S, u) is not None
+    return IntSpan(M).contains(N)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +761,7 @@ def _congruent_read_off(A):
         raise Degenerate("matrix is degenerate")
     m = max(0, -min(x.val for x in held))
     t = min(x.val + x.prec for x in held)
-    exact = 2 * min(x.prec for x in held) >= ctx.precision
+    exact = holds_half_window(held, ctx)
     B = [[0] * n for _ in range(n)]
     w = [[INF] * n for _ in range(n)]  # w[i][j] = v(B[i][j]), for the block's entries
     for i in range(n):
@@ -740,13 +808,7 @@ def _congruent_read_off(A):
             bi, row, wi = b[i], B[i], w[i]
             for j in range(i, n):
                 x = row[j] = B[j][i] = d * row[j] - bi * b[j]
-                e = INF
-                if x:
-                    e = 0
-                    while x % p == 0:
-                        x //= p
-                        e += 1
-                wi[j] = w[j][i] = e
+                wi[j] = w[j][i] = p_valuation(x, p) if x else INF
         s.append(v - vc - 2 * m)
         cc = (legendre_class(d // p**v, p) + cc) % 2
         chi.append(cc)

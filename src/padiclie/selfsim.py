@@ -31,6 +31,7 @@ bound is conjectured infinite: the sentinel is never a number.
 """
 
 import functools
+import operator
 
 from .classify import canonical_form
 from .errors import (
@@ -42,7 +43,14 @@ from .errors import (
     PreconditionViolated,
     Record,
 )
-from .lattice import compound, index_exponent, induced_algebra, is_ideal, structure_matrix
+from .lattice import (
+    compound,
+    compound_bounds,
+    index_exponent,
+    induced_algebra,
+    is_ideal,
+    structure_matrix,
+)
 from .normal_forms import (
     IntSpan,
     Mat,
@@ -50,13 +58,17 @@ from .normal_forms import (
     _index_p_hermite,
     _replay,
     _smith_elimination,
+    bounded_lift,
     cassels_move,
     congruent_diagonalize,
     hnf_columns,
+    int_adjugate,
+    int_det,
     int_mul,
     least_valuation,
     lift,
     product_bound,
+    zero_below,
 )
 from .padic_core import INF
 from .subalgebras import (
@@ -97,9 +109,8 @@ class VirtualEndomorphism(Record):
     __slots__ = ("ambient", "domain", "phi")
 
     def __init__(self, ambient, domain, phi):
-        (R,), (t,), (g,), _ = lift(domain)
         try:
-            IntSpan(domain, R, t, g)  # the rank, read off the integer det of the lift
+            IntSpan(domain)  # the rank, read off the integer det of the lift
         except Degenerate:
             raise Degenerate("domain must have full rank") from None
         if not domain.is_integral() or not phi.is_integral():
@@ -121,42 +132,64 @@ def is_morphism(ve):
 
 def _bracket_law(S, domain, phi):
     """is_morphism for a structure matrix S (lattice.PAIRS), domain and phi
-    of any size, in integers.
+    of any size, all integral, in integers.
 
     The brackets of the column pairs of U = domain are B = S compound(U)
     (in dimension 3, A cof(U)), and the domain is closed iff they lie in
     span U: the containment test, which also gives X = adj B = det U^{-1} B
     (IntSpan's adj and det).  The law, phi applied to the coordinates
     U^{-1} B equal to the brackets S compound(F) of phi's columns F, then
-    reads F X = det S compound(F).  Each side is compared mod the least
-    error bound of the two, carried through every product from the lifts'
-    t and the least valuations of the factors (a minor of a matrix known
-    to within p^t, of least valuation g, is known to within p^(t + g)).
+    reads F X = det S compound(F), and it fails iff some entry of the
+    difference is nonzero below that entry's own error bound.
+
+    Every entry has its own bound, carried through each sum and product
+    from the digits its inputs hold, as PadicScalar carries them
+    (_law_by_entries), so a digit that phi holds in one entry is read
+    there.  A cheap bound settles the usual case first.  A sum's bound is
+    at most each term's, and a product's at most one factor's valuation
+    plus the other's bound, so entry (i, j) of the difference has a bound
+    of at most v(det) + v(S_ic) + t(compound(F)_cj) for every c
+    (lattice.compound_bounds).  An entry divisible by p to the least of
+    these is divisible by p to its own bound, and so is not refuted.
     """
-    (RS, U, F), (t_s, t_u, t_f), (g_s, g_u, g_f), _ = lift(S, domain, phi)
-    span = IntSpan(domain, U, t_u, g_u)
-    p = span.p
+    span = IntSpan(domain)
+    p, U = span.p, span.R
+    RS, t_s, g_s, _ = lift(S)
     C = compound(U)
     B = int_mul(RS, C)
-    t_b = product_bound(t_s, g_s, t_u + g_u, least_valuation(C, t_u + g_u, p))
+    t_c = span.t_R + span.g_R  # a minor of U
+    t_b = product_bound(t_s, g_s, t_c, least_valuation(C, t_c, p))
     X = span.adj_solve(B, t_b)
     if X is None:
         raise NotSubalgebra("domain of a virtual endomorphism must be a subalgebra")
-    t_x = span.error(B, t_b)
-    lhs_t = product_bound(t_f, g_f, t_x, least_valuation(X, t_x, p))
-    C = compound(F)
-    rhs = int_mul(RS, C)
-    t_r = product_bound(t_s, g_s, t_f + g_f, least_valuation(C, t_f + g_f, p))
-    rhs_t = product_bound(span.t, span.e, t_r, least_valuation(rhs, t_r, p))
-    q = p ** min(lhs_t, rhs_t)
     d = span.det
-    return all((x - d * y) % q == 0
-               for lrow, rrow in zip(int_mul(F, X), rhs) for x, y in zip(lrow, rrow))
+    F = lift(phi)[0]
+    diff = [[x - d * y for x, y in zip(lrow, rrow)]
+            for lrow, rrow in zip(int_mul(F, X), int_mul(RS, compound(F)))]
+    if any(map(any, diff)):
+        cols = list(zip(*compound_bounds(phi)))
+        for drow, srow in zip(diff, S.data):
+            vs = [s.val for s in srow]
+            for x, col in zip(drow, cols):
+                if x and not zero_below(x, p, span.e + min(map(operator.add, vs, col))):
+                    return _law_by_entries(S, domain, phi)
+    return True
+
+
+def _law_by_entries(S, domain, phi):
+    """_bracket_law's decision, each entry of F adj(U) S compound(U) -
+    det(U) S compound(F) against its own error bound (Bounded)."""
+    RS, U, F = (bounded_lift(M) for M in (S, domain, phi))
+    X = int_mul(int_adjugate(U), int_mul(RS, compound(U)))
+    d = int_det(U)
+    return not any((x - d * y).refuted()
+                   for lrow, rrow in zip(int_mul(F, X), int_mul(RS, compound(F)))
+                   for x, y in zip(lrow, rrow))
 
 
 def _invariance(domain, phi):
     """The test "D lies in the domain and phi(D) in D" for a Hermite form D
-    of hnf_columns, in integers.
+    of hnf_columns, in integers; domain and phi integral.
 
     With X = adj(domain) D (IntSpan's reduced adjugate, which also decides
     D in the domain), phi maps the domain coordinates of D into span D iff
@@ -165,13 +198,13 @@ def _invariance(domain, phi):
     Hermite form of the lattice itself, so F X has the error bound of F and
     of the domain's adj.
     """
-    (U, F), (t_u, t_f), _, _ = lift(domain, phi)
-    inside = IntSpan(domain, U, t_u)
+    inside = IntSpan(domain)
+    F, t_f, _, _ = lift(phi)
 
     def invariant(D):
-        (R,), _, _, _ = lift(D)
-        X = inside.adj_solve(R)
-        return X is not None and IntSpan(D, R, INF).adj_solve(
+        span = IntSpan(D, exact=True)
+        X = inside.adj_solve(span.R)
+        return X is not None and span.adj_solve(
             int_mul(F, X), min(t_f, inside.t), inside.e) is not None
 
     return invariant
@@ -259,11 +292,12 @@ def invariant_ideal_search(ve, bound):
         raise InvalidParameters(f"search bound must be <= {DEPTH_BOUND}")
     induced_algebra(ve.ambient, ve.domain)  # NotSubalgebra when the domain is open
     d_bound = domain_chain(ve, bound)[-1]
-    return _invariant_ideal(ve.ambient.bracket, ve.domain, ve.phi, d_bound, bound)
+    return _invariant_ideal(ve.ambient.matrix, ve.domain, ve.phi, d_bound, bound)
 
 
-def _invariant_ideal(bracket, domain, phi, d_bound, bound):
-    """invariant_ideal_search given D_bound, for a bracket, domain and phi of any size."""
+def _invariant_ideal(S, domain, phi, d_bound, bound):
+    """invariant_ideal_search given D_bound, for a structure matrix S
+    (lattice.PAIRS), domain and phi of any size."""
     v_bound = sum(x.valuation() for x in d_bound.diagonal_entries())
     if v_bound > bound:
         return None
@@ -271,7 +305,7 @@ def _invariant_ideal(bracket, domain, phi, d_bound, bound):
     for rel in range(max(0, 1 - v_bound), bound - v_bound + 1):
         for H in enumerate_sublattices(domain.ctx, rel, domain.nrows):
             J = hnf_columns(d_bound * H)[0]
-            if is_ideal(bracket, J) and invariant(J):
+            if is_ideal(S, J) and invariant(J):
                 return J
     return None
 
@@ -541,8 +575,8 @@ def lowdim_report(ctx, dim, k, s=None):
     else:
         phi = Mat.from_ints(ctx, [[1, 0], [0, 1]])
     d_inf = Mat.from_ints(ctx, [[0, 0], [0, 0 if s == INF else 1]])
-    bracket = functools.partial(_dim2_bracket, ctx, s)
-    ok = _bracket_law(structure_matrix(bracket, ctx, 2), domain, phi)
+    S = structure_matrix(functools.partial(_dim2_bracket, ctx, s), ctx, 2)
+    ok = _bracket_law(S, domain, phi)
     d_bound = _domain_chain(domain, phi, LOWDIM_BOUND)[-1]
-    invariant = _invariant_ideal(bracket, domain, phi, d_bound, LOWDIM_BOUND)
+    invariant = _invariant_ideal(S, domain, phi, d_bound, LOWDIM_BOUND)
     return LowDimReport(2, s, k, domain, phi, ok, d_inf, invariant is not None)

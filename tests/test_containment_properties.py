@@ -119,7 +119,7 @@ def test_the_law_answers_its_exact_value_at_every_precision(case):
         ctx = PrimeContext(p, precision)
         answers.append(_outcome(selfsim._bracket_law, *(Mat.from_ints(ctx, X) for X in (A, U, F))))
     for answer in answers:
-        assert answer in (truth, PrecisionLoss) or (truth, answer) == (False, True)
+        assert answer in (truth, PrecisionLoss)
     for low, high in zip(answers, answers[1:]):
         assert low in (PrecisionLoss, True) or high == low
         assert low is not True or high in (True, truth)

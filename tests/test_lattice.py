@@ -233,7 +233,7 @@ def test_is_ideal_against_integer_membership():
                 cols = [[rows[i][j] for i in range(3)] for j in range(3)]
                 member = span_membership(cols, p, k)
                 expect = all(member(bracket_direct(A, x, c)) for x in e for c in cols)
-                assert is_ideal(alg.bracket, Mat.from_ints(ctx, rows)) == expect
+                assert is_ideal(alg.matrix, Mat.from_ints(ctx, rows)) == expect
                 found += expect
         assert 0 < found < 1354
 
@@ -260,7 +260,7 @@ def test_is_ideal_against_integer_oracle():
                 images = [bracket_direct(A, x, c) for x in e for c in cols]
                 expect = int_contains(J, [list(r) for r in zip(*images)], p)
                 try:
-                    got = is_ideal(Algebra(Mat.from_ints(ctx, A)).bracket, Mat.from_ints(ctx, J))
+                    got = is_ideal(Mat.from_ints(ctx, A), Mat.from_ints(ctx, J))
                 except (PrecisionLoss, Degenerate):
                     continue
                 assert got == expect, (p, precision, A, J)
@@ -281,7 +281,7 @@ def test_is_ideal_takes_one_det_and_adjugate(monkeypatch):
             owner, name, lambda *a, orig=orig, seen=calls[name]: seen.append(a) or orig(*a)
         )
     # pL is an ideal, so every one of the nine brackets is tested
-    assert is_ideal(alg.bracket, Mat.identity(ctx, 3).shift(1))
+    assert is_ideal(alg.matrix, Mat.identity(ctx, 3).shift(1))
     assert {name: len(seen) for name, seen in calls.items()} == {
         "det": 0, "adjugate": 0, "int_det": 1, "int_adjugate": 1}
 

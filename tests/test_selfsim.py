@@ -361,10 +361,11 @@ def test_invariant_ideal_search_agrees_with_brute_force_in_dimension_two():
             )
             for s in (INF, 0, 1, 2):
                 bracket = functools.partial(selfsim._dim2_bracket, ctx, s)
+                S = lattice.structure_matrix(bracket, ctx, 2)
                 for phi in maps:
                     D, P = Mat.from_ints(ctx, domain), Mat.from_ints(ctx, phi)
                     d_bound = selfsim._domain_chain(D, P, 4)[-1]
-                    found = selfsim._invariant_ideal(bracket, D, P, d_bound, 4) is not None
+                    found = selfsim._invariant_ideal(S, D, P, d_bound, 4) is not None
                     want = invariant_ideal_exists_dim2(p, None if s == INF else s, domain, phi, 4)
                     assert found == want, (p, k, s, phi)
                     answers.add(found)
