@@ -20,7 +20,7 @@ import sys
 from . import catalog, classify, selfsim, subalgebras
 from .errors import Degenerate, InvalidInput, PadicLieError, PrecisionLoss, UnsupportedPrime
 from .lattice import Algebra, lcs_exponents
-from .normal_forms import Mat, congruent_valuations, parse_matrix
+from .normal_forms import Mat, congruent_valuations, int_det, int_mul, parse_matrix
 from .padic_core import INF, PrimeContext
 
 
@@ -257,8 +257,7 @@ def cmd_selftest(args):
         V = _random_unimodular(rng, ctx)
         u = rng.randrange(1, ctx.p)
         # B = u V^T A V, in integers
-        AV = [[sum(a * v for a, v in zip(row, col)) for col in zip(*V)] for row in rows]
-        B = [[u * sum(v * x for v, x in zip(vi, col)) for col in zip(*AV)] for vi in zip(*V)]
+        B = [[u * x for x in row] for row in int_mul(list(zip(*V)), int_mul(rows, V))]
         if classify.canonical_form(Algebra(A)) == classify.canonical_form(
             Algebra(Mat.from_ints(ctx, B))
         ):
@@ -297,8 +296,7 @@ def _random_unimodular(rng, ctx):
     p = ctx.p
     while True:
         rows = [[rng.randrange(-p * p, p * p) for _ in range(3)] for _ in range(3)]
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        if (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p:
+        if int_det(rows) % p:
             return rows
 
 

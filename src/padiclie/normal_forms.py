@@ -15,7 +15,8 @@ power of p.  The three workhorses here are
                    integers; the Jordan data every classification reads,
 * congruent_diagonalize -- the diagonalization itself under the congruence
                    action V^T A V in the precision window, valuations sorted
-                   ascending, for the callers that consume D and V.
+                   ascending, for the callers that consume D and V: the
+                   read-off's pivot plan replayed on the scalars.
 
 Each Mat keeps the first success of both, an immutable value that later
 calls share, and never a failure.
@@ -164,36 +165,11 @@ class Mat:
 
     def det(self):
         """Closed-form determinant; 2x2 and 3x3 only."""
-        if self.nrows != self.ncols:
-            raise InvalidParameters("determinant of a non-square matrix")
-        if self.nrows == 3:
-            (a, b, c), (d, e, f), (g, h, i) = self.data
-            # cofactor expansion along the first row, with the operand order
-            # of a Laplace expansion (tests/oracles.py laplace_det), so every
-            # scalar and every PrecisionLoss matches it exactly
-            return a * (e * i - f * h) + -(b * (d * i - f * g)) + c * (d * h - e * g)
-        if self.nrows != 2:
-            raise InvalidParameters("determinant of a matrix other than 2x2 or 3x3")
-        (a, b), (c, d) = self.data
-        return a * d - b * c
+        return int_det(self.data)
 
     def adjugate(self):
         """Classical adjugate, self * adjugate = det * identity; 2x2 and 3x3 only."""
-        if self.nrows != self.ncols or self.nrows not in (2, 3):
-            raise InvalidParameters("adjugate of a matrix other than 2x2 or 3x3")
-        if self.nrows == 3:
-            (a, b, c), (d, e, f), (g, h, i) = self.data
-            # transposed cofactors, each a 2x2 minor taken in row order
-            return Mat(
-                self.ctx,
-                [
-                    [e * i - f * h, -(b * i - c * h), b * f - c * e],
-                    [-(d * i - f * g), a * i - c * g, -(a * f - c * d)],
-                    [d * h - e * g, -(a * h - b * g), a * e - b * d],
-                ],
-            )
-        (a, b), (c, d) = self.data
-        return Mat(self.ctx, [[d, -b], [-c, a]])
+        return Mat(self.ctx, int_adjugate(self.data))
 
     def is_symmetric(self):
         return all(
@@ -401,7 +377,13 @@ def holds_half_window(entries, ctx):
 
 
 def int_det(R):
-    """Closed-form determinant of a 2x2 or 3x3 integer matrix, Mat.det's terms."""
+    """Closed-form determinant of a 2x2 or 3x3 matrix of integers or of
+    PadicScalar (Mat.det).
+
+    Cofactor expansion along the first row, with the operand order of a
+    Laplace expansion (tests/oracles.py laplace_det), so that on scalars
+    every value and every PrecisionLoss matches it exactly.
+    """
     n = len(R)
     if any(len(row) != n for row in R):
         raise InvalidParameters("determinant of a non-square matrix")
@@ -415,8 +397,13 @@ def int_det(R):
 
 
 def int_adjugate(R):
-    """Classical adjugate of a 2x2 or 3x3 integer matrix, R adj(R) = det(R) I."""
-    if len(R) == 3:
+    """Classical adjugate of a 2x2 or 3x3 matrix of integers or of
+    PadicScalar (Mat.adjugate), R adj(R) = det(R) I: the transposed
+    cofactors, each a 2x2 minor taken in row order."""
+    n = len(R)
+    if n not in (2, 3) or any(len(row) != n for row in R):
+        raise InvalidParameters("adjugate of a matrix other than 2x2 or 3x3")
+    if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = R
         return [
             [e * i - f * h, c * h - b * i, b * f - c * e],
@@ -717,37 +704,43 @@ def congruent_valuations(A):
     every entry holds at least half the window; and PrecisionLoss naming
     the least valuation the window or the entries' digits cannot decide.
 
-    The first success is kept on the object A and returned by every later
-    call; an error is not kept, and is raised again on every call.
+    The first success is kept on the object A, with the pivot plan that
+    congruent_diagonalize replays, and returned by every later call; an
+    error is not kept, and is raised again on every call.
     """
     if A._valuations is None:
         A._valuations = _congruent_read_off(A)
-    return A._valuations
+    return A._valuations[0]
 
 
 def _congruent_read_off(A):
     """congruent_valuations without the memo: one integer elimination.
+    Returns ((s, chi), plan).
 
-    Lift: each nonzero entry p^val u becomes the integer p^val r, r the
-    symmetric residue of u mod p^prec, scaled by p^(2m), m = max(0, -min
-    val), so that every entry is integral; a scale by a square moves each
-    s by 2m and no chi.  The lift differs from A by entries of valuation at
-    least t, the least val + prec over the nonzero entries.
+    Lift: lift(A), the entries p^val u as integers p^(val + m) r, r the
+    symmetric residue of u mod p^prec, m = max(0, -min val), so that every
+    entry is integral; a scale by the pure power p^m moves each s by m and
+    no chi.  The lift differs from p^m A by entries of valuation at least
+    t + m, t the least val + prec over the nonzero entries.
 
-    Elimination: _congruent_elimination's pivot rule, fraction-free.  Step
-    k holds B_k = c_k S_k, S_k the exact Schur complement and c_0 = 1;
-    with pivot d_k, B_k+1 = d_k B_k' - b b^T is c_k+1 S_k+1 for c_k+1 =
-    d_k c_k, so the diagonal entry d_k / c_k has s_k = v(d_k) - v(c_k) - 2m
-    and chi_k = class(unit(d_k) unit(c_k)); of c_k only its valuation and
-    class are kept.  Each pivot has the least valuation of its block, so
-    s ascends.  A zero block means the lift is singular.  That is
-    Degenerate when every entry holds at least half the window, so that A
-    differs from its lift only by what PadicScalar.__add__ treats as the
-    exact zero, and PrecisionLoss otherwise.
+    Elimination, fraction-free: step k holds B_k = c_k S_k, S_k the exact
+    Schur complement and c_0 = 1; with pivot d_k, B_k+1 = d_k B_k' - b b^T
+    is c_k+1 S_k+1 for c_k+1 = d_k c_k, so the diagonal entry d_k / c_k
+    has s_k = v(d_k) - v(c_k) - m and chi_k = class(unit(d_k) unit(c_k));
+    of c_k only its valuation and class are kept.  The pivot rule, the one
+    congruent_diagonalize replays: the first diagonal entry of least
+    valuation, unless an off-diagonal one, first in row order, has a
+    smaller valuation; then that entry's (i, j) surfaces the diagonal pivot
+    i by col_i += col_j, row_i += row_j.  plan holds (i, j) for each step,
+    j None where nothing surfaced.  Each pivot has the least valuation of
+    its block, so s ascends.  A zero block means the lift is singular.
+    That is Degenerate when every entry holds at least half the window, so
+    that A differs from its lift only by what PadicScalar.__add__ treats as
+    the exact zero, and PrecisionLoss otherwise.
 
     Guards: each s_k, ascending, passes guard_decidable, and then must stay
     below t.  Below t the answer is A's own: moved to a congruent diagonal
-    by an integral unimodular V, the lift's error keeps valuation >= t
+    by an integral unimodular V, the lift's error keeps valuation >= t + m
     through every step, and changes no pivot's valuation or class.
     """
     ctx = A.ctx
@@ -755,49 +748,42 @@ def _congruent_read_off(A):
         raise InvalidParameters("congruence requires a square matrix")
     if not A.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
-    n, p, data = A.nrows, ctx.p, A.data
-    held = [x for i, row in enumerate(data) for x in row[i:] if x.val != INF]
-    if not held:
+    R, t, g, m = lift(A)
+    if g == INF:
         raise Degenerate("matrix is degenerate")
-    m = max(0, -min(x.val for x in held))
-    t = min(x.val + x.prec for x in held)
-    exact = holds_half_window(held, ctx)
-    B = [[0] * n for _ in range(n)]
-    w = [[INF] * n for _ in range(n)]  # w[i][j] = v(B[i][j]), for the block's entries
-    for i in range(n):
-        for j in range(i, n):
-            x = data[i][j]
-            if x.val != INF:
-                e = x.val + 2 * m
-                B[i][j] = B[j][i] = x._symmetric_unit() * p**e
-                w[i][j] = w[j][i] = e
-    s, chi = [], []
+    t -= m  # on A's own scale, as s is
+    n, p, data = A.nrows, ctx.p, A.data
+    exact = holds_half_window((x for row in data for x in row), ctx)
+    # the upper triangle, mirrored: mirrored entries may hold different digits
+    B = [[R[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    # w[i][j] = v(B[i][j]), for the block's entries; mirrored entries share val
+    w = [[x.val + m for x in row] for row in data]
+    s, chi, plan = [], [], []
     vc = cc = 0  # the valuation and unit square class of c_k
     for k in range(n):
-        # the first diagonal entry of least valuation, unless an
-        # off-diagonal one, first in row order, has a smaller valuation
         piv, v = k, w[k][k]
         for i in range(k + 1, n):
             if w[i][i] < v:
                 piv, v = i, w[i][i]
-        oi = oj = None
+        oi = oj = partner = None
         ov = INF
         for i in range(k, n):
             for j in range(i + 1, n):
                 if w[i][j] < ov:
                     oi, oj, ov = i, j, w[i][j]
         if ov < v:
-            # surface a diagonal pivot: col_i += col_j, then row_i += row_j;
-            # 2 is a unit, so the new (i, i) entry has valuation ov
+            # surface a diagonal pivot; 2 is a unit, so the new (i, i)
+            # entry has valuation ov
             for r in range(k, n):
                 B[r][oi] += B[r][oj]
             for r in range(k, n):
                 B[oi][r] += B[oj][r]
-            piv, v = oi, ov
+            piv, v, partner = oi, ov, oj
         elif v == INF:
             if exact:
                 raise Degenerate("matrix is degenerate")
             raise PrecisionLoss(f"a block cancelled to zero within the {t} digits of the entries")
+        plan.append((piv, partner))
         B[k], B[piv] = B[piv], B[k]
         for r in range(k, n):
             row = B[r]
@@ -809,7 +795,7 @@ def _congruent_read_off(A):
             for j in range(i, n):
                 x = row[j] = B[j][i] = d * row[j] - bi * b[j]
                 wi[j] = w[j][i] = p_valuation(x, p) if x else INF
-        s.append(v - vc - 2 * m)
+        s.append(v - vc - m)
         cc = (legendre_class(d // p**v, p) + cc) % 2
         chi.append(cc)
         vc += v
@@ -817,7 +803,7 @@ def _congruent_read_off(A):
         ctx.guard_decidable(v)
         if v >= t:
             raise PrecisionLoss(f"valuation {v} not below {t}, the digits the entries carry")
-    return tuple(s), tuple(chi)
+    return (tuple(s), tuple(chi)), tuple(plan)
 
 
 def congruent_diagonalize(A):
@@ -825,7 +811,8 @@ def congruent_diagonalize(A):
 
     Returns (D, V) with D = V^T A V diagonal, V unimodular, and diagonal
     valuations sorted ascending.  Works over Q_p: entries may carry
-    negative valuations.  Raises NotSymmetric / Degenerate.
+    negative valuations.  Raises congruent_valuations' errors, and
+    PrecisionLoss where a sum in the window cancels through its digits.
 
     The first success is kept on the object A, and every later call on A
     returns that same pair, immutable and so safe to share; an error is
@@ -837,28 +824,22 @@ def congruent_diagonalize(A):
 
 
 def _congruent_elimination(A):
-    """congruent_diagonalize without the memo: the symmetric elimination.
+    """congruent_diagonalize without the memo: the read-off's pivot plan
+    replayed in the window.
 
-    Step k works on the trailing block, rows and columns >= k: above it,
-    every off-diagonal entry is the exact zero, and x + q * 0 is x itself,
-    so each kept scalar is the one a full-matrix elimination computes, and
-    terms with an exact-zero factor are skipped as Mat.__mul__ skips them.
-    Clearing B[k][j] stores the exact zero in B[k][j] and B[j][k]: e - (e/d) d
-    is that zero or a PrecisionLoss, never anything else.
-
-    det(A) is taken only when the elimination raises PrecisionLoss, and an
-    exact-zero det turns the failure into Degenerate.  A success needs no
-    det: its pivots are nonzero and guarded, and V is unimodular.
+    congruent_valuations decides every pivot, and raises its errors, on
+    the integer lift; here each step k surfaces and swaps in the pivot it
+    chose and clears row and column k.  Step k works on the trailing
+    block, rows and columns >= k: above it, every off-diagonal entry is
+    the exact zero, and x + q * 0 is x itself, so each kept scalar is the
+    one a full-matrix elimination computes, and terms with an exact-zero
+    factor are skipped as Mat.__mul__ skips them.  Clearing B[k][j] stores
+    the exact zero in B[k][j] and B[j][k]: e - (e/d) d is that zero or a
+    PrecisionLoss, never anything else.
     """
+    congruent_valuations(A)  # raises its errors, or keeps the plan on A
     ctx = A.ctx
-    if A.nrows != A.ncols:
-        raise InvalidParameters("congruence requires a square matrix")
-    if not A.is_symmetric():
-        raise NotSymmetric("matrix is not symmetric")
     n = A.nrows
-    if n not in (2, 3):
-        # the sizes Mat.det takes, which a failure needs
-        raise InvalidParameters("determinant of a matrix other than 2x2 or 3x3")
     zero = ctx.zero()
     B = [list(row) for row in A.data]
     V = [list(row) for row in Mat.identity(ctx, n).data]
@@ -887,50 +868,21 @@ def _congruent_elimination(A):
         for r in range(n):
             V[r][k], V[r][j] = V[r][j], V[r][k]
 
-    try:
-        for k in range(n):
-            diag_best = None
-            for i in range(k, n):
-                v = B[i][i].valuation()
-                if v != INF and (diag_best is None or v < B[diag_best][diag_best].valuation()):
-                    diag_best = i
-            off_best = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    v = B[i][j].valuation()
-                    if v != INF and (
-                        off_best is None or v < B[off_best[0]][off_best[1]].valuation()
-                    ):
-                        off_best = (i, j)
-            if diag_best is not None and (
-                off_best is None
-                or B[diag_best][diag_best].valuation() <= B[off_best[0]][off_best[1]].valuation()
-            ):
-                piv = diag_best
-            elif off_best is None:
-                # the block cancelled to zero: degenerate, or the window ran out
-                raise PrecisionLoss("cancellation exhausted the precision window")
-            else:
-                # surface a diagonal pivot: 2 is a unit, so the new (i,i) entry
-                # B_ii + 2 B_ij + B_jj has the minimal valuation
-                i, j = off_best
-                add_col_to(i, j, ctx.one(), k)
-                piv = i
-            ctx.guard_decidable(B[piv][piv].valuation())
-            swap(k, piv)
-            d = B[k][k]
-            for j in range(k + 1, n):
-                e = B[k][j]
-                if e.is_zero():
-                    continue
-                # B[j][k] keeps its value for the column op's (j, j) term
-                B[k][j] = zero
-                add_col_to(j, k, -(e / d), k + 1)
-                B[j][k] = zero
-    except PrecisionLoss:
-        if A.det().is_zero():
-            raise Degenerate("matrix is degenerate") from None
-        raise
+    for k, (piv, partner) in enumerate(A._valuations[1]):
+        if partner is not None:
+            # surface the diagonal pivot: 2 is a unit, so the new (i,i)
+            # entry B_ii + 2 B_ij + B_jj has the minimal valuation
+            add_col_to(piv, partner, ctx.one(), k)
+        swap(k, piv)
+        d = B[k][k]
+        for j in range(k + 1, n):
+            e = B[k][j]
+            if e.is_zero():
+                continue
+            # B[j][k] keeps its value for the column op's (j, j) term
+            B[k][j] = zero
+            add_col_to(j, k, -(e / d), k + 1)
+            B[j][k] = zero
     # already ascending: each pivot has the least valuation of its block,
     # and eliminating adds q * x with v(q) >= 0, which cannot bring an entry
     # below the pivot's valuation

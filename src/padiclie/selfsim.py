@@ -428,8 +428,7 @@ def non_self_similarity_certificate(alg):
         raise PreconditionViolated(f"basis fails NSS at {witness}")
     results = {}
     for xi in closed_symbols(alg.matrix):
-        U = xi.u_matrix(alg.ctx)
-        results[xi.entries] = _key_identity(alg, xi, U, index_p_matrix(alg.matrix, xi))
+        results[xi.entries] = _key_identity(alg, xi, index_p_matrix(alg.matrix, xi))
     return {"nss": True, "key_identity": results}
 
 

@@ -244,9 +244,9 @@ def nss_condition(A):
     return True, None
 
 
-def _key_identity(alg, xi, U, B):
-    """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi, A diagonal;
-    U = xi.u_matrix and B the integral index_p_matrix(alg.matrix, xi).
+def _key_identity(alg, xi, B):
+    """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi, A diagonal,
+    U = xi.u_matrix; B is the integral index_p_matrix(alg.matrix, xi).
 
     The right side is diag(p^r_j) Z_p^3, r_j = min(s_j + 1, s_i).  The left
     side U (B Z_p^3 + p^{s_i} Z_p^3) lies in it iff row j of U B has
@@ -255,13 +255,15 @@ def _key_identity(alg, xi, U, B):
     at s_i), is sum_j r_j.  U B = A adj(U)^T, so row j is a_j times column
     j of adj(U), which index_p_matrix describes for m = len(xi.entries):
     1 in row m for j = m, p in row j and -U[m, j] in row m for j < m, p
-    alone for j > m.  Its least valuation is 0 where it holds a unit, else 1.
+    alone for j > m.  Its least valuation is 0 where it holds a unit (j = m,
+    or j < m and U[m, j] = t_j != 0, t the symbol's entries), else 1.
     """
     s = [x.valuation() for x in alg.matrix.diagonal_entries()]
     si = s[xi.class_index()]
     r = [min(sj + 1, si) for sj in s]
-    m = len(xi.entries)
-    least = [0 if j == m or (j < m and U[m, j].is_unit()) else 1 for j in range(3)]
+    t = xi.entries
+    m = len(t)
+    least = [0 if j == m or (j < m and t[j]) else 1 for j in range(3)]
     if any(sj + c < rj for sj, c, rj in zip(s, least, r)):
         return False
     divisors = _smith_elimination(B, si)[0]

@@ -13,7 +13,10 @@ here as references, and so do the s-invariant shift law and the checked
 key identity at the end.
 The product chain is the reference the column operations of the index-p
 certificate must match scalar for scalar, and the full-matrix, det-first
-elimination the one the block-local congruent elimination must match.  The canonical form of an integer
+elimination the one the block-local congruent elimination must match;
+the block-local elimination with its own pivot search in the window is
+frozen beside it, the second search the integer read-off's pivot plan is
+checked against.  The canonical form of an integer
 diagonal is read off by Legendre symbols from the four families'
 definitions, the reference for the package's table of families, and an
 integer diagonal congruent to a symmetric matrix comes from elimination
@@ -293,6 +296,101 @@ def reference_congruent_elimination(A):
             add_col_to(j, k, -(e / d))
             B[k][j] = ctx.zero()
             B[j][k] = ctx.zero()
+    return Mat(ctx, B), Mat(ctx, V)
+
+
+def windowed_congruent_elimination(A):
+    """(D, V) with D = V^T A V by the block-local elimination in the window
+    with its own pivot search (the package's earlier
+    _congruent_elimination): each pivot is chosen on the windowed entries
+    and guarded, and det(A) is taken only when the elimination raises
+    PrecisionLoss, an exact-zero det turning it into Degenerate.  The
+    package's elimination replays the pivots its integer read-off chose;
+    wherever both answer, the two must agree field for field."""
+    ctx = A.ctx
+    if A.nrows != A.ncols:
+        raise InvalidParameters("congruence requires a square matrix")
+    if not A.is_symmetric():
+        raise NotSymmetric("matrix is not symmetric")
+    n = A.nrows
+    if n not in (2, 3):
+        # the sizes Mat.det takes, which a failure needs
+        raise InvalidParameters("determinant of a matrix other than 2x2 or 3x3")
+    zero = ctx.zero()
+    B = [list(row) for row in A.data]
+    V = [list(row) for row in Mat.identity(ctx, n).data]
+
+    def add_col_to(i, j, q, k):
+        # column op: col_i += q * col_j, mirrored on rows to stay congruent;
+        # in B only rows and columns >= k can hold a nonzero term
+        for r in range(k, n):
+            x = B[r][j]
+            if x.val != INF:
+                B[r][i] = B[r][i] + q * x
+        for r in range(k, n):
+            x = B[j][r]
+            if x.val != INF:
+                B[i][r] = B[i][r] + q * x
+        for r in range(n):
+            x = V[r][j]
+            if x.val != INF:
+                V[r][i] = V[r][i] + q * x
+
+    def swap(k, j):
+        # k <= j: rows above k hold exact zeros in both columns
+        for r in range(k, n):
+            B[r][k], B[r][j] = B[r][j], B[r][k]
+        B[k], B[j] = B[j], B[k]
+        for r in range(n):
+            V[r][k], V[r][j] = V[r][j], V[r][k]
+
+    try:
+        for k in range(n):
+            diag_best = None
+            for i in range(k, n):
+                v = B[i][i].valuation()
+                if v != INF and (diag_best is None or v < B[diag_best][diag_best].valuation()):
+                    diag_best = i
+            off_best = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    v = B[i][j].valuation()
+                    if v != INF and (
+                        off_best is None or v < B[off_best[0]][off_best[1]].valuation()
+                    ):
+                        off_best = (i, j)
+            if diag_best is not None and (
+                off_best is None
+                or B[diag_best][diag_best].valuation() <= B[off_best[0]][off_best[1]].valuation()
+            ):
+                piv = diag_best
+            elif off_best is None:
+                # the block cancelled to zero: degenerate, or the window ran out
+                raise PrecisionLoss("cancellation exhausted the precision window")
+            else:
+                # surface a diagonal pivot: 2 is a unit, so the new (i,i) entry
+                # B_ii + 2 B_ij + B_jj has the minimal valuation
+                i, j = off_best
+                add_col_to(i, j, ctx.one(), k)
+                piv = i
+            ctx.guard_decidable(B[piv][piv].valuation())
+            swap(k, piv)
+            d = B[k][k]
+            for j in range(k + 1, n):
+                e = B[k][j]
+                if e.is_zero():
+                    continue
+                # B[j][k] keeps its value for the column op's (j, j) term
+                B[k][j] = zero
+                add_col_to(j, k, -(e / d), k + 1)
+                B[j][k] = zero
+    except PrecisionLoss:
+        if A.det().is_zero():
+            raise Degenerate("matrix is degenerate") from None
+        raise
+    # already ascending: each pivot has the least valuation of its block,
+    # and eliminating adds q * x with v(q) >= 0, which cannot bring an entry
+    # below the pivot's valuation
     return Mat(ctx, B), Mat(ctx, V)
 
 

@@ -18,11 +18,11 @@ from padiclie.errors import (
     NotLie,
     NotSubalgebra,
     NotSymmetric,
+    PadicLieError,
     PrecisionLoss,
 )
-from padiclie import normal_forms
 from padiclie.lattice import Algebra, change_of_basis, induced_algebra
-from padiclie.normal_forms import Mat, congruent_valuations, parse_matrix
+from padiclie.normal_forms import Mat, congruent_diagonalize, congruent_valuations, parse_matrix
 from padiclie.padic_core import PadicScalar, PrimeContext
 from padiclie.subalgebras import enumerate_sublattices
 
@@ -32,6 +32,7 @@ from oracles import (
     eta_of_diagonal,
     int_det,
     rational_congruent_diagonal,
+    windowed_congruent_elimination,
 )
 
 
@@ -378,8 +379,9 @@ def test_the_read_off_matches_the_rational_oracle():
 
 
 def _windowed(A):
-    """(s, chi) off the windowed elimination's D."""
-    D, _ = normal_forms._congruent_elimination(A)
+    """(s, chi) off the D of the windowed elimination with its own pivot
+    search, frozen in tests/oracles.py."""
+    D, _ = windowed_congruent_elimination(A)
     entries = D.diagonal_entries()
     return tuple(x.valuation() for x in entries), tuple(x.square_class() for x in entries)
 
@@ -392,16 +394,17 @@ def _outcome(f, A):
 
 
 def test_the_read_off_matches_the_windowed_elimination():
-    """congruent_valuations against the (s, chi) of _congruent_elimination's
-    D, on seeded matrices of three kinds at p in {3, 5, 7, 11} and precision
-    in {8, 16, 32}: num/den input with valuations down to -3, and the
-    structure matrices induced_algebra gives on index-p and index-p^2
-    sublattices, where every windowed answer is the read-off's; and orbit
-    representatives whose entries carry 1 to precision digits, where no
-    two answers differ (the read-off, which trusts no valuation at or above
-    the least val + prec of an entry, may refuse more), and each answer of
-    canonical_form holds for random integer completions of the missing
-    digits, by the oracle over Fractions."""
+    """congruent_valuations against the (s, chi) of the D of the windowed
+    elimination with its own pivot search, on seeded matrices of three
+    kinds at p in {3, 5, 7, 11} and precision in {8, 16, 32}: num/den
+    input with valuations down to -3, and the structure matrices
+    induced_algebra gives on index-p and index-p^2 sublattices, where
+    every windowed answer is the read-off's; and orbit representatives
+    whose entries carry 1 to precision digits, where no two answers differ
+    (the read-off, which trusts no valuation at or above the least val +
+    prec of an entry, may refuse more), and each answer of canonical_form
+    holds for random integer completions of the missing digits, by the
+    oracle over Fractions."""
     rng = random.Random(25)
     agreed = {"num/den": 0, "induced": 0, "short": 0}
     completed = 0
@@ -470,6 +473,76 @@ def test_the_read_off_matches_the_windowed_elimination():
                         assert e == eta_of_diagonal(diagonal, p)
                         completed += 1
     assert min(agreed.values()) >= 100 and completed >= 300, (agreed, completed)
+
+
+def _settled(f, A):
+    """(None, f(A)), or ((type, message) of its error, None)."""
+    try:
+        return None, f(A)
+    except PadicLieError as error:
+        return (type(error), str(error)), None
+
+
+def _fields(pair):
+    """The (val, unit, prec) of every entry of D and V."""
+    return tuple((x.val, x.unit, x.prec) for M in pair for row in M.data for x in row)
+
+
+def test_the_replayed_pivot_plan_matches_the_windowed_pivot_search():
+    """congruent_diagonalize, which replays the pivots the integer read-off
+    chose, against the windowed elimination with its own pivot search,
+    frozen in tests/oracles.py, on 1,200 seeded orbit representatives at p
+    in {3, 5, 7, 11} and precision in {8, 16, 32}, some singular and some
+    past the guard: half as num/den input with valuations down to -3, half
+    with each entry cut to 1 to precision digits.  Wherever both answer,
+    the same D and V field for field.  Wherever congruent_diagonalize
+    raises, it raises the type and message congruent_valuations raises on
+    the same Mat, or, where the read-off answers, the PrecisionLoss of a
+    clearing step that cancelled through the window, where the frozen
+    elimination raises PrecisionLoss too."""
+    rng = random.Random(27)
+    outcomes = {"agreed": 0, "read-off": 0, "window": 0}
+    for p in (3, 5, 7, 11):
+        for precision in (8, 16, 32):
+            ctx = PrimeContext(p, precision)
+            half = precision // 2
+            for trial in range(100):
+                d = [rng.choice((1, -1)) * rng.randrange(1, p) * p ** rng.randrange(half + 3)
+                     for _ in range(3)]
+                if rng.random() < 0.1:
+                    d[rng.randrange(3)] = 0
+                rows = _orbit_rows(rng, p, d)
+                if trial % 2:
+                    k = rng.randrange(4)
+                    A = parse_matrix(
+                        ";".join(",".join(f"{x}/{p**k}" for x in row) for row in rows), ctx)
+                else:
+                    full = Mat.from_ints(ctx, rows)
+                    short = [[None] * 3 for _ in range(3)]
+                    for i in range(3):
+                        for j in range(i, 3):
+                            x, n = full[i, j], rng.randrange(1, precision + 1)
+                            if not x.is_zero():
+                                x = PadicScalar(ctx, x.val, x.unit % p**n, n)
+                            short[i][j] = short[j][i] = x
+                    A = Mat(ctx, short)
+                # the frozen elimination reads no memo of A's
+                frozen_error, frozen = _settled(windowed_congruent_elimination, A)
+                error, pair = _settled(congruent_diagonalize, A)
+                if error is None:
+                    if frozen_error is None:
+                        assert _fields(pair) == _fields(frozen), (p, precision, A)
+                        outcomes["agreed"] += 1
+                    continue
+                read_error, _ = _settled(congruent_valuations, A)
+                if read_error is not None:
+                    assert error == read_error, (p, precision, A)
+                    outcomes["read-off"] += 1
+                else:
+                    assert error[0] is PrecisionLoss and frozen_error[0] is PrecisionLoss
+                    outcomes["window"] += 1
+    assert outcomes["agreed"] >= 200 and outcomes["read-off"] >= 200, outcomes
+    assert outcomes["window"] > 0, outcomes
 
 
 def test_a_singular_lift_is_degenerate_only_when_the_entries_hold_half_the_window():

@@ -641,12 +641,30 @@ def _form_of(D):
     return canonical_of_diagonal([x.unit * p**x.val for x in D.diagonal_entries()], p)
 
 
+def _lift_det(A):
+    """det of A's entries lifted to integers from (val, unit, prec): p^val
+    times the symmetric residue of the unit mod p^prec, all times p^m, m
+    the least power that makes every entry integral."""
+    p = A.ctx.p
+    m = max([0] + [-x.val for row in A.data for x in row if x.val != INF])
+
+    def lifted(x):
+        if x.val == INF:
+            return 0
+        mod = p**x.prec
+        return (x.unit - mod if x.unit > mod // 2 else x.unit) * p ** (x.val + m)
+
+    return int_det([[lifted(x) for x in row] for row in A.data])
+
+
 def test_block_local_elimination_matches_the_full_matrix_reference():
-    """Where the full-matrix, det-first elimination answers or raises
-    Degenerate, the block-local one gives the same D and V field for field,
-    or the same error.  Where the reference raises PrecisionLoss, it raises
-    PrecisionLoss too, or answers the form the reference gives at a wider
-    window; the clearing operations it skips can raise where it needs none."""
+    """Where the full-matrix, det-first elimination answers, the block-local
+    one gives the same D and V field for field.  Where the reference
+    raises, the block-local one raises the README's error, Degenerate
+    exactly when the det of the entries' integer lifts is 0 and every entry
+    holds half the window, else PrecisionLoss, or answers the form the
+    reference gives at a wider window.  The reference takes its det in the
+    window, so the two can disagree on which matrices are degenerate."""
     rng = random.Random(19)
     seen, answered = set(), 0
     for trial in range(2400):
@@ -656,10 +674,12 @@ def test_block_local_elimination_matches_the_full_matrix_reference():
         error, ref, _ = _elimination_outcome(reference_congruent_elimination, A)
         new_error, new, D = _elimination_outcome(normal_forms._congruent_elimination, A)
         seen.add(error)
-        if error is not PrecisionLoss:
+        if error is None:
             assert (new_error, new) == (error, ref)
         elif new_error is not None:
-            assert new_error is PrecisionLoss
+            assert new_error in (Degenerate, PrecisionLoss)
+            held = all(2 * x.prec >= precision for row in A.data for x in row if x.val != INF)
+            assert (new_error is Degenerate) == (_lift_det(A) == 0 and held)
         else:
             wider = precision
             while error is not None:
