@@ -4,9 +4,9 @@ Z_p is a discrete valuation ring, so both echelon and diagonal normal forms
 take a particularly rigid shape: every pivot can be normalized to a pure
 power of p.  The three workhorses here are
 
-* hnf_columns   -- the column Hermite form (canonical generator matrix of
-                   the column span, so literal equality of forms is equality
-                   of lattices),
+* hnf_columns   -- the column Hermite form, read off the lifted entries in
+                   integers (int_hermite): canonical, so literal equality of
+                   forms is equality of lattices,
 * snf           -- the Smith form with unimodular witnesses (the divisor
                    valuations are the elementary-divisor exponents),
 * congruent_valuations -- the valuations s and unit square classes chi
@@ -227,64 +227,59 @@ def hnf_columns(M):
     iff their forms are literally equal.  For a full-rank M of index p,
     _index_p_hermite(Span(M)) gives the same H scalar for scalar without
     the reduction.
+
+    It is int_hermite on M's lift, pivots below t, the digits the lift
+    holds.  Below full rank, where a block had none, that counts as 0 when
+    holds_half_window, else PrecisionLoss; a row without a pivot holds the
+    lift's values.
     """
     ctx = M.ctx
     if not M.is_integral():
         raise InvalidParameters("Hermite form expects an integral matrix")
-    n = M.nrows
-    zero = ctx.zero()
-    cols = [list(M.col(j)) for j in range(M.ncols)]
-    placed = {}  # pivot row -> column
-    active = list(range(len(cols)))
+    R, t, _, _ = lift(M)
+    H, rank = int_hermite(R, ctx.p, 0 if t == INF else t)
+    if rank < min(M.nrows, M.ncols) and not holds_half_window((x for r in M.data for x in r), ctx):
+        raise PrecisionLoss(f"a block reduced to 0 within the {t} digits of the entries")
+    rows = [[ctx.from_rational(*x) if isinstance(x, tuple) else ctx.from_int(x) for x in row]
+            for row in H]
+    return Mat(ctx, rows), rank
+
+
+def int_hermite(R, p, t):
+    """The column Hermite form of span R, R integer rows, pivots below t:
+    (H, rank).  hnf_columns' steps on exact values, each column kept as
+    (X, w), the values X / w for a unit w, so that no step divides; a row
+    without a pivot holds such (X, w) pairs."""
+    n = len(R)
+    active, placed = [[list(col), 1] for col in zip(*R)], {}
+
+    def reduce(col, piv, i, r, pd):  # col - ((col[i] - r) / p^d) piv
+        f = (col[0][i] - r * col[1]) // pd
+        if f:
+            col[:] = [[x * piv[1] - f * y for x, y in zip(col[0], piv[0])], col[1] * piv[1]]
+
     for i in range(n - 1, -1, -1):
-        best = None
-        for j in active:
-            v = cols[j][i].valuation()
-            if v != INF and (best is None or v < cols[best][i].valuation()):
-                best = j
-        if best is None:
+        d, a = min(((p_valuation(col[0][i], p), a) for a, col in enumerate(active) if col[0][i]),
+                   default=(t, None))
+        if d >= t:
             continue
-        piv = cols[best]
-        d = piv[i].valuation()
-        ctx.guard_decidable(d)
-        u_inv = piv[i].shift(-d).inv()  # unit part inverse
-        # rows below i are exact zeros in every active column
-        piv = [x * u_inv for x in piv[:i]] + [ctx.one().shift(d)] + piv[i + 1 :]
-        cols[best] = piv
-        for j in active:
-            if j == best:
-                continue
-            col = cols[j]
-            e = col[i]
-            if e.is_zero():
-                continue
-            q = e.shift(-d)
-            cols[j] = [x - q * y for x, y in zip(col[:i], piv)] + [zero] + col[i + 1 :]
-        placed[i] = best
-        active = [j for j in active if j != best]
+        piv = active.pop(a)
+        pd = p**d
+        piv[1] = piv[0][i] // pd  # now piv[i] stands for p^d
+        for col in active:
+            reduce(col, piv, i, 0, pd)
+        placed[i] = (piv, d)
     order = sorted(placed)
-    result = [cols[placed[i]] for i in order]
-    # canonical reduction: entries above each pivot reduced mod the pivot.
-    # Work from the last pivot row back so a reduction never disturbs a row
-    # that was already canonicalized (column a only has support on rows
-    # <= order[a]).
-    for a in range(len(order) - 1, -1, -1):
-        i = order[a]
-        d = result[a][i].valuation()
-        for b in range(a + 1, len(order)):
-            e = result[b][i]
-            if e.is_zero():
-                continue
-            r = ctx.from_int(e.residue_mod(d))
-            q = (e - r).shift(-d)
-            if not q.is_zero():
-                result[b] = [x - q * y for x, y in zip(result[b][:i], result[a])] + result[b][i:]
-            result[b][i] = r
-    rank = len(order)
-    zero_col = [ctx.zero()] * n
-    while len(result) < n:
-        result.append(zero_col)
-    return Mat(ctx, result).transpose(), rank
+    # residues from the last pivot row back, so that no reduction disturbs
+    # a row already reduced (column a has support on rows <= order[a])
+    for a, i in reversed(list(enumerate(order))):
+        pd = p ** placed[i][1]
+        for col in (placed[b][0] for b in order[a + 1 :]):
+            reduce(col, placed[i][0], i, col[0][i] * pow(col[1], -1, pd) % pd, pd)
+    cols = [placed[i][0] for i in order]
+    H = [[X[k] // w if k in placed else (X[k], w) for X, w in cols] + [0] * (n - len(cols))
+         for k in range(n)]
+    return H, len(cols)
 
 
 class Span:
@@ -612,16 +607,12 @@ def snf(M):
     return divisors, P, Q
 
 
-def _smith_elimination(M, stop=INF):
+def _smith_elimination(M):
     """snf's elimination: (divisors, row_log, col_log).
 
     Each log holds one (k, swap, scale, ops) per pivot step: exchange
     lines k and swap, multiply line k by scale (None for columns), then
     line i -= q * line k for each (i, q) in ops.
-
-    It stops once the least valuation left in the block is >= stop, and
-    reports each divisor it did not reach as INF: a caller that reads M
-    only mod p^stop has no pivot at or above it guarded.  snf passes none.
 
     No entry of M is computed only to be overwritten with 0 or p^d: step k
     works right of column k, where the rows >= k have their only nonzero
@@ -648,8 +639,6 @@ def _smith_elimination(M, stop=INF):
             break
         bi, bj = best
         d = A[bi][bj].valuation()
-        if d >= stop:
-            break
         ctx.guard_decidable(d)
         A[k], A[bi] = A[bi], A[k]
         for row in A:
@@ -687,6 +676,60 @@ def _replay(ctx, size, log):
         for i, q in ops:
             W[i] = [x - q * y for x, y in zip(W[i], W[k])]
     return W
+
+
+def smith_divisors(M, stop):
+    """The Smith divisors of the 3 x 3 integral M, ascending, INF for each
+    at or above stop: d_k = g_k - g_(k-1), g_k the least valuation of the
+    lift's k x k minors, known below t, t + g_1 and min(t + g_2, 2 t + g_1,
+    3 t) (the det moves by each entry's error times its cofactor), or else
+    each minor below its own bound (Bounded).  An undecided g_k leaves the
+    divisors from k on at least bound - g_(k-1): INF if that reaches stop,
+    or half the window past divisors below it (the window's zero)."""
+    if (M.nrows, M.ncols) != (3, 3) or not M.is_integral():
+        raise InvalidParameters("Smith divisors read a 3 x 3 integral matrix")
+    R, t, g1, _ = lift(M)
+    p = M.ctx.p
+    g2, g3 = least_valuation(int_adjugate(R), INF, p), least_valuation([[int_det(R)]], INF, p)
+    levels = [(g1, t), (g2, t + g1), (g3, min(t + g2, 2 * t + g1, 3 * t))]
+    if any(g >= bound for g, bound in levels[1:]):
+        B = bounded_lift(M)
+        cofs = int_adjugate(B)
+        least = min((x for row in cofs for x in row), key=lambda x: (x.v, x.v == x.t))
+        first = min(x.t + c.v for row, cof in zip(B, zip(*cofs)) for x, c in zip(row, cof))
+        levels[1:] = [(least.v, least.t), (g3, min(first, 2 * t + g1, 3 * t))]
+    divisors = []
+    for k, (g, bound) in enumerate(levels, 1):
+        d = min(g, bound) - sum(divisors)
+        if d >= stop or g >= bound and d >= M.ctx.precision / 2 > max(divisors, default=0):
+            break
+        if g >= bound:
+            raise PrecisionLoss(f"the {k} x {k} minors' valuation {g} not below {bound}")
+        divisors.append(d)
+    return tuple(divisors) + (INF,) * (3 - len(divisors))
+
+
+def int_kernel(Y, p, e):
+    """{c : Y c = 0 mod p^e} for the integer rows Y: (C, k), the basis
+    C = Q diag(p^k), Q of unit det, of a Smith elimination mod p^e by column
+    operations: the entry of least valuation d < e left in the unused
+    columns clears its row, and its column needs p^(e - d) alone then."""
+    q, m = p**e, len(Y[0])
+    A = [[x % q for x in col] for col in zip(*Y)]  # columns, as Q's below
+    Q, k, free = [[int(i == j) for i in range(m)] for j in range(m)], [0] * m, list(range(m))
+    while True:
+        d, i, j = min(((p_valuation(A[j][i], p), i, j) for i in range(len(Y)) for j in free
+                       if A[j][i]), default=(e, None, None))
+        if d >= e:
+            return [[x * p**c for x, c in zip(row, k)] for row in zip(*Q)], k
+        u = pow(A[j][i] // p**d, -1, q)
+        for c in free:
+            f = A[c][i] // p**d * u % q
+            if c != j and f:
+                A[c] = [(x - f * y) % q for x, y in zip(A[c], A[j])]
+                Q[c] = [(x - f * y) % q for x, y in zip(Q[c], Q[j])]
+        k[j] = e - d
+        free.remove(j)
 
 
 # ---------------------------------------------------------------------------

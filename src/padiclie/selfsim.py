@@ -40,6 +40,7 @@ from .errors import (
     NotIndexPSelfSimilar,
     NotSubalgebra,
     PathDisagreement,
+    PrecisionLoss,
     PreconditionViolated,
     Record,
 )
@@ -56,17 +57,17 @@ from .normal_forms import (
     Mat,
     Span,
     _index_p_hermite,
-    _replay,
-    _smith_elimination,
     bounded_lift,
     cassels_move,
     congruent_diagonalize,
-    hnf_columns,
     int_adjugate,
     int_det,
+    int_hermite,
+    int_kernel,
     int_mul,
     least_valuation,
     lift,
+    p_valuation,
     product_bound,
     zero_below,
 )
@@ -210,28 +211,6 @@ def _invariance(domain, phi):
     return invariant
 
 
-def _preimage_lattice(phi, S):
-    """Generator matrix of {c integral : phi c in span S}, S of full rank.
-
-    With X = S^{-1} phi (Span's solve) and m = max(0, -min v(X)), phi c lies
-    in span S iff p^m X c = 0 mod p^m.  The Smith elimination of p^m X,
-    stopped at m, gives P p^m X Q = diag(p^d_j) mod p^m with Q its column
-    log replayed, so the preimage is Q diag(p^max(0, m - d_j)).
-
-    Why it is sound: the question reads p^m X only mod p^m, so a pivot or
-    an entry at or above m puts no condition on c and is never guarded; a
-    divisor not reached is INF, exponent 0.  A pivot below m is guarded as
-    snf's are, so a misread zero, of valuation >= precision/2 on integral
-    operands, is never taken for one.
-    """
-    ctx = phi.ctx
-    X = Span(S).solve(phi)
-    m = max(0, -min(x.valuation() for row in X.data for x in row))
-    divisors, _, col_log = _smith_elimination(X.shift(m), m)
-    Q = Mat(ctx, _replay(ctx, phi.ncols, col_log)).transpose()
-    return Q.shift_columns([max(0, m - d) for d in divisors])
-
-
 def domain_chain(ve, depth):
     """The descending chain D_0 = L, D_{n+1} = {x in M : phi x in D_n}.
 
@@ -241,16 +220,31 @@ def domain_chain(ve, depth):
     """
     if depth > DEPTH_BOUND + 1:
         raise InvalidParameters(f"chain depth must be <= {DEPTH_BOUND + 1}")
-    return _domain_chain(ve.domain, ve.phi, depth)
+    return [Mat.from_ints(ve.ambient.ctx, D) for D in _domain_chain(ve.domain, ve.phi, depth)]
 
 
 def _domain_chain(domain, phi, depth):
-    """domain_chain for a domain and phi of any size."""
-    chain = [Mat.identity(domain.ctx, domain.nrows)]
+    """domain_chain for a domain and phi of any size, as exact integer
+    Hermite forms.  phi c lies in span D_n iff adj F c = 0 mod p^e, F phi's
+    lift, adj D_n's adjugate over p^g, g its least valuation, e its largest
+    elementary divisor: decided while e < t_f, F's digits.  With C its basis
+    (int_kernel), D_{n+1} is the form of U C, U the domain's lift; it holds
+    p^(e_U + e), so by Nakayama every completion of U spans it while
+    e_U + e < t_u + min k.
+    """
+    p = domain.ctx.p
+    span = IntSpan(domain)
+    F, t_f, _, _ = lift(phi)
+    terms = [[[int(i == j) for j in range(len(span.R))] for i in range(len(span.R))]]
     for _ in range(depth):
-        nxt, _ = hnf_columns(domain * _preimage_lattice(phi, chain[-1]))
-        chain.append(nxt)
-    return chain
+        adj = int_adjugate(terms[-1])
+        g = least_valuation(adj, INF, p)
+        e = p_valuation(int_det(terms[-1]), p) - g
+        C, k = int_kernel(int_mul([[x // p**g for x in row] for row in adj], F), p, e)
+        if e >= t_f or span.e + e >= span.t_R + min(k):
+            raise PrecisionLoss(f"chain term divisor {e} not decided by the digits of the maps")
+        terms.append(int_hermite(int_mul(span.R, C), p, span.delta + sum(k) + 1)[0])
+    return terms
 
 
 class RegularityReport(Record):
@@ -291,20 +285,23 @@ def invariant_ideal_search(ve, bound):
     if bound > DEPTH_BOUND:
         raise InvalidParameters(f"search bound must be <= {DEPTH_BOUND}")
     induced_algebra(ve.ambient, ve.domain)  # NotSubalgebra when the domain is open
-    d_bound = domain_chain(ve, bound)[-1]
+    d_bound = _domain_chain(ve.domain, ve.phi, bound)[-1]
     return _invariant_ideal(ve.ambient.matrix, ve.domain, ve.phi, d_bound, bound)
 
 
 def _invariant_ideal(S, domain, phi, d_bound, bound):
-    """invariant_ideal_search given D_bound, for a structure matrix S
-    (lattice.PAIRS), domain and phi of any size."""
-    v_bound = sum(x.valuation() for x in d_bound.diagonal_entries())
+    """invariant_ideal_search given D_bound in integer rows (_domain_chain),
+    for a structure matrix S (lattice.PAIRS), domain and phi of any size.
+    A candidate is the form of D_bound H, which holds p^(v_bound + rel)."""
+    p = domain.ctx.p
+    v_bound = p_valuation(int_det(d_bound), p)
     if v_bound > bound:
         return None
     invariant = _invariance(domain, phi)
     for rel in range(max(0, 1 - v_bound), bound - v_bound + 1):
         for H in enumerate_sublattices(domain.ctx, rel, domain.nrows):
-            J = hnf_columns(d_bound * H)[0]
+            DH = int_mul(d_bound, lift(H)[0])
+            J = Mat.from_ints(domain.ctx, int_hermite(DH, p, v_bound + rel + 1)[0])
             if is_ideal(S, J) and invariant(J):
                 return J
     return None

@@ -25,7 +25,7 @@ from itertools import product
 
 from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record
 from .lattice import change_of_basis
-from .normal_forms import Mat, _smith_elimination
+from .normal_forms import Mat, smith_divisors
 from .padic_core import INF
 
 
@@ -163,8 +163,8 @@ def enumerate_index_p(alg):
 
     b_matrix is index_p_matrix, the symbol's own row and column operations
     on the structure matrix; when the ambient matrix is diagonal it is
-    cross-checked against the closed form b_xi.  sub_s is the divisors of
-    the Smith elimination, with no witness built.  More than SWEEP_BOUND
+    cross-checked against the closed form b_xi.  sub_s is smith_divisors,
+    read off the minors of B's lift in integers.  More than SWEEP_BOUND
     symbols is refused before any work.
     """
     ctx = alg.ctx
@@ -177,7 +177,7 @@ def enumerate_index_p(alg):
             if B != b_xi(alg.matrix, xi):
                 raise PathDisagreement("closed form disagrees with base change")
         closed = B.is_integral()
-        sub_s = _smith_elimination(B)[0] if closed else None
+        sub_s = smith_divisors(B, INF) if closed else None
         reports.append(SubalgebraReport(xi, xi.u_matrix(ctx), B, closed, sub_s))
     return reports
 
@@ -251,7 +251,7 @@ def _key_identity(alg, xi, B):
     The right side is diag(p^r_j) Z_p^3, r_j = min(s_j + 1, s_i).  The left
     side U (B Z_p^3 + p^{s_i} Z_p^3) lies in it iff row j of U B has
     valuation >= r_j, and is then equal to it iff its index, 1 + sum_k
-    min(d_k, s_i) for the Smith divisors d_k of B (one elimination stopped
+    min(d_k, s_i) for the Smith divisors d_k of B (smith_divisors, stopped
     at s_i), is sum_j r_j.  U B = A adj(U)^T, so row j is a_j times column
     j of adj(U), which index_p_matrix describes for m = len(xi.entries):
     1 in row m for j = m, p in row j and -U[m, j] in row m for j < m, p
@@ -266,7 +266,7 @@ def _key_identity(alg, xi, B):
     least = [0 if j == m or (j < m and t[j]) else 1 for j in range(3)]
     if any(sj + c < rj for sj, c, rj in zip(s, least, r)):
         return False
-    divisors = _smith_elimination(B, si)[0]
+    divisors = smith_divisors(B, si)
     return 1 + sum(min(d, si) for d in divisors) == sum(r)
 
 

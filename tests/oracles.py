@@ -21,8 +21,10 @@ diagonal is read off by Legendre symbols from the four families'
 definitions, the reference for the package's table of families, and an
 integer diagonal congruent to a symmetric matrix comes from elimination
 over Fractions.  The last group freezes the index-p sweep through the
-generic change_of_basis, the Smith elimination that updates its witnesses
-as it goes, the domain chain through the kernel of the 3 x 6 stack
+generic change_of_basis, the windowed column Hermite form
+(windowed_hnf_columns, which every reference that takes a Hermite form
+calls, so that none runs the integer form under test), the Smith
+elimination that updates its witnesses as it goes, the domain chain through the kernel of the 3 x 6 stack
 [phi | -S], the key identity as two 3 x 6 Hermite forms, the certificate
 loop and selftest's random draws, as the references their rewrites must
 match.  The windowed membership test Span.coordinates, with lattice_contains,
@@ -48,7 +50,6 @@ from padiclie.normal_forms import (
     Span,
     cassels_move,
     congruent_diagonalize,
-    hnf_columns,
     lattice_contains,
 )
 from padiclie.padic_core import INF
@@ -681,8 +682,8 @@ def index_and_commutator_index(alg, U):
         raise Degenerate("commutator index needs an unsolvable algebra")
     B = lattice.induced_algebra(alg, U).matrix
     k = lattice.index_exponent(U)
-    comm_L, _ = hnf_columns(alg.matrix)  # [L, L] is spanned by the columns of A
-    comm_M, _ = hnf_columns(U * B)
+    comm_L, _ = windowed_hnf_columns(alg.matrix)  # [L, L] is spanned by the columns of A
+    comm_M, _ = windowed_hnf_columns(U * B)
     if not lattice_contains(comm_L, comm_M):
         raise NotSubalgebra("commutator lattice escaped; inconsistent input")
     c = sum(x.valuation() for x in comm_M.diagonal_entries()) - sum(
@@ -702,8 +703,8 @@ def is_unimodular(V):
 
 def lattice_eq(M, N):
     """Whether M and N have the same column span: equal Hermite forms."""
-    H1, _ = hnf_columns(M)
-    H2, _ = hnf_columns(N)
+    H1, _ = windowed_hnf_columns(M)
+    H2, _ = windowed_hnf_columns(N)
     return H1 == H2
 
 
@@ -747,7 +748,7 @@ def simple_ve_by_products(alg):
     V = V * Mat.from_ints(ctx, [[2, 0, 0], [0, 1, 1], [0, -1, 1]])
     W = V.transpose().adjugate()
     prepared_domain = W * Mat.p_power_diagonal(ctx, (0, 1, 0))
-    domain, _ = hnf_columns(prepared_domain)
+    domain, _ = windowed_hnf_columns(prepared_domain)
     phi = W * Mat.p_power_diagonal(ctx, (0, 0, 1)) * Span(prepared_domain).solve(domain)
     return domain, phi
 
@@ -783,6 +784,70 @@ def key_identity_check(alg, xi):
 # The index-p sweep, the Smith form, the domain chain, the key identity and
 # the selftest draws as they were
 # ---------------------------------------------------------------------------
+
+
+def windowed_hnf_columns(M):
+    """hnf_columns as the package computed it before: (H, rank) by an
+    elimination in the window, every pivot guarded at precision/2, then the
+    entries right of each pivot reduced mod the pivot.  The integer form,
+    and every reference below that takes a Hermite form, match it."""
+    ctx = M.ctx
+    if not M.is_integral():
+        raise InvalidParameters("Hermite form expects an integral matrix")
+    n = M.nrows
+    zero = ctx.zero()
+    cols = [list(M.col(j)) for j in range(M.ncols)]
+    placed = {}  # pivot row -> column
+    active = list(range(len(cols)))
+    for i in range(n - 1, -1, -1):
+        best = None
+        for j in active:
+            v = cols[j][i].valuation()
+            if v != INF and (best is None or v < cols[best][i].valuation()):
+                best = j
+        if best is None:
+            continue
+        piv = cols[best]
+        d = piv[i].valuation()
+        ctx.guard_decidable(d)
+        u_inv = piv[i].shift(-d).inv()  # unit part inverse
+        # rows below i are exact zeros in every active column
+        piv = [x * u_inv for x in piv[:i]] + [ctx.one().shift(d)] + piv[i + 1 :]
+        cols[best] = piv
+        for j in active:
+            if j == best:
+                continue
+            col = cols[j]
+            e = col[i]
+            if e.is_zero():
+                continue
+            q = e.shift(-d)
+            cols[j] = [x - q * y for x, y in zip(col[:i], piv)] + [zero] + col[i + 1 :]
+        placed[i] = best
+        active = [j for j in active if j != best]
+    order = sorted(placed)
+    result = [cols[placed[i]] for i in order]
+    # canonical reduction: entries above each pivot reduced mod the pivot.
+    # Work from the last pivot row back so a reduction never disturbs a row
+    # that was already canonicalized (column a only has support on rows
+    # <= order[a]).
+    for a in range(len(order) - 1, -1, -1):
+        i = order[a]
+        d = result[a][i].valuation()
+        for b in range(a + 1, len(order)):
+            e = result[b][i]
+            if e.is_zero():
+                continue
+            r = ctx.from_int(e.residue_mod(d))
+            q = (e - r).shift(-d)
+            if not q.is_zero():
+                result[b] = [x - q * y for x, y in zip(result[b][:i], result[a])] + result[b][i:]
+            result[b][i] = r
+    rank = len(order)
+    zero_col = [ctx.zero()] * n
+    while len(result) < n:
+        result.append(zero_col)
+    return Mat(ctx, result).transpose(), rank
 
 
 def reference_snf(M, with_rows=True):
@@ -855,7 +920,7 @@ def reference_preimage_lattice(phi, S):
     divisors, _, Q = reference_snf(side_by_side(phi, S.scale(-ctx.one())), with_rows=False)
     r = sum(1 for d in divisors if d != INF)
     top = Mat(ctx, [Q.row(i)[r:] for i in range(n)])
-    H, rank = hnf_columns(top)
+    H, rank = windowed_hnf_columns(top)
     if rank < n:
         raise Degenerate("preimage degenerated; phi and S must be full rank")
     return H
@@ -866,7 +931,7 @@ def reference_domain_chain(domain, phi, depth):
     chain = [Mat.identity(domain.ctx, domain.nrows)]
     for _ in range(depth):
         pre_c = reference_preimage_lattice(phi, chain[-1])
-        nxt, _ = hnf_columns(domain * pre_c)
+        nxt, _ = windowed_hnf_columns(domain * pre_c)
         chain.append(nxt)
     return chain
 
@@ -879,7 +944,7 @@ def reference_key_identity(alg, xi, U, B):
     si = s[xi.class_index()]
     lhs = side_by_side(U * B, U.shift(si))
     rhs = side_by_side(alg.matrix.shift(1), Mat.identity(alg.ctx, 3).shift(si))
-    return hnf_columns(lhs)[0] == hnf_columns(rhs)[0]
+    return windowed_hnf_columns(lhs)[0] == windowed_hnf_columns(rhs)[0]
 
 
 def reference_enumerate_index_p(alg):

@@ -12,6 +12,7 @@ import pytest
 
 from padiclie import cli, errors, normal_forms, selfsim
 from padiclie.cli import main
+from padiclie.padic_core import PrimeContext
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
@@ -492,6 +493,36 @@ def test_stdout_closed_by_its_reader_exits_1_quietly(argv):
     err = child.stderr.read()
     child.stderr.close()
     assert (child.wait(timeout=60), err) == (1, b"")
+
+
+def test_chain_search_and_sweep_run_no_windowed_elimination(monkeypatch, capsys):
+    """endo chain, endo search and subalgebras take their Hermite forms,
+    preimages and Smith divisors in integers: they call _smith_elimination
+    and Span zero times, where snf and the decide-yes certificate call
+    them."""
+    runs = []
+    for module, name in ((normal_forms, "_smith_elimination"), (normal_forms, "Span"),
+                         (selfsim, "Span")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, original=original: runs.append(args) or original(*args))
+    endo = ["--prime", "3", "--matrix", "1,0,0;0,0,1;0,1,0", "--domain", "1,0,0;0,3,0;0,0,1",
+            "--phi", "1,0,0;0,1,0;0,0,3"]
+    for argv in (
+        ["endo", "chain", *endo, "--depth", "15"],
+        ["endo", "search", *endo],
+        ["endo", "search", "--prime", "3", "--matrix", "1,0,0;0,0,2;0,2,0",
+         "--domain", "3,0,0;0,3,0;0,0,3", "--phi", "3,0,0;0,3,0;0,0,3", "--search-bound", "3"],
+        ["subalgebras", "--prime", "5", "--matrix", "1,0,0;0,5,0;0,0,-5"],
+        ["subalgebras", "--prime", "3", "--matrix", "3,0,0;0,9,0;0,0,27"],
+    ):
+        del runs[:]
+        assert main(argv) == 0, argv
+        assert runs == [], argv
+    assert main(["selfsim", "--prime", "3", "--matrix", "1,1,0;1,4,3;0,3,0"]) == 0
+    normal_forms.snf(normal_forms.Mat.identity(PrimeContext(3), 3))
+    assert len(runs) == 2
+    capsys.readouterr()
 
 
 def test_only_the_certificate_runs_the_windowed_elimination(monkeypatch, capsys):

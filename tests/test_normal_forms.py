@@ -50,6 +50,7 @@ from oracles import (
     rational_congruent_diagonal,
     reference_congruent_elimination,
     solve_two_square_classes,
+    windowed_hnf_columns,
 )
 
 
@@ -161,6 +162,60 @@ def test_hnf_shape_and_idempotence():
                         assert e == ctx.from_int(e.residue_mod(d))
             H2, _ = hnf_columns(H)
             assert H2 == H
+
+
+def _hermite_case(rng, p, kind):
+    """Integer rows: a square matrix, a 3 x 6 one, or a square one of rank
+    1 or 2, with entries u p^v, v up to 7, one in five the exact zero."""
+    cols = 6 if kind == 1 else 3
+    rows = [[rng.randrange(-p**3, p**3) * p ** rng.randrange(8) if rng.random() < 0.8 else 0
+             for _ in range(cols)] for _ in range(3)]
+    if kind == 2:
+        a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        if rng.random() < 0.3:
+            rows[1] = [x * rng.randrange(-3, 4) for x in rows[0]]
+    return rows
+
+
+def test_hnf_matches_the_windowed_elimination():
+    """6,000 seeded integral inputs at p = 3, 5, 7 and precision 8, 16 and
+    32, square, 3 x 6 and of rank below 3, against the windowed elimination
+    frozen in tests/oracles.py.  Where it answers: the same rank, every
+    pivot row field for field, and every entry of a row without a pivot
+    equal as a scalar, unless the window cancelled that entry to the exact
+    zero through half its digits and the lift's value has valuation at
+    least precision/2.  Where it raises PrecisionLoss: an answer or
+    PrecisionLoss."""
+    rng = random.Random(41)
+    outcomes = set()
+    for trial in range(6000):
+        p, precision = rng.choice((3, 5, 7)), rng.choice((8, 16, 32))
+        kind = trial % 3
+        M = Mat.from_ints(PrimeContext(p, precision), _hermite_case(rng, p, kind))
+        try:
+            ref = windowed_hnf_columns(M)
+        except PrecisionLoss:
+            ref = PrecisionLoss
+        try:
+            new = hnf_columns(M)
+        except PadicLieError as error:
+            new = type(error)
+        outcomes.add((kind, ref is PrecisionLoss, new is PrecisionLoss))
+        if ref is PrecisionLoss:
+            assert new is PrecisionLoss or isinstance(new, tuple)
+            continue
+        assert new[1] == ref[1]
+        # column a < rank has its pivot in its last nonzero row
+        pivots = {max(i for i, x in enumerate(col) if not x.is_zero())
+                  for col in ref[0].cols()[: ref[1]]}
+        for i, (new_row, ref_row) in enumerate(zip(new[0].data, ref[0].data)):
+            for x, y in zip(new_row, ref_row):
+                if i in pivots:
+                    assert (x.val, x.unit, x.prec) == (y.val, y.unit, y.prec)
+                else:
+                    assert x == y or (y.is_zero() and 2 * x.val >= precision)
+    assert {(0, False, False), (1, False, False), (2, False, False), (0, True, False)} <= outcomes
 
 
 def _scalars(M):

@@ -319,7 +319,7 @@ def test_lowdim_dimension_two_nonabelian():
     # D_n = <p^n x, y> shrinks onto its limit <y>
     assert rep.d_infinity == Mat.from_ints(ctx, [[0, 0], [0, 1]])
     chain = selfsim._domain_chain(rep.domain, rep.phi, 4)
-    assert chain == [Mat.from_ints(ctx, [[3**n, 0], [0, 1]]) for n in range(5)]
+    assert chain == [[[3**n, 0], [0, 1]] for n in range(5)]
 
 
 def test_lowdim_dimension_two_abelian():
@@ -331,8 +331,8 @@ def test_lowdim_dimension_two_abelian():
     # D_2m = p^m L drains to its limit 0
     assert rep.d_infinity == Mat.from_ints(ctx, [[0, 0], [0, 0]])
     chain = selfsim._domain_chain(rep.domain, rep.phi, 4)
-    assert chain[2] == Mat.p_power_diagonal(ctx, (1, 1))
-    assert chain[4] == Mat.p_power_diagonal(ctx, (2, 2))
+    assert chain[2] == [[3, 0], [0, 3]]
+    assert chain[4] == [[9, 0], [0, 9]]
 
 
 def test_lowdim_reports_the_limit_without_walking_past_the_search_bound():
@@ -385,7 +385,7 @@ def test_lowdim_search_stays_inside_d_bound(monkeypatch):
             yield H
 
     monkeypatch.setattr(selfsim, "enumerate_sublattices", capped)
-    steps = _counted(monkeypatch, selfsim, "_preimage_lattice")
+    steps = _counted(monkeypatch, normal_forms, "int_kernel")
     for s in (INF, 1):
         del taken[:], steps[:]
         rep = lowdim_report(PrimeContext(101), 2, 1, s)
@@ -603,14 +603,16 @@ def test_a_certificate_reads_its_hermite_domain_off_the_adjugate(monkeypatch):
 
 def test_regularity_check_adds_no_hermite_form_to_the_chain(monkeypatch):
     """The escape test is a membership solve: regularity_check(ve, d) runs
-    exactly the Hermite forms of domain_chain(ve, d + 1)."""
+    exactly the Hermite forms of domain_chain(ve, d + 1), one int_hermite
+    per step."""
     ctx = PrimeContext(3)
     ve = construct_simple_ve(Algebra(parse_matrix("1,0,0;0,3,0;0,0,-3", ctx)))
-    hnfs = _counted(monkeypatch, normal_forms, "hnf_columns")
+    hnfs = _counted(monkeypatch, normal_forms, "int_hermite")
     for depth in (0, 1, 3):
         del hnfs[:]
         domain_chain(ve, depth + 1)
         in_chain = len(hnfs)
+        assert in_chain == depth + 1
         del hnfs[:]
         assert regularity_check(ve, depth).regular
         assert len(hnfs) == in_chain
@@ -630,7 +632,7 @@ def test_chain_depths_above_the_bound_are_refused():
 
 def test_endo_chain_builds_the_chain_once(monkeypatch, capsys):
     """depth d: d + 1 preimage steps, D_1 .. D_{d+1}, for chain and escapes."""
-    steps = _counted(monkeypatch, selfsim, "_preimage_lattice")
+    steps = _counted(monkeypatch, normal_forms, "int_kernel")
     argv = [
         "endo", "chain", "--prime", "3", "--matrix", "1,0,0;0,0,2;0,2,0",
         "--domain", "1,0,0;0,3,0;0,0,1", "--phi", "1,0,0;0,1,0;0,0,3",

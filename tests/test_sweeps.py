@@ -7,6 +7,7 @@ the draws that took a det of every Mat."""
 
 import contextlib
 import io
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from padiclie import cli, selfsim, subalgebras
 from padiclie.classify import FAMILIES, CanonicalForm
 from padiclie.errors import InvalidParameters, PadicLieError, PrecisionLoss
 from padiclie.lattice import Algebra, change_of_basis
-from padiclie.normal_forms import Mat, _smith_elimination, congruent_diagonalize, snf
+from padiclie.normal_forms import Mat, congruent_diagonalize, smith_divisors, snf
 from padiclie.padic_core import INF, PrimeContext
 from padiclie.selfsim import non_self_similarity_certificate
 from padiclie.subalgebras import (
@@ -189,10 +190,7 @@ def test_index_p_matrix_is_change_of_basis_scalar_for_scalar():
 
 def test_snf_matches_the_interleaved_elimination():
     """(divisors, P, Q) field for field, or the same error, on square cases,
-    3 x 6 stacks [A | -S] and rank-deficient stacks [A | A].  A stopping
-    valuation above every divisor, or INF, leaves snf's elimination as it
-    is, and a lower one keeps the divisors below it and reports INF for
-    the rest."""
+    3 x 6 stacks [A | -S] and rank-deficient stacks [A | A]."""
     rng = random.Random(22)
     seen = set()
     for p, _, _, alg in _seeded_algebras(23, 1000):
@@ -211,26 +209,7 @@ def test_snf_matches_the_interleaved_elimination():
                 continue
             assert new[0] == ref[0]
             assert (_fields(new[1]), _fields(new[2])) == (_fields(ref[1]), _fields(ref[2]))
-            finite = [d for d in ref[0] if d != INF]
-            full = _logs(_smith_elimination(M))
-            for stop in (INF, 1 + max(finite, default=0)):
-                assert _logs(_smith_elimination(M, stop)) == full
-            stop = rng.randrange(1 + max(finite, default=0))
-            assert _smith_elimination(M, stop)[0] == tuple(
-                d if d < stop else INF for d in ref[0])
     assert None in seen
-
-
-def _logs(elimination):
-    """A Smith elimination's divisors and logs, every scalar as its fields."""
-    divisors, row_log, col_log = elimination
-
-    def plain(log):
-        return [(k, swap, None if scale is None else (scale.val, scale.unit, scale.prec),
-                 [(i, (q.val, q.unit, q.prec)) for i, q in ops])
-                for k, swap, scale, ops in log]
-
-    return divisors, plain(row_log), plain(col_log)
 
 
 def _nss_forms(p, smax):
@@ -345,14 +324,19 @@ def _ints(M):
 def _against_the_reference(p, precision, answer, reference):
     """answer(ctx) against reference(ctx), both plain values.  Where the
     reference does not raise PrecisionLoss, the same value or error; where
-    it does, PrecisionLoss again or the reference's answer at precision 64.
-    Returns the two outcomes at this precision."""
+    it does, PrecisionLoss again or the reference's answer at the first
+    doubled precision from 64 on where it answers.  Returns the two
+    outcomes at this precision."""
     ref = _outcome(reference, PrimeContext(p, precision))
     new = _outcome(answer, PrimeContext(p, precision))
     if ref[0] is not PrecisionLoss:
         assert new == ref
     elif new[0] is None:
-        assert new[1] == reference(PrimeContext(p, 64))
+        wider = _outcome(reference, PrimeContext(p, 64))
+        while wider[0] is PrecisionLoss:
+            precision = 2 * max(precision, 64)
+            wider = _outcome(reference, PrimeContext(p, precision))
+        assert new == wider
     else:
         assert new[0] is PrecisionLoss
     return ref, new
@@ -392,6 +376,11 @@ def _endo_pair(rng, p):
     return domain, phi
 
 
+def _package_chain(domain, phi, depth):
+    """The package's chain as Mats, as domain_chain builds them."""
+    return [Mat.from_ints(domain.ctx, D) for D in selfsim._domain_chain(domain, phi, depth)]
+
+
 def test_the_domain_chain_matches_the_3x6_kernel_chain():
     """1,000 seeded (domain, phi) pairs at p = 3, 5, 7, 11 and precision 8,
     16 and 32, chains of depth 3 or 8, against the chain through the kernel of
@@ -410,7 +399,7 @@ def test_the_domain_chain_matches_the_3x6_kernel_chain():
                 Mat.from_ints(ctx, domain), Mat.from_ints(ctx, phi), depth)]
 
         ref, new = _against_the_reference(
-            p, precision, chain_by(selfsim._domain_chain), chain_by(reference_domain_chain))
+            p, precision, chain_by(_package_chain), chain_by(reference_domain_chain))
         outcomes.add((ref[0], new[0]))
         if new[0] is not None:
             continue
@@ -422,6 +411,81 @@ def test_the_domain_chain_matches_the_3x6_kernel_chain():
             image = [[sum(x * y for x, y in zip(row, col)) for col in zip(*E)] for row in pulled]
             assert int_contains([[x * p**v for x in row] for row in D], image, p)
     assert (None, None) in outcomes
+
+
+def test_the_integer_chain_matches_the_windowed_chain():
+    """1,200 seeded (domain, phi) pairs at p = 3, 5, 7 and precision 16 and
+    32, chains of depth 1 to 6: domain_chain equals the frozen windowed
+    chain term by term where that answers, and where it raises
+    PrecisionLoss, answers as it does at a wider window, or raises
+    PrecisionLoss too."""
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(1200):
+        p, precision = rng.choice((3, 5, 7)), rng.choice((16, 32))
+        domain, phi = _endo_pair(rng, p)
+        depth = rng.randrange(1, 7)
+
+        def chain_by(route):
+            return lambda ctx: [_ints(D) for D in route(
+                Mat.from_ints(ctx, domain), Mat.from_ints(ctx, phi), depth)]
+
+        ref, new = _against_the_reference(
+            p, precision, chain_by(_package_chain), chain_by(reference_domain_chain))
+        outcomes.add((ref[0], new[0]))
+    assert {(None, None), (PrecisionLoss, None)} <= outcomes
+
+
+def _closed_bs(rng, count):
+    """(p, precision, alg, xi, B) for every closed symbol xi of count
+    seeded algebras at p = 3, 5, 7 whose B = index_p_matrix the window
+    builds, then of count diagonal forms (_diagonal_forms).  The axpy's
+    cancellation leaves some entries of B fewer digits than the window."""
+    algebras = ((p, precision, alg) for p, precision, _, alg in _seeded_algebras(30, 3 * count)
+                if p <= 7)
+    diagonals = ((p, rng.choice(PRECISIONS), d) for p, d in _diagonal_forms(rng, count))
+    for p, precision, alg in itertools.islice(algebras, count):
+        for xi in all_symbols(p):
+            error, B = _outcome(index_p_matrix, alg.matrix, xi)
+            if error is None and B.is_integral():
+                yield p, precision, alg, xi, B
+    for p, precision, d in diagonals:
+        ctx = PrimeContext(p, precision)
+        A = Mat.diagonal(ctx, [ctx.from_int(x) for x in d])
+        for xi in closed_symbols(A):
+            yield p, precision, Algebra(A), xi, index_p_matrix(A, xi)
+
+
+def test_the_divisors_from_minors_match_the_smith_elimination():
+    """Every closed symbol of 300 seeded algebras and 300 diagonal forms at
+    p = 3, 5, 7: the sweep's sub_s is the divisors of the frozen Smith
+    elimination, and with a stop, those below it and INF for the rest,
+    where that elimination answers; where it raises PrecisionLoss, an
+    answer or PrecisionLoss.  On the diagonal forms the key identity
+    agrees with the 3 x 6 Hermite forms by the same rule.  Some B hold an
+    entry whose digits the axpy's cancellation cut below the window."""
+    rng = random.Random(31)
+    cut = compared = identities = 0
+    for p, precision, alg, xi, B in _closed_bs(rng, 300):
+        cut += any(not x.is_zero() and x.prec < precision for row in B.data for x in row)
+        error, ref = _outcome(reference_snf, B)
+        new_error, new = _outcome(smith_divisors, B, INF)
+        if error is PrecisionLoss:
+            assert new_error in (None, PrecisionLoss)
+        else:
+            assert (new_error, new) == (error, ref and ref[0])
+            stop = rng.randrange(1, 1 + max((d for d in new if d != INF), default=0) + 1)
+            assert smith_divisors(B, stop) == tuple(d if d < stop else INF for d in new)
+            compared += 1
+        if alg.matrix.is_diagonal():
+            error, ref = _outcome(reference_key_identity, alg, xi, xi.u_matrix(alg.ctx), B)
+            new_error, new = _outcome(subalgebras._key_identity, alg, xi, B)
+            if error is PrecisionLoss:
+                assert new_error in (None, PrecisionLoss)
+            else:
+                assert (new_error, new) == (error, ref)
+                identities += 1
+    assert cut > 0 and compared > 5000 and identities > 2000
 
 
 def _diagonal_forms(rng, count):
