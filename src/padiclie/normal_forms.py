@@ -283,17 +283,19 @@ def int_hermite(R, p, t):
 
 
 class Span:
-    """The column span of a square, full-rank M in the window: one det and
-    one adjugate, for the constructions that need M^{-1} N as scalars.
+    """The column span of a square, full-rank M in the window: one adjugate
+    and the det read off it, for the constructions that need M^{-1} N.
     Whether N lies in span M is IntSpan's question, not this one's."""
 
     __slots__ = ("adj", "d_inv")
 
     def __init__(self, M):
-        d = M.det()
+        # det M from adj's column 0 in int_det's order: the same scalar
+        self.adj = adj = M.adjugate()
+        terms = [x * y for x, y in zip(M.row(0), adj.col(0))]
+        d = sum(terms[1:], terms[0])
         if d.is_zero():
             raise Degenerate("matrix is singular")
-        self.adj = M.adjugate()
         self.d_inv = d.inv()
 
     def solve(self, N):

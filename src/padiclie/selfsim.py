@@ -31,6 +31,7 @@ bound is conjectured infinite: the sentinel is never a number.
 """
 
 import functools
+import math
 import operator
 
 from .classify import canonical_form
@@ -312,20 +313,47 @@ def _invariant_ideal(S, domain, phi, d_bound, bound):
 # ---------------------------------------------------------------------------
 
 
+_OFF_HYPERBOLIC = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 2))
+
+
 def _is_hyperbolic(A):
     """Matches [[a,0,0],[0,0,b],[0,b,0]] with b nonzero."""
-    zero_positions = [(0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 2)]
-    if any(not A[i, j].is_zero() for i, j in zero_positions):
-        return False
-    return (not A[1, 2].is_zero()) and A[1, 2] == A[2, 1]
+    return (all(A[i, j].is_zero() for i, j in _OFF_HYPERBOLIC)
+            and not A[1, 2].is_zero() and A[1, 2] == A[2, 1])
 
 
-def _hyperbolic_ve(alg):
-    """The literal construction on [[a,0,0],[0,0,b],[0,b,0]]."""
-    ctx = alg.ctx
-    domain = Mat.p_power_diagonal(ctx, (0, 1, 0))
-    phi = Mat.p_power_diagonal(ctx, (0, 0, 1))
-    return VirtualEndomorphism(alg, domain, phi)
+def _check_hyperbolic(Vt, A):
+    """Raise unless Vt A Vt^T is hyperbolic, decided as _bracket_law decides
+    the law: P = R S R^T, R and S the lifts, is known to within p^t
+    (product_bound).  An entry off the shape, or P_12 - P_21, nonzero mod
+    p^t refutes it, and b = P_12 must be refuted as zero, against its own
+    error bound (Bounded) where p^t cannot tell."""
+    p = A.ctx.p
+    R, t_v, g_v, _ = lift(Vt)
+    S, t_a, g_a, _ = lift(A)
+    X = int_mul(R, S)
+    t = product_bound(t_v, g_v, t_a, g_a)
+    t = product_bound(t, least_valuation(X, t, p), t_v, g_v)
+    P = int_mul(X, list(zip(*R)))
+    if not zero_below(math.gcd(P[1][2] - P[2][1], *(P[i][j] for i, j in _OFF_HYPERBOLIC)), p, t):
+        raise PathDisagreement("preparation failed to reach the hyperbolic shape")
+    if zero_below(P[1][2], p, t):
+        B = bounded_lift(Vt)
+        b = sum(map(operator.mul, int_mul(B[1:2], bounded_lift(A))[0], B[2]))
+        if not b.refuted():  # b = 0 when exact, else undecided
+            raise (PathDisagreement if b.t == INF else PrecisionLoss)(
+                "preparation reached no nonzero hyperbolic entry b")
+
+
+def _certificate(alg, domain, phi):
+    """VirtualEndomorphism(alg, domain, phi) for a domain built here, upper
+    triangular with p-power pivots: of full rank without __init__'s IntSpan,
+    so is_morphism builds the certificate's one."""
+    if not phi.is_integral():
+        raise InvalidParameters("domain and images must be integral")
+    ve = object.__new__(VirtualEndomorphism)
+    Record.__init__(ve, alg, domain, phi)
+    return ve
 
 
 def _prepare_hyperbolic(alg, D, V):
@@ -392,22 +420,22 @@ def construct_simple_ve(alg):
         raise NotIndexPSelfSimilar(
             f"family {cf.family} with eps {cf.eps} admits no simple index-p map"
         )
-    if _is_hyperbolic(alg.matrix):
-        return _hyperbolic_ve(alg)
+    if _is_hyperbolic(alg.matrix):  # the literal construction
+        return _certificate(alg, Mat.p_power_diagonal(alg.ctx, (0, 1, 0)),
+                            Mat.p_power_diagonal(alg.ctx, (0, 0, 1)))
     D, V = congruent_diagonalize(alg.matrix)  # the one windowed elimination of a request
     Vt = _prepare_hyperbolic(alg, D, V)
     # cross-check: the rewritten matrix really is hyperbolic.  The structure
     # matrix transforms by det(W) W^{-1} A W^{-T}; for W = adj(V^T) that is
     # V^T A V, since adj(adj X) = det(X) X and det(adj X) = det(X)^2 in 3x3
-    if not _is_hyperbolic(Vt * alg.matrix * Vt.transpose()):
-        raise PathDisagreement("preparation failed to reach the hyperbolic shape")
+    _check_hyperbolic(Vt, alg.matrix)
     W = Vt.adjugate()
     # rewrite phi on the Hermite domain basis: columns of domain expressed
     # in the prepared basis, mapped through the prepared phi
     span = Span(W.shift_columns((0, 1, 0)))
     domain = _index_p_hermite(span)
     phi = W.shift_columns((0, 0, 1)) * span.solve(domain)
-    return VirtualEndomorphism(alg, domain, phi)
+    return _certificate(alg, domain, phi)
 
 
 def non_self_similarity_certificate(alg):

@@ -29,7 +29,9 @@ elimination that updates its witnesses as it goes, the domain chain through the 
 loop and selftest's random draws, as the references their rewrites must
 match.  The windowed membership test Span.coordinates, with lattice_contains,
 is_ideal and the bracket law that read it, is frozen last, the reference
-for the integer containment test.
+for the integer containment test.  A certificate's morphism law is also
+read mod p^k on its integer rows alone (morphism_law_mod), the law the
+benchmark's checker reads.
 """
 
 from fractions import Fraction
@@ -613,6 +615,31 @@ def is_congruence_mod(A, D, V, p, K):
         for i in range(n)
         for j in range(n)
     )
+
+
+def morphism_law_mod(A, domain, phi, p, k):
+    """phi[x, y] = [phi x, phi y] mod p^k on the pairs of domain columns, in
+    plain integers: A, domain and phi are integer rows, the domain
+    nonsingular.  The domain coordinates of a bracket w are adj(domain) w
+    over det(domain) = p^e u; adj w must vanish mod p^e (the domain is
+    closed), and the coordinates are read mod p^k, so the entries need only
+    be known mod p^(k + e).  False when the law or the closure fails."""
+    d = int_det(domain)
+    e = p_valuation(d, p)
+    u_inv = inverse_mod(d // p**e, p**k)
+    adj = int_adjugate(domain)
+    cols, images = list(zip(*domain)), list(zip(*phi))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        w = bracket_direct(A, cols[i], cols[j])
+        t = [sum(a * x for a, x in zip(row, w)) for row in adj]
+        if any(x % p**e for x in t):
+            return False
+        coords = [x // p**e * u_inv for x in t]
+        lhs = [sum(c * image[r] for c, image in zip(coords, images)) for r in range(3)]
+        rhs = bracket_direct(A, images[i], images[j])
+        if any((x - y) % p**k for x, y in zip(lhs, rhs)):
+            return False
+    return True
 
 
 def invariant_ideal_exists_dim2(p, s, domain, phi, bound):

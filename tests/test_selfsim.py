@@ -36,10 +36,15 @@ from padiclie.selfsim import (
     witness_subalgebra,
 )
 from oracles import (
+    canonical_diagonal,
+    int_det,
+    int_rows_mod,
     invariant_ideal_exists_dim2,
     is_subalgebra,
     key_identity_check,
     lattice_eq,
+    morphism_law_mod,
+    p_valuation,
     simple_ve_by_products,
 )
 
@@ -445,14 +450,18 @@ def test_one_diagonalization_per_certificate_and_group_report(monkeypatch):
     V = Mat.from_ints(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     alg = Algebra(V.transpose() * D * V)
     diagonalizations = _counted(monkeypatch, normal_forms, "_congruent_elimination")
+    dets = _counted(monkeypatch, Mat, "det")
+    int_dets = _counted(monkeypatch, normal_forms, "int_det")
     ve = construct_simple_ve(alg)
     assert len(diagonalizations) == 1
+    # Span reads its det off its adjugate, and the domain is of full rank by
+    # construction: the certificate's one IntSpan is is_morphism's
+    assert (len(dets), len(int_dets)) == (0, 0)
     gr = group_report(alg)
     assert len(diagonalizations) == 1
     assert gr.qp_type == "sl2" and gr.index_p_self_similar
-    dets = _counted(monkeypatch, Mat, "det")
+    del dets[:], int_dets[:]
     adjugates = _counted(monkeypatch, Mat, "adjugate")
-    int_dets = _counted(monkeypatch, normal_forms, "int_det")
     int_adjugates = _counted(monkeypatch, normal_forms, "int_adjugate")
     assert is_morphism(ve)
     # the law reads one integer det and adjugate of the domain's lift
@@ -494,14 +503,15 @@ def test_one_eta_per_analysis(monkeypatch):
     assert len(etas) == 1
 
 
-def test_certificate_runs_four_matrix_products(monkeypatch):
-    """Off the literal hyperbolic shape: two in the V^T A V cross-check,
-    one in the Span solve and one for phi."""
+def test_certificate_runs_two_matrix_products(monkeypatch):
+    """Off the literal hyperbolic shape: one in the Span solve and one for
+    phi.  The V^T A V cross-check multiplies the lifts in integers."""
     ctx = PrimeContext(5)
     alg = Algebra(Mat.from_ints(ctx, [[1, 1, 0], [1, 6, 5], [0, 5, 0]]))
     products = _counted(monkeypatch, Mat, "__mul__")
+    int_products = _counted(monkeypatch, normal_forms, "int_mul")
     ve = construct_simple_ve(alg)
-    assert len(products) == 4
+    assert (len(products), len(int_products)) == (2, 2)
     assert is_morphism(ve)
 
 
@@ -541,9 +551,8 @@ def test_cassels_move_only_on_family_4_pair_01(monkeypatch):
     certificate's one Cassels move goes on (0, 1).  A canonical family-4
     form needs it exactly when -1 is a non-square, p = 3 mod 4.
 
-    Two conjugates of diag(1, p^6, -p^6) lose their window in the
-    V^T A V cross-check at precision 32; the move, if any, has
-    been made by then, so their calls are checked too."""
+    The V^T A V cross-check reads the lifts, so no conjugate loses its
+    window there, diag(1, p^6, -p^6) at p = 3 and 11 included."""
     moves = _counted(monkeypatch, selfsim, "cassels_move")
     rng = random.Random(14)
     built, lost = 0, []
@@ -570,8 +579,35 @@ def test_cassels_move_only_on_family_4_pair_01(monkeypatch):
                 assert all(family == 4 and (i, j) == (0, 1) for _D, i, j, _u in moves)
                 if alg is base and family == 4:
                     assert len(moves) == (1 if p % 4 == 3 else 0)
-    assert lost == [(3, 3, (0, 6, 6)), (11, 3, (0, 6, 6))]
-    assert built == 5 * 49 * 3 - len(lost)
+    assert lost == []
+    assert built == 5 * 49 * 3 == 735
+
+
+def test_certificates_at_the_default_window_hold_the_integer_law():
+    """Seeded decide-yes orbit representatives U^T D U, D canonical of
+    family 2, 3 or 4 with s1 - s0 up to 8, at precision 32 and 64: every one
+    gets a certificate of index p, is_morphism holds, and so does the law
+    mod p^6 in plain integers.  The windowed V^T A V cross-check refused
+    four of them at precision 32, three of family 3 and one of family 2."""
+    rng = random.Random(27)
+    k = 6
+    for _ in range(320):
+        p, precision = rng.choice((3, 5, 7, 11)), rng.choice((32, 64))
+        family = rng.choice((2, 3, 4))
+        s0 = rng.randint(0, 3)
+        s1 = s0 + rng.randint(1, 8)
+        s, eps = {2: ((s0, s0, s1), (0, None)), 3: ((s0, s1, s1), (None, 0)),
+                  4: ((s0, s0, s0), (None, None))}[family]
+        d = canonical_diagonal(family, s, eps, p)
+        U = [[0]]
+        while int_det(U) % p == 0:
+            U = [[rng.randrange(-3, 4) for _ in range(3)] for _ in range(3)]
+        A = [[sum(U[r][i] * d[r] * U[r][j] for r in range(3)) for j in range(3)] for i in range(3)]
+        ve = construct_simple_ve(Algebra(Mat.from_ints(PrimeContext(p, precision), A)))
+        assert is_morphism(ve)
+        domain, phi = (int_rows_mod(M, p, k + 1) for M in (ve.domain, ve.phi))
+        assert p_valuation(int_det(domain), p) == 1
+        assert morphism_law_mod(A, domain, phi, p, k)
 
 
 def test_no_hyperbolic_pair_after_the_cassels_move_is_a_path_disagreement(monkeypatch):
@@ -658,6 +694,42 @@ def test_hyperbolic_cross_check_raises_path_disagreement(monkeypatch):
     alg = Algebra(Mat.from_ints(ctx, [[1, 0, 0], [0, 5, 0], [0, 0, -5]]))
     monkeypatch.setattr(selfsim, "_prepare_hyperbolic", lambda alg, D, V: Mat.identity(ctx, 3))
     with pytest.raises(PathDisagreement):
+        construct_simple_ve(alg)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_the_integer_cross_check_refutes_a_spoiled_basis(monkeypatch, p):
+    """The cross-check on the lifts refutes the prepared basis V^T with rows
+    0 and 1 swapped (b lands on the diagonal), and with a unit added to any
+    one entry: on this matrix no such bump keeps the shape, as the windowed
+    product also finds.  With rows 1 and 2 zero, b = 0 is refuted.  The
+    check is an if, not an assert, so it refutes under -O too."""
+    ctx = PrimeContext(p)
+    alg = Algebra(Mat.from_ints(ctx, [[2, 1, 1], [1, 3, 1], [1, 1, 4]]))
+    prepare = selfsim._prepare_hyperbolic
+    assert is_morphism(construct_simple_ve(alg))  # the unspoiled basis passes
+
+    def swapped(alg, D, V):
+        rows = prepare(alg, D, V).data
+        return Mat(ctx, [rows[1], rows[0], rows[2]])
+
+    def bumped(i, j):
+        def spoil(alg, D, V):
+            rows = [list(row) for row in prepare(alg, D, V).data]
+            rows[i][j] = rows[i][j] + ctx.one()
+            return Mat(ctx, rows)
+        return spoil
+
+    for spoil in [swapped] + [bumped(i, j) for i in range(3) for j in range(3)]:
+        monkeypatch.setattr(selfsim, "_prepare_hyperbolic", spoil)
+        with pytest.raises(PathDisagreement, match="failed to reach the hyperbolic shape"):
+            construct_simple_ve(alg)
+
+    def b_zero(alg, D, V):  # rows 1 and 2 zero: the shape holds with b = 0
+        return Mat(ctx, [prepare(alg, D, V).row(0)] + [[ctx.zero()] * 3] * 2)
+
+    monkeypatch.setattr(selfsim, "_prepare_hyperbolic", b_zero)
+    with pytest.raises(PathDisagreement, match="no nonzero hyperbolic entry b"):
         construct_simple_ve(alg)
 
 
