@@ -52,7 +52,7 @@ class Algebra:
 
     def bracket(self, x, y):
         """[x, y] = A (x cross y) on coordinate triples."""
-        return self.matrix.mul_vec(cross(x, y))
+        return (self.matrix * Mat(self.ctx, [[c] for c in cross(x, y)])).col(0)
 
     def __repr__(self):
         return f"<Algebra {self.matrix.to_literal()} (p={self.ctx.p})>"

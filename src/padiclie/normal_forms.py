@@ -149,20 +149,6 @@ class Mat:
         """Multiply column j by p^exponents[j]: self * diag(p^k), without the product."""
         return Mat(self.ctx, [[x.shift(k) for x, k in zip(row, exponents)] for row in self.data])
 
-    def mul_vec(self, v):
-        """self * v for a vector v, skipping exact-zero terms as __mul__ does."""
-        if self.ncols != len(v):
-            raise InvalidParameters("shape mismatch in matrix product")
-        zero = self.ctx.zero()
-        out = []
-        for r in self.data:
-            acc = zero
-            for x, y in zip(r, v):
-                if x.val != INF and y.val != INF:
-                    acc = acc + x * y
-            out.append(acc)
-        return tuple(out)
-
     def det(self):
         """Closed-form determinant; 2x2 and 3x3 only."""
         return int_det(self.data)
@@ -581,6 +567,8 @@ class IntSpan:
 
 def lattice_contains(M, N):
     """Column span of the full-rank M contains column span of N."""
+    if N.nrows != M.nrows:
+        raise InvalidParameters("shape mismatch in lattice containment")
     return IntSpan(M).contains(N)
 
 
@@ -596,25 +584,8 @@ def snf(M):
     and divisors the list of diagonal valuations sorted ascending (INF for
     absent pivots), of length min(nrows, ncols).
 
-    One elimination, _smith_elimination, gives the divisors and a log of
-    its row and of its column operations; P is the row log replayed on the
-    identity, and Q the column log, in the order the elimination took
-    them, so every witness scalar is the one an interleaved elimination
-    computes.
-    """
-    divisors, row_log, col_log = _smith_elimination(M)
-    ctx = M.ctx
-    P = Mat(ctx, _replay(ctx, M.nrows, row_log))
-    Q = Mat(ctx, _replay(ctx, M.ncols, col_log)).transpose()
-    return divisors, P, Q
-
-
-def _smith_elimination(M):
-    """snf's elimination: (divisors, row_log, col_log).
-
-    Each log holds one (k, swap, scale, ops) per pivot step: exchange
-    lines k and swap, multiply line k by scale (None for columns), then
-    line i -= q * line k for each (i, q) in ops.
+    One pass: each row operation is made on P, and each column operation
+    on Q, as the elimination makes it.
 
     No entry of M is computed only to be overwritten with 0 or p^d: step k
     works right of column k, where the rows >= k have their only nonzero
@@ -627,8 +598,10 @@ def _smith_elimination(M):
         raise InvalidParameters("Smith form expects an integral matrix")
     n, m = M.nrows, M.ncols
     A = [list(row) for row in M.data]
+    P = [list(row) for row in Mat.identity(ctx, n).data]
+    Qt = [list(row) for row in Mat.identity(ctx, m).data]  # Q's columns
     zero = ctx.zero()
-    divisors, row_log, col_log = [], [], []
+    divisors = []
     r = min(n, m)
     for k in range(r):
         best = None
@@ -642,13 +615,14 @@ def _smith_elimination(M):
         bi, bj = best
         d = A[bi][bj].valuation()
         ctx.guard_decidable(d)
-        A[k], A[bi] = A[bi], A[k]
+        A[k], A[bi], P[k], P[bi] = A[bi], A[k], P[bi], P[k]
+        Qt[k], Qt[bj] = Qt[bj], Qt[k]
         for row in A:
             row[k], row[bj] = row[bj], row[k]
         u_inv = A[k][k].shift(-d).inv()
         # entries left of the pivot are exact zeros in every row >= k
         tail = [x * u_inv for x in A[k][k + 1 :]]
-        row_ops = []
+        P[k] = [x * u_inv for x in P[k]]
         for i in range(k + 1, n):
             row = A[i]
             e = row[k]
@@ -656,28 +630,17 @@ def _smith_elimination(M):
                 continue
             q = e.shift(-d)
             A[i] = row[:k] + [zero] + [x - q * y for x, y in zip(row[k + 1 :], tail)]
-            row_ops.append((i, q))
+            P[i] = [x - q * y for x, y in zip(P[i], P[k])]
         # column k is now zero off row k: the column operations clear row k
-        col_ops = [(j, e.shift(-d)) for j, e in enumerate(tail, k + 1) if not e.is_zero()]
-        row_log.append((k, bi, u_inv, row_ops))
-        col_log.append((k, bj, None, col_ops))
+        for j, e in enumerate(tail, k + 1):
+            if not e.is_zero():
+                q = e.shift(-d)
+                Qt[j] = [x - q * y for x, y in zip(Qt[j], Qt[k])]
         divisors.append(d)
     # already ascending, INF last: each pivot has the least valuation of its
     # block, and eliminating subtracts q * x with v(q) >= 0, which cannot
     # bring an entry below the pivot's valuation
-    return tuple(divisors) + (INF,) * (r - len(divisors)), row_log, col_log
-
-
-def _replay(ctx, size, log):
-    """The rows of the size x size identity after a Smith log's operations."""
-    W = [list(row) for row in Mat.identity(ctx, size).data]
-    for k, swap, scale, ops in log:
-        W[k], W[swap] = W[swap], W[k]
-        if scale is not None:
-            W[k] = [x * scale for x in W[k]]
-        for i, q in ops:
-            W[i] = [x - q * y for x, y in zip(W[i], W[k])]
-    return W
+    return tuple(divisors) + (INF,) * (r - len(divisors)), Mat(ctx, P), Mat(ctx, Qt).transpose()
 
 
 def smith_divisors(M, stop):

@@ -680,7 +680,7 @@ def antisymmetry_defect(alg):
 
 def jacobiator(alg):
     """J(x0, x1, x2) = A v; zero iff the bracket satisfies Jacobi."""
-    return alg.matrix.mul_vec(antisymmetry_defect(alg))
+    return (alg.matrix * Mat(alg.ctx, [[x] for x in antisymmetry_defect(alg)])).col(0)
 
 
 def is_lie(alg):
@@ -879,8 +879,8 @@ def windowed_hnf_columns(M):
 
 def reference_snf(M, with_rows=True):
     """(divisors, P, Q) by the Smith elimination that updates P and Q as it
-    goes (the package's earlier snf): snf, which replays its elimination's
-    logs, must match it field for field.  with_rows=False builds no P, and
+    goes, frozen here as an independent copy: snf must match it field for
+    field.  with_rows=False builds no P, and
     returns None in its place, as the package's earlier kernel basis did."""
     ctx = M.ctx
     if not M.is_integral():

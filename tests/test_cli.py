@@ -1,6 +1,7 @@
 """Command-line interface: JSON shapes, exit codes, error reporting."""
 
 import argparse
+import collections
 import json
 import os
 import pathlib
@@ -495,57 +496,46 @@ def test_stdout_closed_by_its_reader_exits_1_quietly(argv):
     assert (child.wait(timeout=60), err) == (1, b"")
 
 
-def test_chain_search_and_sweep_run_no_windowed_elimination(monkeypatch, capsys):
-    """endo chain, endo search and subalgebras take their Hermite forms,
-    preimages and Smith divisors in integers: they call _smith_elimination
-    and Span zero times, where snf and the decide-yes certificate call
-    them."""
-    runs = []
-    for module, name in ((normal_forms, "_smith_elimination"), (normal_forms, "Span"),
-                         (selfsim, "Span")):
+YES = ["--prime", "3", "--matrix", "1,1,0;1,4,3;0,3,0"]  # decide-yes, family 3
+ENDO_ARGS = ["--prime", "3", "--matrix", "1,0,0;0,0,1;0,1,0", "--domain", "1,0,0;0,3,0;0,0,1",
+             "--phi", "1,0,0;0,1,0;0,0,3"]
+CERTIFICATE = {"Span": 1, "_congruent_elimination": 1}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["classify", *YES], {}),
+    (["eta", *YES], {}),
+    (["selfsim", *YES], CERTIFICATE),
+    (["selfsim", "--prime", "5", "--matrix", "1,0,0;0,0,2;0,2,0"], {}),  # hyperbolic: literal
+    (["selfsim", "--prime", "5", "--matrix", "1,0,0;0,-2,0;0,0,25"], {}),  # decide-no
+    (["subalgebras", "--prime", "5", "--matrix", "1,0,0;0,5,0;0,0,-5"], {}),
+    (["subalgebras", "--prime", "3", "--matrix", "3,0,0;0,9,0;0,0,27"], {}),
+    (["endo", "check", *ENDO_ARGS], {}),
+    (["endo", "chain", *ENDO_ARGS, "--depth", "15"], {}),
+    (["endo", "search", *ENDO_ARGS], {}),
+    (["endo", "search", "--prime", "3", "--matrix", "1,0,0;0,0,2;0,2,0",
+      "--domain", "3,0,0;0,3,0;0,0,3", "--phi", "3,0,0;0,3,0;0,0,3", "--search-bound", "3"], {}),
+    (["lcs", *YES], {}),
+    (["named", "sl2_sylow", "--prime", "5"], {}),
+    (["named", "L4", "--prime", "3", "--s", "1"], {}),
+    (["report", *YES], {}),
+    (["selftest", "--prime", "5", "--seed", "1"], {}),
+], ids=["classify", "eta", "selfsim-yes", "selfsim-yes-hyperbolic", "selfsim-no",
+        "subalgebras-p5", "subalgebras-p3", "endo-check", "endo-chain", "endo-search",
+        "endo-search-scalar", "lcs", "named-sl2_sylow", "named-L4", "report", "selftest"])
+def test_only_the_decide_yes_certificate_runs_a_windowed_elimination(
+        monkeypatch, capsys, argv, expected):
+    """Every subcommand takes its forms, preimages, Smith divisors and
+    Jordan data in integers: none runs snf, and only selfsim's decide-yes
+    certificate on a non-hyperbolic matrix runs Span (either binding) and
+    _congruent_elimination, once each."""
+    runs = collections.Counter()
+    for module, name in ((normal_forms, "snf"), (normal_forms, "Span"), (selfsim, "Span"),
+                         (normal_forms, "_congruent_elimination")):
         original = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, original=original: runs.append(args) or original(*args))
-    endo = ["--prime", "3", "--matrix", "1,0,0;0,0,1;0,1,0", "--domain", "1,0,0;0,3,0;0,0,1",
-            "--phi", "1,0,0;0,1,0;0,0,3"]
-    for argv in (
-        ["endo", "chain", *endo, "--depth", "15"],
-        ["endo", "search", *endo],
-        ["endo", "search", "--prime", "3", "--matrix", "1,0,0;0,0,2;0,2,0",
-         "--domain", "3,0,0;0,3,0;0,0,3", "--phi", "3,0,0;0,3,0;0,0,3", "--search-bound", "3"],
-        ["subalgebras", "--prime", "5", "--matrix", "1,0,0;0,5,0;0,0,-5"],
-        ["subalgebras", "--prime", "3", "--matrix", "3,0,0;0,9,0;0,0,27"],
-    ):
-        del runs[:]
-        assert main(argv) == 0, argv
-        assert runs == [], argv
-    assert main(["selfsim", "--prime", "3", "--matrix", "1,1,0;1,4,3;0,3,0"]) == 0
-    normal_forms.snf(normal_forms.Mat.identity(PrimeContext(3), 3))
-    assert len(runs) == 2
-    capsys.readouterr()
-
-
-def test_only_the_certificate_runs_the_windowed_elimination(monkeypatch, capsys):
-    """classify, eta, report, named, lcs and selftest consume no D or V, and
-    run no windowed elimination; selfsim runs it once, for the decide-yes
-    certificate."""
-    runs = []
-    original = normal_forms._congruent_elimination
-    monkeypatch.setattr(
-        normal_forms, "_congruent_elimination", lambda A: runs.append(A) or original(A)
-    )
-    lattice = ["--prime", "3", "--matrix", "1,1,0;1,4,3;0,3,0"]  # decide-yes, family 3
-    for argv, expected in (
-        (["classify", *lattice], 0),
-        (["eta", *lattice], 0),
-        (["report", *lattice], 0),
-        (["lcs", *lattice], 0),
-        (["named", "sl2_sylow", "--prime", "5"], 0),
-        (["named", "L4", "--prime", "3", "--s", "1"], 0),
-        (["selftest", "--prime", "5", "--seed", "1"], 0),
-        (["selfsim", *lattice], 1),
-    ):
-        del runs[:]
-        assert main(argv) == 0, argv
-        assert len(runs) == expected, argv
-    assert "certificate" in capsys.readouterr().out
+        monkeypatch.setattr(module, name, lambda *args, name=name, original=original:
+                            runs.update([name]) or original(*args))
+    assert main(argv) == 0
+    assert runs == collections.Counter(expected)
+    if expected:
+        assert "certificate" in capsys.readouterr().out

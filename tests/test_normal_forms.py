@@ -49,6 +49,7 @@ from oracles import (
     product_by_terms,
     rational_congruent_diagonal,
     reference_congruent_elimination,
+    side_by_side,
     solve_two_square_classes,
     windowed_hnf_columns,
 )
@@ -259,12 +260,8 @@ def _product_or_error(f):
     return _scalars(out) if isinstance(out, Mat) else [(x.val, x.unit, x.prec) for x in out]
 
 
-def _mul_vec_by_terms(A, v):
-    return product_by_terms(A, Mat(A.ctx, [[x] for x in v])).col(0)
-
-
 def test_products_skipping_exact_zeros_match_every_term():
-    """Mat.__mul__ and mul_vec against the sum over every term, on seeded
+    """Mat.__mul__ against the sum over every term, on seeded
     matrices of zero, unit, p-power, degraded-window and 1/p entries; terms
     that cancel through a short window raise the same PrecisionLoss."""
     rng = random.Random(16)
@@ -282,26 +279,16 @@ def test_products_skipping_exact_zeros_match_every_term():
             for _ in range(300):
                 A, B = (Mat(ctx, [[rng.choice(pool) for _ in range(3)] for _ in range(3)])
                         for _ in range(2))
-                v = B.col(0)
                 assert _product_or_error(lambda: A * B) == _product_or_error(
                     lambda: product_by_terms(A, B))
-                assert _product_or_error(lambda: A.mul_vec(v)) == _product_or_error(
-                    lambda: _mul_vec_by_terms(A, v))
             zero = ctx.zero()
             A = Mat(ctx, [[short, zero, short], [zero, one, zero], [short, short, zero]])
             B = Mat(ctx, [[one, zero, zero], [one.shift(1), one, zero], [-one, zero, one]])
-            v = B.col(0)
             want = _product_or_error(lambda: product_by_terms(A, B))
-            want_vec = _product_or_error(lambda: _mul_vec_by_terms(A, v))
             assert _product_or_error(lambda: A * B) == want
-            assert _product_or_error(lambda: A.mul_vec(v)) == want_vec
             if precision == 8:
-                cancelled = (PrecisionLoss, "cancellation exhausted the precision window")
-                assert want == want_vec == cancelled
+                assert want == (PrecisionLoss, "cancellation exhausted the precision window")
                 raised += 1
-            for w in (v[:2], v + v[:1]):
-                with pytest.raises(InvalidParameters, match="shape mismatch"):
-                    A.mul_vec(w)
     assert raised == 2
 
 
@@ -340,20 +327,44 @@ def test_lattice_eq_under_unimodular_change():
         assert not lattice_contains(M.shift(1), M)
 
 
+def _unimodular_by_lift(W):
+    """W square and integral with a unit det, read mod p off the integer
+    lifts p^val * unit of its entries (any size, where is_unimodular's det
+    takes 3 x 3 only)."""
+    p = W.ctx.p
+    if W.nrows != W.ncols or not W.is_integral():
+        return False
+    rows = [[0 if x.is_zero() else p**x.val * x.unit for x in row] for row in W.data]
+    return int_det(rows) % p != 0
+
+
 def test_snf_witnesses_and_divisors():
-    rng = random.Random(5)
+    """P M Q is diagonal with the divisors' valuations, P and Q unimodular,
+    on 3 x 3 matrices, 3 x 6 stacks [A | -S] and rank-deficient stacks
+    [R | R], whose INF divisors are exact zeros of P M Q."""
+    rng, stacks = random.Random(5), random.Random(55)
+    deficient = 0
     for p in (3, 7):
         ctx = PrimeContext(p)
         for _ in range(30):
-            M = random_nonsingular(rng, ctx)
-            divisors, P, Q = snf(M)
-            assert list(divisors) == sorted(divisors)
-            D = P * M * Q
-            assert D.is_diagonal()
-            for i, d in enumerate(divisors):
-                assert D[i, i].valuation() == d
-                assert D[i, i].unit_mod(1) == 1
-            assert is_unimodular(P) and is_unimodular(Q)
+            A = random_nonsingular(rng, ctx)
+            S = random_nonsingular(stacks, ctx)
+            R = random_int_matrix(stacks, ctx)
+            R = Mat(ctx, [R.row(0), R.row(1), [x + y for x, y in zip(R.row(0), R.row(1))]])
+            for M in (A, side_by_side(A, S.scale(-ctx.one())), side_by_side(R, R)):
+                divisors, P, Q = snf(M)
+                assert list(divisors) == sorted(divisors)
+                D = P * M * Q
+                assert D.is_diagonal()
+                for i, d in enumerate(divisors):
+                    assert D[i, i].valuation() == d
+                    if d != INF:
+                        assert D[i, i].unit_mod(1) == 1
+                assert _unimodular_by_lift(P) and _unimodular_by_lift(Q)
+                if M.ncols == 3:
+                    assert is_unimodular(P) and is_unimodular(Q)
+                deficient += INF in divisors
+    assert deficient == 60
 
 
 def test_snf_divisor_containment():
@@ -534,6 +545,20 @@ def test_lattice_contains_runs_no_hermite_form(monkeypatch):
     assert calls == []
     with pytest.raises(Degenerate):
         lattice_contains(Mat.from_ints(ctx, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]), M)
+
+
+@pytest.mark.parametrize("M, N", [
+    ([[1, 0, 0], [0, 3, 0], [0, 0, 1]], [[1, 0], [0, 3]]),
+    ([[1, 0], [0, 3]], [[1], [0], [0]]),
+    ([[1, 0], [0, 3]], [[1, 0, 0], [0, 3, 0], [0, 0, 1]]),
+])
+def test_lattice_contains_refuses_a_row_count_other_than_m(monkeypatch, M, N):
+    """An N with another row count than M is refused as a shape mismatch
+    before any work: it reads no integer span of M."""
+    monkeypatch.setattr(normal_forms, "IntSpan", None)
+    ctx = PrimeContext(3)
+    with pytest.raises(InvalidParameters, match="shape mismatch"):
+        lattice_contains(Mat.from_ints(ctx, M), Mat.from_ints(ctx, N))
 
 
 def test_det_and_adjugate_take_2x2_and_3x3_only():

@@ -482,8 +482,9 @@ def test_one_diagonalization_per_report_command(monkeypatch, capsys):
 
 
 def test_selfsim_command_diagonalizes_once_and_computes_eta_once(monkeypatch, capsys):
-    """The form and the certificate both ask congruent_diagonalize; the
-    elimination runs once.  eta comes from the form, not classify.eta."""
+    """The form reads congruent_valuations, and only the certificate asks
+    congruent_diagonalize: the windowed elimination runs once.  eta comes
+    from the form, not classify.eta."""
     diagonalizations = _counted(monkeypatch, normal_forms, "_congruent_elimination")
     etas = _counted(monkeypatch, classify, "eta")
     assert cli.main(["selfsim", "--prime", "3", "--matrix", "1,0,0;0,3,0;0,0,-3"]) == 0
