@@ -74,10 +74,10 @@ from .normal_forms import (
 )
 from .padic_core import INF
 from .subalgebras import (
+    IndexPMatrices,
     _key_identity,
     closed_symbols,
     enumerate_sublattices,
-    index_p_matrix,
     nss_condition,
     refuse_large_sweep,
 )
@@ -444,16 +444,18 @@ def non_self_similarity_certificate(alg):
     Returns a dict with the NSS flag and the per-symbol key identity
     results; meaningful on a diagonal sorted basis of a decide-no form.
     Closure is decided in integers first (closed_symbols), and only the
-    closed symbols have their B built and the key identity checked.  More
-    than SWEEP_BOUND symbols is refused before any work.
+    closed symbols have their B built (IndexPMatrices, one for the sweep)
+    and the key identity checked.  More than SWEEP_BOUND symbols is refused
+    before any work.
     """
     refuse_large_sweep(alg.ctx.p)
     ok, witness = nss_condition(alg.matrix)
     if not ok:
         raise PreconditionViolated(f"basis fails NSS at {witness}")
+    matrices = IndexPMatrices(alg.matrix)
     results = {}
     for xi in closed_symbols(alg.matrix):
-        results[xi.entries] = _key_identity(alg, xi, index_p_matrix(alg.matrix, xi))
+        results[xi.entries] = _key_identity(alg, xi, matrices.matrix(xi))
     return {"nss": True, "key_identity": results}
 
 

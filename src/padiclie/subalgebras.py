@@ -21,6 +21,7 @@ Xi_i exists iff s_i >= 1, its s-invariants are the ambient ones shifted by
 pins every such M, which is what makes index-p self-similarity decidable.
 """
 
+import operator
 from itertools import product
 
 from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record
@@ -30,11 +31,17 @@ from .padic_core import INF
 
 
 class XiSymbol(Record):
-    """One of the 1 + p + p^2 index-p symbols: (), (e,), or (e, f)."""
+    """One of the 1 + p + p^2 index-p symbols: (), (e,), or (e, f), stored
+    as a tuple of ints; each entry lies in [0, p) for the prime p that reads
+    it (entries_below)."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
+        try:
+            entries = tuple(map(operator.index, entries))
+        except TypeError:
+            raise InvalidParameters("symbol entries are integers") from None
         if len(entries) > 2:
             raise InvalidParameters("symbol has at most two entries")
         super().__init__(entries)
@@ -50,14 +57,24 @@ class XiSymbol(Record):
             return 0
         return 1 if t[1] != 0 else 2
 
+    def entries_below(self, p):
+        """The entries, or InvalidParameters when one lies outside [0, p):
+        then U is none of the 1 + p + p^2 index-p symbols."""
+        t = self.entries
+        for x in t:
+            if not 0 <= x < p:
+                raise InvalidParameters(f"symbol entry {x} lies outside [0, {p})")
+        return t
+
     def u_matrix(self, ctx):
         """Generator matrix of the submodule L^xi: the identity's scalars,
         with p at (m, m) and the symbol's entries left of it in row m,
         m = len(entries), one from_int each."""
-        t = self.entries
+        t = self.entries_below(ctx.p)
         m = len(t)
-        rows = [list(row) for row in Mat.identity(ctx, 3).data]
-        rows[m][: m + 1] = [ctx.from_int(x) for x in t] + [ctx.one().shift(1)]
+        one, zero = ctx.one(), ctx.zero()
+        rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+        rows[m][: m + 1] = [ctx.from_int(x) for x in t] + [one.shift(1)]
         return Mat(ctx, rows)
 
 
@@ -69,14 +86,20 @@ def all_symbols(p):
     return out
 
 
+def _require_3x3(A):
+    if (A.nrows, A.ncols) != (3, 3):
+        raise InvalidParameters("index-p symbols act on a 3 x 3 structure matrix")
+
+
 def b_xi(A, xi):
     """Closed form of the transformed structure matrix for diagonal A."""
+    _require_3x3(A)
     if not A.is_diagonal():
         raise NotDiagonal("closed form requires a diagonal structure matrix")
     ctx = A.ctx
     a0, a1, a2 = A.diagonal_entries()
     z = ctx.zero()
-    t = xi.entries
+    t = xi.entries_below(ctx.p)
     if len(t) == 0:
         return Mat.diagonal(ctx, [a0.shift(-1), a1.shift(1), a2.shift(1)])
     if len(t) == 1:
@@ -123,60 +146,114 @@ def refuse_large_sweep(p):
         )
 
 
-def index_p_matrix(A, xi):
-    """change_of_basis(Algebra(A), xi.u_matrix(ctx)) from the symbol's own
-    row and column operations, equal to it scalar for scalar.
+class IndexPMatrices:
+    """B = adj(U) A adj(U)^T / p for the index-p symbols over one 3 x 3
+    structure matrix A, each from the symbol's own row and column
+    operations, equal to change_of_basis(Algebra(A), xi.u_matrix(ctx))
+    scalar for scalar.  One lives for one sweep.
 
     det U = p, and adj(U) is diag(1, p, p), [[p,0,0],[-e,1,0],[0,0,p]] or
     [[p,0,0],[0,p,0],[-e,-f,1]]: row m = len(xi.entries) of adj(U) is
-    (-t, 1, 0..) and every other row is p e_r.  So B = adj(U) A adj(U)^T / p
-    is p A off row and column m, row m is the axpy row of adj(U) A, column
-    m the axpy of each row, and B[m][m] the axpy of row m over p.  Each
-    axpy sums in index order and skips a term with an exact-zero factor,
-    as Mat.__mul__ does; a factor 1 leaves a scalar's fields unchanged, and
-    shifts commute with every sum and product, so the scalars, and any
-    PrecisionLoss, are change_of_basis's own.
+    (-t, 1, 0..) and every other row is p e_r.  So B is p A off row and
+    column m, row m is the axpy row of adj(U) A, column m the axpy of each
+    row, and B[m][m] the axpy of row m over p.  Each axpy sums in index
+    order and skips a term with an exact-zero factor, as Mat.__mul__ does; a
+    factor 1 leaves a scalar's fields unchanged, and shifts commute with
+    every sum and product, so the scalars, and any PrecisionLoss, are
+    change_of_basis's own.
+
+    Every term but those of B[m][m] is a product (-t) A[k][c] of a symbol
+    entry t and an entry of A, and every entry off row and column m is
+    A[r][c].shift(1): both are formed once, on first use (the products
+    for each entry t in [1, p) the symbols bring), so a symbol pays its
+    sums and the at most two products of B[m][m], which read its own row
+    m.  For an integral A, B[m][m] is the only entry that can be
+    fractional.
     """
-    ctx = A.ctx
-    m = len(xi.entries)
-    coef = [-ctx.from_int(t) for t in xi.entries]
 
-    def axpy(v):
-        acc = ctx.zero()
-        for c, x in zip(coef, v):
-            if c.val != INF and x.val != INF:
-                acc = acc + c * x
-        return acc + v[m] if v[m].val != INF else acc
+    __slots__ = ("A", "ctx", "_shifted", "_products")
 
-    row_m = [axpy(col) for col in zip(*A.data)]  # row m of adj(U) A
-    rows = []
-    for r, row in enumerate(A.data):
-        if r == m:
-            rows.append(row_m[:m] + [axpy(row_m).shift(-1)] + row_m[m + 1 :])
-        else:
-            rows.append([axpy(row) if c == m else x.shift(1) for c, x in enumerate(row)])
-    return Mat(ctx, rows)
+    def __init__(self, A):
+        _require_3x3(A)
+        self.A = A
+        self.ctx = A.ctx
+        self._shifted = None
+        self._products = {}  # t -> (-t, its products with the rows of A)
+
+    def _products_of(self, t):
+        """(-t, [[(-t) A[r][c]]]) for the entry t in [1, p), formed here."""
+        coef = -self.ctx.from_int(t)
+        found = self._products[t] = (coef, [[coef * x for x in row] for row in self.A.data])
+        return found
+
+    def matrix(self, xi):
+        """B for the symbol xi."""
+        t = xi.entries_below(self.ctx.p)
+        m = len(t)
+        A = self.A.data
+        shifted = self._shifted
+        if shifted is None:
+            shifted = self._shifted = [[x.shift(1) for x in row] for row in A]
+        # the symbol's nonzero entries: a zero coefficient's terms are skipped
+        products = self._products
+        terms = [(k, products.get(e) or self._products_of(e)) for k, e in enumerate(t) if e]
+        rows = [list(row) for row in shifted]
+        row_m = rows[m]
+        # row m of adj(U) A: column c sums (-t_k) A[k][c] over k < m, then A[m][c]
+        for c in range(3):
+            row_m[c] = _axpy([P[k][c] for k, (_, P) in terms], A[m][c])
+        # column m: row r sums (-t_k) A[r][k] over k < m, then A[r][m]
+        for r, row in enumerate(rows):
+            if r != m:
+                row[m] = _axpy([P[r][k] for k, (_, P) in terms], A[r][m])
+        corner = _axpy([coef * row_m[k] for k, (coef, _) in terms if row_m[k].val != INF],
+                       row_m[m])
+        row_m[m] = corner.shift(-1)
+        return Mat(self.ctx, rows)
+
+
+def _axpy(terms, last):
+    """The terms, then last, summed in order, an exact zero skipped: zero + y
+    is y itself, so the sum starts at the first nonzero term."""
+    acc = None
+    for y in terms:
+        if y.val != INF:
+            acc = y if acc is None else acc + y
+    if acc is None:
+        return last
+    return acc + last if last.val != INF else acc
+
+
+def index_p_matrix(A, xi):
+    """change_of_basis(Algebra(A), xi.u_matrix(ctx)) from the symbol's own
+    row and column operations (IndexPMatrices), equal to it scalar for
+    scalar."""
+    return IndexPMatrices(A).matrix(xi)
 
 
 def enumerate_index_p(alg):
     """Reports for every index-p submodule of the algebra.
 
-    b_matrix is index_p_matrix, the symbol's own row and column operations
-    on the structure matrix; when the ambient matrix is diagonal it is
-    cross-checked against the closed form b_xi.  sub_s is smith_divisors,
-    read off the minors of B's lift in integers.  More than SWEEP_BOUND
-    symbols is refused before any work.
+    b_matrix is the symbol's own row and column operations on the structure
+    matrix (IndexPMatrices, one for the sweep); when the ambient matrix is
+    diagonal it is cross-checked against the closed form b_xi.  The
+    structure matrix is integral, so closure is read off B[m][m],
+    m = len(xi.entries).  sub_s is smith_divisors, read off the minors of
+    B's lift in integers.  More than SWEEP_BOUND symbols is refused before
+    any work.
     """
     ctx = alg.ctx
     refuse_large_sweep(ctx.p)
     diag = alg.matrix.is_diagonal()
+    matrices = IndexPMatrices(alg.matrix)
     reports = []
     for xi in all_symbols(ctx.p):
-        B = index_p_matrix(alg.matrix, xi)
+        B = matrices.matrix(xi)
         if diag:
             if B != b_xi(alg.matrix, xi):
                 raise PathDisagreement("closed form disagrees with base change")
-        closed = B.is_integral()
+        m = len(xi.entries)
+        closed = B.data[m][m].is_integral()
         sub_s = smith_divisors(B, INF) if closed else None
         reports.append(SubalgebraReport(xi, xi.u_matrix(ctx), B, closed, sub_s))
     return reports
@@ -220,6 +297,7 @@ def nss_condition(A):
 
     Returns (True, None) or (False, witness) with witness = (rule, e, f).
     """
+    _require_3x3(A)
     if not A.is_diagonal():
         raise NotDiagonal("NSS condition is read on a diagonal matrix")
     ctx = A.ctx
@@ -253,7 +331,7 @@ def _key_identity(alg, xi, B):
     valuation >= r_j, and is then equal to it iff its index, 1 + sum_k
     min(d_k, s_i) for the Smith divisors d_k of B (smith_divisors, stopped
     at s_i), is sum_j r_j.  U B = A adj(U)^T, so row j is a_j times column
-    j of adj(U), which index_p_matrix describes for m = len(xi.entries):
+    j of adj(U), which IndexPMatrices describes for m = len(xi.entries):
     1 in row m for j = m, p in row j and -U[m, j] in row m for j < m, p
     alone for j > m.  Its least valuation is 0 where it holds a unit (j = m,
     or j < m and U[m, j] = t_j != 0, t the symbol's entries), else 1.

@@ -739,7 +739,7 @@ def test_certificate_scans_nss_once_and_builds_b_once_per_closed_symbol(monkeypa
     only, and never by the generic change_of_basis."""
     ctx = PrimeContext(3)
     scans = _counted(monkeypatch, subalgebras, "nss_condition")
-    builds = _counted(monkeypatch, subalgebras, "index_p_matrix")
+    builds = _counted(monkeypatch, subalgebras.IndexPMatrices, "matrix")
     changes = _counted(monkeypatch, lattice, "change_of_basis")
     for units, closed_count in (((3, ctx.rho * 9, ctx.rho * 27), 13), ((1, 3, ctx.rho * 9), 4)):
         alg = Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in units]))

@@ -15,7 +15,7 @@ from padiclie.errors import (
 )
 from padiclie.lattice import Algebra, change_of_basis
 from padiclie.normal_forms import Mat, hnf_columns, parse_matrix
-from padiclie.padic_core import INF, PrimeContext
+from padiclie.padic_core import INF, PadicScalar, PrimeContext
 from padiclie.subalgebras import (
     XiSymbol,
     all_symbols,
@@ -327,3 +327,53 @@ def test_index_p2_matches_integer_closure_oracle(rows):
     expected = {H for H in hermite_sublattices(p, 2) if is_closed_direct(rows, H, p, 2)}
     assert 0 < len(expected) < count_sublattices_exponent(p, 2)
     assert as_ints == expected
+
+
+def test_xi_symbol_takes_only_in_range_integer_entries():
+    """A symbol stores a tuple of ints; an entry outside [0, p) is refused
+    where p is known, by u_matrix, index_p_matrix and b_xi alike."""
+    with pytest.raises(InvalidParameters):
+        XiSymbol((1.5,))
+    with pytest.raises(InvalidParameters):
+        XiSymbol(5)
+    listed = XiSymbol([1, 2])
+    assert listed == XiSymbol((1, 2)) and hash(listed) == hash(XiSymbol((1, 2)))
+    assert type(listed.entries) is tuple
+    ctx = PrimeContext(3)
+    A = Mat.diagonal(ctx, [ctx.from_int(t) for t in (1, 3, -3)])
+    for entries in ((5,), (3,), (-1,), (0, 3), (2, -1)):
+        xi = XiSymbol(entries)
+        for call in (lambda: xi.u_matrix(ctx), lambda: subalgebras.index_p_matrix(A, xi),
+                     lambda: b_xi(A, xi)):
+            with pytest.raises(InvalidParameters, match=r"outside \[0, 3\)"):
+                call()
+
+
+def test_index_p_questions_refuse_anything_but_3x3():
+    ctx = PrimeContext(3)
+    for A in (Mat.diagonal(ctx, [ctx.from_int(t) for t in (1, 3)]),
+              parse_matrix("1,0;0,3;0,0", ctx),
+              Mat.diagonal(ctx, [ctx.one()] * 4)):
+        for call in (lambda: b_xi(A, XiSymbol((1,))), lambda: nss_condition(A),
+                     lambda: subalgebras.index_p_matrix(A, XiSymbol((1,)))):
+            with pytest.raises(InvalidParameters, match="3 x 3"):
+                call()
+
+
+def test_a_sweep_forms_each_product_once(monkeypatch):
+    """On a dense matrix at p = 7 the sweep makes (p - 1) * 9 products
+    (-t) A[k][c], shared by every symbol, and each symbol at most two more
+    for B[m][m]: 54 + 86 = 140 (536 when each symbol formed its own).  On a
+    diagonal matrix the b_xi cross-check still runs once per symbol."""
+    ctx = PrimeContext(7)
+    products = []
+    mul = PadicScalar.__mul__
+    monkeypatch.setattr(PadicScalar, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    alg = Algebra(parse_matrix("-50,30,10;30,-60,-30;10,-30,-80", ctx))
+    reports = enumerate_index_p(alg)
+    assert (len(reports), len(products)) == (57, 140)
+    checks = []
+    closed_form = subalgebras.b_xi
+    monkeypatch.setattr(subalgebras, "b_xi", lambda A, xi: checks.append(xi) or closed_form(A, xi))
+    enumerate_index_p(Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in (1, 7, -7)])))
+    assert checks == all_symbols(7)
