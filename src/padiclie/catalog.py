@@ -169,24 +169,22 @@ def group_report(alg):
             "middle s-invariant is 0: the lower central series stalls, no "
             "torsion-free p-adic analytic group lies over this lattice"
         )
-    return GroupReport(
-        group_name=name,
-        family=cf.family,
-        parameters=params,
-        residually_nilpotent=resnil,
-        failing_s=failing,
-        prime_threshold=threshold,
-        threshold_met=cf.p >= threshold,
-        qp_type=ty.value,
-        index_p_self_similar=report.index_p_self_similar,
-        sigma_lower=report.sigma_lower,
-        sigma_upper=report.sigma_upper,
-        index_transfer=(
-            "for saturable lattices, [G : H] = [L_G : L_H] for open subgroups "
-            "and their subalgebras; simple maps correspond to simple maps"
-        ),
-        notes=tuple(notes),
-        selfsim=report,
+    return GroupReport(  # by position, in __slots__ order
+        name,
+        cf.family,
+        params,
+        resnil,
+        failing,  # failing_s
+        threshold,  # prime_threshold
+        cf.p >= threshold,  # threshold_met
+        ty.value,
+        report.index_p_self_similar,
+        report.sigma_lower,
+        report.sigma_upper,
+        "for saturable lattices, [G : H] = [L_G : L_H] for open subgroups "  # index_transfer
+        "and their subalgebras; simple maps correspond to simple maps",
+        tuple(notes),
+        report,  # selfsim
     )
 
 

@@ -21,6 +21,7 @@ CanonicalForm reads its own eta off its integers by the closed formula.
 
 from bisect import bisect_right
 from enum import Enum
+from operator import index
 
 from .errors import (
     Degenerate, InvalidParameters, NotLie, NotSymmetric, PathDisagreement, Record
@@ -48,6 +49,24 @@ FAMILIES = {
     4: ((0,), {}),
 }
 
+# FAMILIES as two tables.  The valuations s of a diagonal ascend, so the
+# rises (s1 > s0, s2 > s1) name the free slots above slot 0: _BY_RISES maps
+# them to the family and its eps rules as (j, slot, ref, neg), and _SHAPE
+# maps a family to its rises and which of the eps bits it carries.
+_BY_RISES = {}
+_SHAPE = {}
+for _family, (_free, _rules) in FAMILIES.items():
+    _rises = (1 in _free, 2 in _free)
+    _BY_RISES[_rises] = (_family, tuple((j, *rule) for j, rule in _rules.items()))
+    _SHAPE[_family] = (_rises, (0 in _rules, 1 in _rules))
+del _family, _free, _rules, _rises
+
+_BITS = (None, 0, 1)
+
+
+def _bit_or_none(e):
+    return e if e is None else index(e)
+
 
 class CanonicalForm(Record):
     """Complete isomorphism invariant: (family, s, eps) at a fixed prime.
@@ -60,22 +79,29 @@ class CanonicalForm(Record):
     _hidden = ("ctx",)
 
     def __init__(self, family, s, eps, p, ctx=None):
-        free, eps_slots = FAMILIES.get(family, ((), ()))
-        s0, s1, s2 = s
-        ok = (
-            free
-            and s0 >= 0
-            and all(b > a if i in free else b == a for i, a, b in ((1, s0, s1), (2, s1, s2)))
-            and len(eps) == 2
-            and all((eps[j] is not None) == (j in eps_slots) for j in (0, 1))
-        )
-        if not ok:
+        try:
+            family, p = index(family), index(p)
+            s, eps = tuple(map(index, s)), tuple(map(_bit_or_none, eps))
+        except TypeError:
+            raise InvalidParameters(
+                f"canonical data are integers: family {family}, s={s}, eps={eps}, p={p}"
+            ) from None
+        shape = _SHAPE.get(family)
+        # the ties of an ascending s fix its family's free slots, and the
+        # family the eps bits it carries
+        if (
+            shape is None
+            or len(s) != 3
+            or not 0 <= s[0] <= s[1] <= s[2]
+            or (s[1] > s[0], s[2] > s[1]) != shape[0]
+            or len(eps) != 2
+            or (eps[0] is not None, eps[1] is not None) != shape[1]
+        ):
             raise InvalidParameters(
                 f"inconsistent canonical data: family {family}, s={s}, eps={eps}"
             )
-        for e in eps:
-            if e not in (None, 0, 1):
-                raise InvalidParameters("eps entries must be 0, 1, or absent")
+        if eps[0] not in _BITS or eps[1] not in _BITS:
+            raise InvalidParameters("eps entries must be 0, 1, or absent")
         ctx = ctx or PrimeContext(p)
         if ctx.p != p:
             raise InvalidParameters(f"context over p = {ctx.p} for a form at p = {p}")
@@ -146,12 +172,12 @@ def canonical_form(alg):
     except Degenerate:
         raise Degenerate("structure matrix is degenerate") from None
     ctx = alg.matrix.ctx
-    # the valuations ascend, so the free slots are 0 and each slot above its neighbour
-    free = (0, *(i for i in (1, 2) if s[i] > s[i - 1]))
-    family, rules = next((f, r) for f, (slots, r) in FAMILIES.items() if slots == free)
+    family, rules = _BY_RISES[s[1] > s[0], s[2] > s[1]]
     delta = ctx.delta
-    bits = {j: (chi[slot] + chi[ref] + neg * delta) % 2 for j, (slot, ref, neg) in rules.items()}
-    return CanonicalForm(family, s, (bits.get(0), bits.get(1)), ctx.p, ctx)
+    eps = [None, None]
+    for j, slot, ref, neg in rules:
+        eps[j] = (chi[slot] + chi[ref] + neg * delta) % 2
+    return CanonicalForm(family, s, eps, ctx.p, ctx)
 
 
 def is_isomorphic(a, b):

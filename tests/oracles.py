@@ -18,7 +18,10 @@ the block-local elimination with its own pivot search in the window is
 frozen beside it, the second search the integer read-off's pivot plan is
 checked against.  The canonical form of an integer
 diagonal is read off by Legendre symbols from the four families'
-definitions, the reference for the package's table of families, and an
+definitions, the reference for the package's table of families; the
+package's own reading of FAMILIES, a scan for the family of an (s, chi)
+and a check of a form's fields run over the table, is frozen beside it,
+the reference for the lookups canonical_form and CanonicalForm make.  An
 integer diagonal congruent to a symmetric matrix comes from elimination
 over Fractions.  The last group freezes the index-p sweep through the
 generic change_of_basis, the windowed column Hermite form
@@ -37,6 +40,7 @@ benchmark's checker reads.
 from fractions import Fraction
 
 from padiclie import lattice
+from padiclie.classify import FAMILIES
 from padiclie.errors import (
     Degenerate,
     InvalidParameters,
@@ -491,6 +495,38 @@ def canonical_of_diagonal(d, p):
     else:
         family, eps = 4, (None, None)
     return family, s, eps, canonical_diagonal(family, s, eps, p)
+
+
+def scanned_canonical_data(s, chi, delta):
+    """(family, eps) of the Jordan data (s, chi), s ascending and delta the
+    class of -1, by a scan of FAMILIES for the family whose free slots are
+    0 and each slot above its neighbour."""
+    free = (0, *(i for i in (1, 2) if s[i] > s[i - 1]))
+    family, rules = next((f, r) for f, (slots, r) in FAMILIES.items() if slots == free)
+    bits = {j: (chi[slot] + chi[ref] + neg * delta) % 2 for j, (slot, ref, neg) in rules.items()}
+    return family, (bits.get(0), bits.get(1))
+
+
+def scanned_canonical_check(family, s, eps):
+    """The check of a form's integer fields family, s (three entries) and
+    eps, run over FAMILIES slot by slot: InvalidParameters with the
+    package's messages, or None when the fields are consistent."""
+    free, eps_slots = FAMILIES.get(family, ((), ()))
+    s0, s1, s2 = s
+    ok = (
+        free
+        and s0 >= 0
+        and all(b > a if i in free else b == a for i, a, b in ((1, s0, s1), (2, s1, s2)))
+        and len(eps) == 2
+        and all((eps[j] is not None) == (j in eps_slots) for j in (0, 1))
+    )
+    if not ok:
+        raise InvalidParameters(
+            f"inconsistent canonical data: family {family}, s={s}, eps={eps}"
+        )
+    for e in eps:
+        if e not in (None, 0, 1):
+            raise InvalidParameters("eps entries must be 0, 1, or absent")
 
 
 def rational_congruent_diagonal(rows, p):

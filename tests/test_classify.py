@@ -1,5 +1,6 @@
 """Canonical forms and eta: round trips, orbit invariance, dual routes."""
 
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,8 @@ from oracles import (
     eta_of_diagonal,
     int_det,
     rational_congruent_diagonal,
+    scanned_canonical_check,
+    scanned_canonical_data,
     windowed_congruent_elimination,
 )
 
@@ -271,6 +274,43 @@ def test_canonical_form_matches_the_legendre_oracle():
                     assert cf.eta() == eta_of_diagonal(d, p) == eta_of_diagonal(rep, p)
                     seen.add((family, eps))
         assert len(seen) == 9, (p, seen)
+
+
+def test_canonical_form_matches_the_scan_of_families():
+    """The family lookup and the eps bits of canonical_form against the
+    scan of FAMILIES, for every ascending s in [0, 4]^3 and every chi in
+    {0, 1}^3, on diag(u_i p^s_i), u_i = 1 or rho as chi_i says."""
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p)
+        for s in itertools.combinations_with_replacement(range(5), 3):
+            for chi in itertools.product((0, 1), repeat=3):
+                d = [ctx.rho**c * p**v for v, c in zip(s, chi)]
+                A = Mat.diagonal(ctx, [ctx.from_int(x) for x in d])
+                assert congruent_valuations(A) == (s, chi)
+                family, eps = scanned_canonical_data(s, chi, ctx.delta)
+                cf = canonical_form(Algebra(A))
+                assert cf == CanonicalForm(family, s, eps, p)
+                assert (cf.family, cf.s, cf.eps) == (family, s, eps)
+
+
+def test_canonical_form_check_matches_the_scanned_check():
+    """CanonicalForm accepts exactly what the slot-by-slot check of FAMILIES
+    accepts, and raises its error type with its message otherwise."""
+    ctx = PrimeContext(5)
+
+    def outcome(build):
+        try:
+            build()
+        except InvalidParameters as exc:
+            return type(exc), str(exc)
+        return None
+
+    for family in range(6):
+        for s in itertools.product(range(4), repeat=3):
+            for eps in itertools.product((None, 0, 1, 2), repeat=2):
+                want = outcome(lambda: scanned_canonical_check(family, s, eps))
+                got = outcome(lambda: CanonicalForm(family, s, eps, 5, ctx))
+                assert got == want, (family, s, eps)
 
 
 def test_a_second_read_repeats_no_check_of_the_elimination(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from padiclie.catalog import GroupReport, IdealSigmaReport, group_report, normal_subgroup_sigma
 from padiclie.classify import CanonicalForm, EtaBreakdown, canonical_form, eta
-from padiclie.errors import InvalidParameters
+from padiclie.errors import InvalidParameters, Record
 from padiclie.lattice import Algebra
 from padiclie.normal_forms import Mat
 from padiclie.padic_core import PrimeContext
@@ -166,11 +166,28 @@ def test_keyword_and_positional_construction_agree():
         (1, (0, 1, 2), (2, 0), 3),  # eps bits are 0 or 1
         (4, (0, 0, 0), (None,), 3),  # two eps slots
         (4, (0, 0, 0), (None, None), 3, PrimeContext(5)),  # context over another prime
+        (2, (0, 0, 1), (1.0, None), 5),  # an eps bit is an int
+        (4, (0.0, 0.0, 0.0), (None, None), 5),  # s holds ints
+        (1, (0, 1), (0, 1), 5),  # s has three entries
+        (4, "000", (None, None), 5),
+        (4, (0, 0, 0), (None, None), 5.0),  # p is an int
+        (4, (0, 0, 0), (None, None), 5.0, PrimeContext(5)),
+        (1.0, (0, 1, 2), (0, 1), 5),  # so is the family
     ],
 )
 def test_canonical_form_checks_raise(args):
     with pytest.raises(InvalidParameters):
         CanonicalForm(*args)
+
+
+def test_canonical_form_stores_tuples_of_ints():
+    """A list s or eps is stored as a tuple, so the form hashes; parameters
+    that are not ints are refused, as in the fields."""
+    form = CanonicalForm(1, [0, 1, 2], [0, 1], 5)
+    assert (form.s, form.eps) == ((0, 1, 2), (0, 1))
+    assert hash(form) == hash(CanonicalForm(1, (0, 1, 2), (0, 1), 5))
+    with pytest.raises(InvalidParameters):
+        CanonicalForm.from_parameters(2, (0, 1.5, 0), 5)
 
 
 def test_xi_symbol_check_raises():
@@ -198,3 +215,25 @@ def test_binding_a_wrong_set_of_fields_raises_type_error(call):
     for r in records:
         with pytest.raises(TypeError):
             call(type(r), fields(r))
+
+
+def test_the_answers_of_a_decide_no_lattice_bind_every_record_by_position(monkeypatch):
+    """canonical_form, eta, sigma_bounds and group_report on a decide-no
+    lattice call Record._bind, the keyword path, not once."""
+    calls = []
+    bind = Record._bind.__func__
+
+    def counted(cls, args, kwargs):
+        calls.append(cls)
+        return bind(cls, args, kwargs)
+
+    monkeypatch.setattr(Record, "_bind", classmethod(counted))
+    ctx = PrimeContext(5)
+    alg = Algebra(Mat.from_ints(ctx, [[1, 1, 0], [1, 6, 0], [0, 0, 25]]))
+    cf = canonical_form(alg)
+    eta(alg.matrix)
+    assert not sigma_bounds(cf).index_p_self_similar
+    group_report(alg)
+    assert calls == []
+    GroupReport(**fields(group_report(alg)))  # callers keep the keyword path
+    assert calls == [GroupReport]
