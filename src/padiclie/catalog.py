@@ -137,7 +137,7 @@ def group_report(alg):
     resnil = residually_nilpotent(cf.s)
     failing = None if resnil else sorted(cf.s)[1]
     params = cf.parameters
-    name = f"G{cf.family}({', '.join(str(t) for t in params)})" if resnil else None
+    name = f"G{cf.family}({', '.join(map(str, params))})" if resnil else None
     threshold = 5
     notes = []
     ty = qp_type_of_eta(report.eta)

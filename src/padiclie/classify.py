@@ -21,7 +21,7 @@ CanonicalForm reads its own eta off its integers by the closed formula.
 
 from bisect import bisect_right
 from enum import Enum
-from operator import index
+from operator import index, itemgetter
 
 from .errors import (
     Degenerate, InvalidParameters, NotLie, NotSymmetric, PathDisagreement, Record
@@ -49,17 +49,23 @@ FAMILIES = {
     4: ((0,), {}),
 }
 
-# FAMILIES as two tables.  The valuations s of a diagonal ascend, so the
+# FAMILIES as three tables.  The valuations s of a diagonal ascend, so the
 # rises (s1 > s0, s2 > s1) name the free slots above slot 0: _BY_RISES maps
 # them to the family and its eps rules as (j, slot, ref, neg), and _SHAPE
 # maps a family to its rises and which of the eps bits it carries.
+# _PARAMETERS maps a family to the getter of its parameters from s + eps:
+# the free slots, then 3 + j for each eps bit j (a lone slot i as the slice
+# i:i+1, so that the getter still returns a tuple).
 _BY_RISES = {}
 _SHAPE = {}
+_PARAMETERS = {}
 for _family, (_free, _rules) in FAMILIES.items():
     _rises = (1 in _free, 2 in _free)
     _BY_RISES[_rises] = (_family, tuple((j, *rule) for j, rule in _rules.items()))
     _SHAPE[_family] = (_rises, (0 in _rules, 1 in _rules))
-del _family, _free, _rules, _rises
+    _slots = _free + tuple(3 + j for j in _rules)
+    _PARAMETERS[_family] = itemgetter(*_slots if _slots[1:] else [slice(_slots[0], _slots[0] + 1)])
+del _family, _free, _rules, _rises, _slots
 
 _BITS = (None, 0, 1)
 
@@ -121,8 +127,7 @@ class CanonicalForm(Record):
     @property
     def parameters(self):
         """The free s-values, then the eps bits the family carries."""
-        free, eps_slots = FAMILIES[self.family]
-        return tuple(self.s[i] for i in free) + tuple(self.eps[j] for j in eps_slots)
+        return _PARAMETERS[self.family](self.s + self.eps)
 
     def matrix(self):
         """The canonical structure matrix as a Mat in the form's window."""

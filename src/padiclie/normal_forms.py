@@ -67,6 +67,15 @@ class Mat:
         return cls(ctx, [[ctx.from_int(x) for x in row] for row in rows])
 
     @classmethod
+    def of_rows(cls, ctx, data):
+        """Mat(ctx, data) for data a tuple of equal-length tuples, kept as
+        given: no copy and no shape check."""
+        M = cls.__new__(cls)
+        M.ctx, M.data, M.nrows, M.ncols = ctx, data, len(data), len(data[0])
+        M._congruent = M._valuations = None
+        return M
+
+    @classmethod
     def identity(cls, ctx, n):
         one, zero = ctx.one(), ctx.zero()
         return cls(ctx, [[one if i == j else zero for j in range(n)] for i in range(n)])
@@ -645,19 +654,28 @@ def snf(M):
 
 def smith_divisors(M, stop):
     """The Smith divisors of the 3 x 3 integral M, ascending, INF for each
-    at or above stop: d_k = g_k - g_(k-1), g_k the least valuation of the
-    lift's k x k minors, known below t, t + g_1 and min(t + g_2, 2 t + g_1,
-    3 t) (the det moves by each entry's error times its cofactor), or else
-    each minor below its own bound (Bounded).  An undecided g_k leaves the
-    divisors from k on at least bound - g_(k-1): INF if that reaches stop,
-    or half the window past divisors below it (the window's zero)."""
+    at or above stop, read off M's lift (smith_divisors_of_lift)."""
     if (M.nrows, M.ncols) != (3, 3) or not M.is_integral():
         raise InvalidParameters("Smith divisors read a 3 x 3 integral matrix")
     R, t, g1, _ = lift(M)
+    return smith_divisors_of_lift(M, R, t, g1, stop)
+
+
+def smith_divisors_of_lift(M, R, t, g1, stop):
+    """smith_divisors(M, stop) for the 3 x 3 integral M whose lift(M) the
+    caller holds as (R, t, g1): d_k = g_k - g_(k-1), g_k the least valuation
+    of R's k x k minors, known below t, t + g_1 and min(t + g_2, 2 t + g_1,
+    3 t) (the det moves by each entry's error times its cofactor), or else
+    each minor below its own bound (Bounded, read off M).  An undecided g_k
+    leaves the divisors from k on at least bound - g_(k-1): INF if that
+    reaches stop, or half the window past divisors below it (the window's
+    zero)."""
     p = M.ctx.p
-    g2, g3 = least_valuation(int_adjugate(R), INF, p), least_valuation([[int_det(R)]], INF, p)
+    adj = int_adjugate(R)
+    det = R[0][0] * adj[0][0] + R[0][1] * adj[1][0] + R[0][2] * adj[2][0]  # int_det(R)
+    g2, g3 = least_valuation(adj, INF, p), p_valuation(det, p) if det else INF
     levels = [(g1, t), (g2, t + g1), (g3, min(t + g2, 2 * t + g1, 3 * t))]
-    if any(g >= bound for g, bound in levels[1:]):
+    if g2 >= t + g1 or g3 >= levels[2][1]:
         B = bounded_lift(M)
         cofs = int_adjugate(B)
         least = min((x for row in cofs for x in row), key=lambda x: (x.v, x.v == x.t))

@@ -288,7 +288,11 @@ class PadicScalar:
         ctx = a.ctx
         powers = ctx.p_powers
         d = b.val - a.val
-        window = min(a.prec, d + b.prec, ctx.precision)
+        window = d + b.prec  # min(a.prec, d + b.prec, ctx.precision), without a call
+        if a.prec < window:
+            window = a.prec
+        if ctx.precision < window:
+            window = ctx.precision
         if d < window:
             w = (a.unit + b.unit * powers[d]) % powers[window]
         else:
@@ -302,6 +306,8 @@ class PadicScalar:
                 return ctx._zero
             raise PrecisionLoss("cancellation exhausted the precision window")
         p = ctx.p
+        if w % p:
+            return PadicScalar(ctx, a.val, w, window)
         t = 0
         while w % p == 0:
             w //= p
@@ -387,13 +393,18 @@ class PadicScalar:
         return self.unit - mod if self.unit > mod // 2 else self.unit
 
     def to_literal(self):
-        """Literal in the input grammar; re-parses to an equal scalar."""
-        if self.is_zero():
+        """Literal in the input grammar, the unit as its symmetric residue
+        (_symmetric_unit); re-parses to an equal scalar."""
+        v = self.val
+        if v == INF:
             return "0"
-        u = self._symmetric_unit()
-        if self.val >= 0:
-            return f"{u}*p^{self.val}"
-        return f"{u}/{self.ctx.p ** (-self.val)}"
+        ctx, u = self.ctx, self.unit
+        mod = ctx.p_powers[self.prec]
+        if u > mod // 2:
+            u -= mod
+        if v >= 0:
+            return f"{u}*p^{v}"
+        return f"{u}/{ctx.p ** -v}"
 
     def __repr__(self):
         return f"<{self.to_literal()} (p={self.ctx.p})>"

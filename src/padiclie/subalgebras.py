@@ -22,11 +22,11 @@ pins every such M, which is what makes index-p self-similarity decidable.
 """
 
 import operator
-from itertools import product
+from itertools import chain, product
 
 from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record
 from .lattice import change_of_basis
-from .normal_forms import Mat, smith_divisors
+from .normal_forms import Mat, lift, smith_divisors, smith_divisors_of_lift
 from .padic_core import INF
 
 
@@ -71,18 +71,29 @@ class XiSymbol(Record):
         with p at (m, m) and the symbol's entries left of it in row m,
         m = len(entries), one from_int each."""
         t = self.entries_below(ctx.p)
-        m = len(t)
         one, zero = ctx.one(), ctx.zero()
-        rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-        rows[m][: m + 1] = [ctx.from_int(x) for x in t] + [one.shift(1)]
-        return Mat(ctx, rows)
+        identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+        return _u_matrix(ctx, identity, [ctx.from_int(x) for x in t], one.shift(1))
+
+
+def _u_matrix(ctx, identity, entries, p_scalar):
+    """U for the symbol whose entries are these scalars: the rows of
+    identity, row m = len(entries) holding the entries, then p_scalar."""
+    m = len(entries)
+    rows = list(identity)
+    rows[m] = (*entries, p_scalar, *identity[m][m + 1 :])
+    return Mat.of_rows(ctx, tuple(rows))
 
 
 def all_symbols(p):
-    """All 1 + p + p^2 symbols, in a fixed deterministic order."""
-    out = [XiSymbol(())]
-    out += [XiSymbol((e,)) for e in range(p)]
-    out += [XiSymbol((e, f)) for e in range(p) for f in range(p)]
+    """All 1 + p + p^2 symbols, in a fixed deterministic order.  The ints
+    generated here are bound by position, without XiSymbol's checks."""
+    new, put = XiSymbol.__new__, XiSymbol._setters[0]
+    out = []
+    for entries in chain([()], product(range(p)), product(range(p), repeat=2)):
+        xi = new(XiSymbol)
+        put(xi, entries)
+        out.append(xi)
     return out
 
 
@@ -146,6 +157,11 @@ def refuse_large_sweep(p):
         )
 
 
+# the rows other than m, and the entries of row and column m, for m = 0, 1, 2
+_OFF = ((1, 2), (0, 2), (0, 1))
+_CROSS = tuple(tuple((m, c) for c in range(3)) + tuple((r, m) for r in _OFF[m]) for m in range(3))
+
+
 class IndexPMatrices:
     """B = adj(U) A adj(U)^T / p for the index-p symbols over one 3 x 3
     structure matrix A, each from the symbol's own row and column
@@ -157,10 +173,10 @@ class IndexPMatrices:
     (-t, 1, 0..) and every other row is p e_r.  So B is p A off row and
     column m, row m is the axpy row of adj(U) A, column m the axpy of each
     row, and B[m][m] the axpy of row m over p.  Each axpy sums in index
-    order and skips a term with an exact-zero factor, as Mat.__mul__ does; a
-    factor 1 leaves a scalar's fields unchanged, and shifts commute with
-    every sum and product, so the scalars, and any PrecisionLoss, are
-    change_of_basis's own.
+    order, and an exact-zero term leaves the sum as it is, as Mat.__mul__
+    skips it; a factor 1 leaves a scalar's fields unchanged, and shifts
+    commute with every sum and product, so the scalars, and any
+    PrecisionLoss, are change_of_basis's own.
 
     Every term but those of B[m][m] is a product (-t) A[k][c] of a symbol
     entry t and an entry of A, and every entry off row and column m is
@@ -171,7 +187,7 @@ class IndexPMatrices:
     fractional.
     """
 
-    __slots__ = ("A", "ctx", "_shifted", "_products")
+    __slots__ = ("A", "ctx", "_shifted", "_products", "_lifted")
 
     def __init__(self, A):
         _require_3x3(A)
@@ -179,6 +195,7 @@ class IndexPMatrices:
         self.ctx = A.ctx
         self._shifted = None
         self._products = {}  # t -> (-t, its products with the rows of A)
+        self._lifted = None  # p lift(A), and lift's (t, g) off row and column m
 
     def _products_of(self, t):
         """(-t, [[(-t) A[r][c]]]) for the entry t in [1, p), formed here."""
@@ -188,40 +205,92 @@ class IndexPMatrices:
 
     def matrix(self, xi):
         """B for the symbol xi."""
-        t = xi.entries_below(self.ctx.p)
-        m = len(t)
+        return self.of_entries(xi.entries_below(self.ctx.p))
+
+    def of_entries(self, t):
+        """B for the symbol whose entries, each in [0, p), are t."""
         A = self.A.data
         shifted = self._shifted
         if shifted is None:
-            shifted = self._shifted = [[x.shift(1) for x in row] for row in A]
+            shifted = self._shifted = tuple(tuple(x.shift(1) for x in row) for row in A)
+        m = len(t)
+        off = _OFF[m]
+        Am = A[m]
         # the symbol's nonzero entries: a zero coefficient's terms are skipped
         products = self._products
         terms = [(k, products.get(e) or self._products_of(e)) for k, e in enumerate(t) if e]
-        rows = [list(row) for row in shifted]
-        row_m = rows[m]
-        # row m of adj(U) A: column c sums (-t_k) A[k][c] over k < m, then A[m][c]
-        for c in range(3):
-            row_m[c] = _axpy([P[k][c] for k, (_, P) in terms], A[m][c])
-        # column m: row r sums (-t_k) A[r][k] over k < m, then A[r][m]
-        for r, row in enumerate(rows):
-            if r != m:
-                row[m] = _axpy([P[r][k] for k, (_, P) in terms], A[r][m])
+        # row m of adj(U) A: column c sums (-t_k) A[k][c] over k < m, then
+        # A[m][c]; column m: row r sums (-t_k) A[r][k] over k < m, then A[r][m]
+        if not terms:
+            row_m, col = list(Am), [A[r][m] for r in off]
+        elif len(terms) == 1:
+            (k, (_, P)), = terms
+            row_m = [x + y for x, y in zip(P[k], Am)]
+            col = [P[r][k] + A[r][m] for r in off]
+        else:
+            (k, (_, P)), (j, (_, Q)) = terms
+            row_m = [x + y + z for x, y, z in zip(P[k], Q[j], Am)]
+            col = [P[r][k] + Q[r][j] + A[r][m] for r in off]
         corner = _axpy([coef * row_m[k] for k, (coef, _) in terms if row_m[k].val != INF],
                        row_m[m])
         row_m[m] = corner.shift(-1)
-        return Mat(self.ctx, rows)
+        # the shifted rows r != m, entry m of each from col
+        rows = [None, None, None]
+        rows[m] = tuple(row_m)
+        for r, x in zip(off, col):
+            a, b, c = shifted[r]
+            rows[r] = (x, b, c) if m == 0 else (a, x, c) if m == 1 else (a, b, x)
+        return Mat.of_rows(self.ctx, tuple(rows))
+
+    def divisors(self, B, m):
+        """smith_divisors(B, INF) for a closed B = of_entries(t), m = len(t),
+        over an integral A: B is integral, and its lift is p lift(A) off row
+        and column m (those entries are A[r][c].shift(1)).  So A is lifted
+        once, and a symbol lifts the five entries of its row and column m
+        and folds them into lift's t and g."""
+        lifted = self._lifted
+        if lifted is None:
+            lifted = self._lifted = self._lift_off_cross()
+        pR, bounds = lifted
+        t, g = bounds[m]
+        R = [list(row) for row in pR]
+        p, powers = self.ctx.p, self.ctx.p_powers
+        data = B.data
+        for r, c in _CROSS[m]:
+            x = data[r][c]
+            v = x.val
+            if v == INF:
+                R[r][c] = 0
+                continue
+            u, mod = x.unit, powers[x.prec]  # lift's symmetric residue of the unit
+            R[r][c] = (u - mod if u > mod // 2 else u) * p**v
+            if v < g:
+                g = v
+            if v + x.prec < t:
+                t = v + x.prec
+        return smith_divisors_of_lift(B, R, t, g, INF)
+
+    def _lift_off_cross(self):
+        """(p lift(A), [(t, g) for m = 0, 1, 2]), t and g lift's over the
+        entries A[r][c].shift(1), r != m and c != m."""
+        A, p = self.A.data, self.ctx.p
+        R, _, _, _ = lift(self.A)
+        bounds = []
+        for off in _OFF:
+            block = [A[r][c] for r in off for c in off if A[r][c].val != INF]
+            bounds.append((min([x.val + x.prec for x in block], default=INF) + 1,
+                           min([x.val for x in block], default=INF) + 1))
+        return [[p * n for n in row] for row in R], bounds
 
 
 def _axpy(terms, last):
-    """The terms, then last, summed in order, an exact zero skipped: zero + y
-    is y itself, so the sum starts at the first nonzero term."""
+    """The terms, then last, summed in order.  PadicScalar.__add__ returns
+    the other summand itself when one is the exact zero, so this sum, like
+    every sum of of_entries, is the one that skips each exact zero."""
     acc = None
     for y in terms:
-        if y.val != INF:
-            acc = y if acc is None else acc + y
-    if acc is None:
-        return last
-    return acc + last if last.val != INF else acc
+        acc = y if acc is None else acc + y
+    return last if acc is None else acc + last
 
 
 def index_p_matrix(A, xi):
@@ -234,28 +303,39 @@ def index_p_matrix(A, xi):
 def enumerate_index_p(alg):
     """Reports for every index-p submodule of the algebra.
 
-    b_matrix is the symbol's own row and column operations on the structure
-    matrix (IndexPMatrices, one for the sweep); when the ambient matrix is
-    diagonal it is cross-checked against the closed form b_xi.  The
-    structure matrix is integral, so closure is read off B[m][m],
-    m = len(xi.entries).  sub_s is smith_divisors, read off the minors of
-    B's lift in integers.  More than SWEEP_BOUND symbols is refused before
-    any work.
+    What no symbol owns is formed once per sweep: the symbols, bound by
+    position; from_int(x) for x in [0, p), from which every U is built;
+    and A's lift.  b_matrix is the symbol's own
+    row and column operations on the structure matrix (IndexPMatrices, one
+    for the sweep); when the ambient matrix is diagonal it is cross-checked
+    against the closed form b_xi.  The structure matrix is integral, so
+    closure is read off B[m][m], m = len(xi.entries), and a closed B is
+    integral.  sub_s is B's Smith divisors, read off the minors of its lift
+    in integers; that lift is p lift(A) but for row and column m
+    (IndexPMatrices.divisors).  More than SWEEP_BOUND symbols is refused
+    before any work.
     """
     ctx = alg.ctx
-    refuse_large_sweep(ctx.p)
-    diag = alg.matrix.is_diagonal()
-    matrices = IndexPMatrices(alg.matrix)
+    p = ctx.p
+    refuse_large_sweep(p)
+    A = alg.matrix
+    diag = A.is_diagonal()
+    residues = [ctx.from_int(x) for x in range(p)]
+    matrices = IndexPMatrices(A)
+    one, zero = ctx.one(), ctx.zero()
+    identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    p_scalar = one.shift(1)
     reports = []
-    for xi in all_symbols(ctx.p):
-        B = matrices.matrix(xi)
-        if diag:
-            if B != b_xi(alg.matrix, xi):
-                raise PathDisagreement("closed form disagrees with base change")
-        m = len(xi.entries)
+    for xi in all_symbols(p):
+        t = xi.entries
+        B = matrices.of_entries(t)
+        if diag and B != b_xi(A, xi):
+            raise PathDisagreement("closed form disagrees with base change")
+        m = len(t)
         closed = B.data[m][m].is_integral()
-        sub_s = smith_divisors(B, INF) if closed else None
-        reports.append(SubalgebraReport(xi, xi.u_matrix(ctx), B, closed, sub_s))
+        sub_s = matrices.divisors(B, m) if closed else None
+        U = _u_matrix(ctx, identity, [residues[x] for x in t], p_scalar)
+        reports.append(SubalgebraReport(xi, U, B, closed, sub_s))
     return reports
 
 

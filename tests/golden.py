@@ -91,6 +91,8 @@ EDGE = [
     ["endo", "chain", "--prime", "3", *ORIGIN, "--domain", "1,0,0;0,3,0;0,0,1",
      "--phi", "1,0,0;0,3,0;0,0,1", "--depth", "100000"],
     ["selftest", "--prime", "5", "--trials", "1000000"],
+    ["subalgebras", "--prime", "3", "--precision", "8",
+     "--matrix=162,-102,114;-102,150,-12;114,-12,123"],
 ]
 
 

@@ -34,12 +34,15 @@ match.  The windowed membership test Span.coordinates, with lattice_contains,
 is_ideal and the bracket law that read it, is frozen last, the reference
 for the integer containment test.  A certificate's morphism law is also
 read mod p^k on its integer rows alone (morphism_law_mod), the law the
-benchmark's checker reads.
+benchmark's checker reads.  The index-p sweep is frozen a second time as
+it stood before a sweep formed A's lift, the residues and the symbols
+once (parent_enumerate_index_p), with the scalar sum and literal it ran
+on (parent_add, parent_to_literal).
 """
 
 from fractions import Fraction
 
-from padiclie import lattice
+from padiclie import lattice, normal_forms
 from padiclie.classify import FAMILIES
 from padiclie.errors import (
     Degenerate,
@@ -58,12 +61,14 @@ from padiclie.normal_forms import (
     congruent_diagonalize,
     lattice_contains,
 )
-from padiclie.padic_core import INF
+from padiclie.padic_core import INF, PadicScalar
 from padiclie.subalgebras import (
     SubalgebraReport,
+    XiSymbol,
     all_symbols,
     b_xi,
     nss_condition,
+    refuse_large_sweep,
 )
 
 
@@ -1115,3 +1120,146 @@ def reference_escapes(domain, phi, terms):
     coordinates, solved in the window, against the term's span."""
     in_domain = Span(domain).solve
     return [not reference_lattice_contains(D, phi * in_domain(D)) for D in terms]
+
+
+def parent_add(a, b):
+    """PadicScalar.__add__ as it was, with min() over the three windows and
+    the loop that strips p from every sum."""
+    if a.val == INF:
+        return b
+    if b.val == INF:
+        return a
+    if a.val > b.val:
+        a, b = b, a
+    ctx = a.ctx
+    powers = ctx.p_powers
+    d = b.val - a.val
+    window = min(a.prec, d + b.prec, ctx.precision)
+    if d < window:
+        w = (a.unit + b.unit * powers[d]) % powers[window]
+    else:
+        w = a.unit % powers[window]
+    if w == 0:
+        if 2 * window >= ctx.precision:
+            return ctx._zero
+        raise PrecisionLoss("cancellation exhausted the precision window")
+    p = ctx.p
+    t = 0
+    while w % p == 0:
+        w //= p
+        t += 1
+    return PadicScalar(ctx, a.val + t, w, window - t)
+
+
+def parent_to_literal(x):
+    """PadicScalar.to_literal as it was: the exact zero, else the unit's
+    symmetric residue mod p^prec times p^val, or over p^-val."""
+    if x.is_zero():
+        return "0"
+    mod = x.ctx.p_powers[x.prec]
+    u = x.unit - mod if x.unit > mod // 2 else x.unit
+    if x.val >= 0:
+        return f"{u}*p^{x.val}"
+    return f"{u}/{x.ctx.p ** (-x.val)}"
+
+
+def parent_u_matrix(xi, ctx):
+    """XiSymbol.u_matrix as it was: the identity's scalars, p at (m, m) and
+    one from_int per entry of the symbol left of it in row m."""
+    t = xi.entries_below(ctx.p)
+    m = len(t)
+    one, zero = ctx.one(), ctx.zero()
+    rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    rows[m][: m + 1] = [ctx.from_int(x) for x in t] + [one.shift(1)]
+    return Mat(ctx, rows)
+
+
+def parent_smith_divisors(M, stop):
+    """smith_divisors as it was: the integrality check and the lift of all
+    nine entries, the det taken apart from the adjugate."""
+    if (M.nrows, M.ncols) != (3, 3) or not M.is_integral():
+        raise InvalidParameters("Smith divisors read a 3 x 3 integral matrix")
+    R, t, g1, _ = normal_forms.lift(M)
+    p = M.ctx.p
+    g2 = normal_forms.least_valuation(normal_forms.int_adjugate(R), INF, p)
+    g3 = normal_forms.least_valuation([[normal_forms.int_det(R)]], INF, p)
+    levels = [(g1, t), (g2, t + g1), (g3, min(t + g2, 2 * t + g1, 3 * t))]
+    if any(g >= bound for g, bound in levels[1:]):
+        B = normal_forms.bounded_lift(M)
+        cofs = normal_forms.int_adjugate(B)
+        least = min((x for row in cofs for x in row), key=lambda x: (x.v, x.v == x.t))
+        first = min(x.t + c.v for row, cof in zip(B, zip(*cofs)) for x, c in zip(row, cof))
+        levels[1:] = [(least.v, least.t), (g3, min(first, 2 * t + g1, 3 * t))]
+    divisors = []
+    for k, (g, bound) in enumerate(levels, 1):
+        d = min(g, bound) - sum(divisors)
+        if d >= stop or g >= bound and d >= M.ctx.precision / 2 > max(divisors, default=0):
+            break
+        if g >= bound:
+            raise PrecisionLoss(f"the {k} x {k} minors' valuation {g} not below {bound}")
+        divisors.append(d)
+    return tuple(divisors) + (INF,) * (3 - len(divisors))
+
+
+def _parent_axpy(terms, last):
+    acc = None
+    for y in terms:
+        if y.val != INF:
+            acc = y if acc is None else parent_add(acc, y)
+    if acc is None:
+        return last
+    return parent_add(acc, last) if last.val != INF else acc
+
+
+def _parent_index_p_matrix(A, shifted, products, xi):
+    """IndexPMatrices.matrix as it was: the shifted entries and the products
+    (-t) A[k][c] shared through shifted and products, a symbol's sums
+    through lists that skip each exact zero."""
+    ctx = A.ctx
+    t = xi.entries_below(ctx.p)
+    m = len(t)
+    terms = []
+    for k, e in enumerate(t):
+        if e:
+            if e not in products:
+                coef = -ctx.from_int(e)
+                products[e] = (coef, [[coef * x for x in row] for row in A.data])
+            terms.append((k, products[e]))
+    rows = [list(row) for row in shifted]
+    row_m = rows[m]
+    for c in range(3):
+        row_m[c] = _parent_axpy([P[k][c] for k, (_, P) in terms], A.data[m][c])
+    for r, row in enumerate(rows):
+        if r != m:
+            row[m] = _parent_axpy([P[r][k] for k, (_, P) in terms], A.data[r][m])
+    corner = _parent_axpy([coef * row_m[k] for k, (coef, _) in terms if row_m[k].val != INF],
+                          row_m[m])
+    row_m[m] = corner.shift(-1)
+    return Mat(ctx, rows)
+
+
+def parent_enumerate_index_p(alg):
+    """enumerate_index_p as it was before one sweep formed the symbols, the
+    residues from_int(x) and A's lift once: each symbol built with
+    XiSymbol's checks, its U from one from_int per entry, its B from the
+    shared products with list-built sums, and the sub_s of a closed B from
+    parent_smith_divisors on all nine entries."""
+    ctx = alg.ctx
+    p = ctx.p
+    refuse_large_sweep(p)
+    A = alg.matrix
+    diag = A.is_diagonal()
+    shifted = [[x.shift(1) for x in row] for row in A.data]
+    products = {}
+    symbols = [XiSymbol(())] + [XiSymbol((e,)) for e in range(p)]
+    symbols += [XiSymbol((e, f)) for e in range(p) for f in range(p)]
+    reports = []
+    for xi in symbols:
+        B = _parent_index_p_matrix(A, shifted, products, xi)
+        if diag and B != b_xi(A, xi):
+            raise PathDisagreement("closed form disagrees with base change")
+        m = len(xi.entries)
+        closed = B.data[m][m].is_integral()
+        sub_s = parent_smith_divisors(B, INF) if closed else None
+        reports.append(SubalgebraReport(xi, parent_u_matrix(xi, ctx), B, closed, sub_s))
+    return reports

@@ -19,7 +19,14 @@ from padiclie.padic_core import (
     parse_scalar,
 )
 
-from oracles import inverse_mod, least_nonresidue, legendre_symbol, trial_division_is_prime
+from oracles import (
+    inverse_mod,
+    least_nonresidue,
+    legendre_symbol,
+    parent_add,
+    parent_to_literal,
+    trial_division_is_prime,
+)
 
 
 def test_context_validation():
@@ -291,3 +298,63 @@ def test_from_int_equals_from_rational_over_one():
                 x, y = ctx.from_int(n), ctx.from_rational(n, 1)
                 assert (x.val, x.unit, x.prec) == (y.val, y.unit, y.prec), (p, precision, n)
                 assert x.ctx is ctx
+
+
+def _fields(x):
+    return x.val, x.unit, x.prec
+
+
+def test_to_literal_matches_its_frozen_formula():
+    """to_literal in one pass against the formula it had (tests/oracles.py
+    parent_to_literal): the exact zero, negative valuations, windows cut
+    below the precision, and units at exactly mod // 2 and mod // 2 + 1,
+    the last positive and the first negative symmetric residue."""
+    rng = random.Random(31)
+    for p in (3, 5, 7, 11, 101):
+        ctx = PrimeContext(p, 8)
+        scalars = [ctx.zero()]
+        for prec in range(1, 9):
+            mod = p**prec
+            for unit in (1, mod // 2, mod // 2 + 1, mod - 1, rng.randrange(1, mod)):
+                if unit % p:
+                    scalars += [PadicScalar(ctx, val, unit, prec) for val in (-3, -1, 0, 2)]
+        for x in scalars:
+            assert x.to_literal() == parent_to_literal(x)
+        half = PadicScalar(ctx, 0, p**8 // 2, 8)
+        assert half.to_literal() == f"{p**8 // 2}*p^0"
+        assert PadicScalar(ctx, -1, p**8 // 2 + 1, 8).to_literal() == f"{-(p**8 // 2)}/{p}"
+
+
+def test_sums_match_the_frozen_sum():
+    """PadicScalar.__add__ against the sum it was (tests/oracles.py
+    parent_add): every field, or PrecisionLoss, on summands of every
+    valuation gap and window; partners that agree with -a to some digits
+    make sums that cancel, to a shorter window, to the exact zero or
+    through the window."""
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(20000):
+        p = rng.choice((3, 5, 7))
+        ctx = PrimeContext(p, rng.choice((8, 16)))
+        prec = rng.randrange(1, ctx.precision + 1)
+        unit = rng.choice([u for u in range(1, 4 * p) if u % p])
+        a = PadicScalar(ctx, rng.randrange(-2, 4), unit, prec)
+        k = rng.randrange(0, prec + 1)
+        partner = (-unit + rng.randrange(1, p) * p**k) % ctx.p_powers[prec]
+        b = rng.choice([ctx.zero(), -a, a.shift(rng.randrange(3)),
+                        PadicScalar(ctx, a.val, partner, rng.randrange(1, ctx.precision + 1))])
+        if b.unit is not None and b.unit % p == 0:
+            continue
+        for x, y in ((a, b), (b, a)):
+            try:
+                want = _fields(parent_add(x, y))
+            except PrecisionLoss as e:
+                want = str(e)
+            try:
+                got = _fields(x + y)
+            except PrecisionLoss as e:
+                got = str(e)
+            assert got == want
+            seen.add("loss" if type(want) is str else "zero" if want[0] == INF
+                     else "cut" if want[2] < min(x.prec, y.prec) else "sum")
+    assert seen == {"loss", "zero", "cut", "sum"}

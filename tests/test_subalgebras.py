@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from padiclie import subalgebras
+from padiclie import normal_forms, subalgebras
 from padiclie.errors import (
     InvalidParameters,
     NotDiagonal,
@@ -377,3 +377,33 @@ def test_a_sweep_forms_each_product_once(monkeypatch):
     monkeypatch.setattr(subalgebras, "b_xi", lambda A, xi: checks.append(xi) or closed_form(A, xi))
     enumerate_index_p(Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in (1, 7, -7)])))
     assert checks == all_symbols(7)
+
+
+def _calls(monkeypatch, owner, name):
+    """The arguments of every call of owner.name from here on."""
+    calls, wrapped = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or wrapped(*args))
+    return calls
+
+
+@pytest.mark.parametrize("p, precision, literal, closed", [
+    (3, 8, "162,-102,114;-102,150,-12;114,-12,123", 13),
+    (7, 32, "-50,30,10;30,-60,-30;10,-30,-80", 8),
+])
+def test_a_sweep_lifts_its_structure_matrix_once(monkeypatch, p, precision, literal, closed):
+    """A sweep lifts the structure matrix once and reads each closed B's
+    Smith divisors off that lift and B's own row and column: it never
+    enters smith_divisors or Mat.is_integral for a symbol.  One table of p
+    residues serves every U: from_int runs p times for it and p - 1 times
+    for the products (-t) A."""
+    ctx = PrimeContext(p, precision)
+    alg = Algebra(parse_matrix(literal, ctx))
+    lifts = _calls(monkeypatch, subalgebras, "lift")
+    smith = _calls(monkeypatch, normal_forms, "smith_divisors")
+    smith += _calls(monkeypatch, subalgebras, "smith_divisors")
+    integral = _calls(monkeypatch, Mat, "is_integral")
+    ints = _calls(monkeypatch, PrimeContext, "from_int")
+    assert sum(r.closed for r in enumerate_index_p(alg)) == closed
+    assert [M for (M,) in lifts] == [alg.matrix]
+    assert (smith, integral) == ([], [])
+    assert len(ints) <= 2 * p - 1

@@ -5,6 +5,7 @@ elimination that updates its witnesses as it goes, the chain through the
 kernel of a 3 x 6 stack, the key identity as two 3 x 6 Hermite forms, and
 the draws that took a det of every Mat."""
 
+import collections
 import contextlib
 import io
 import itertools
@@ -35,6 +36,7 @@ from oracles import (
     int_contains,
     int_det,
     p_valuation,
+    parent_enumerate_index_p,
     reference_certificate,
     reference_domain_chain,
     reference_enumerate_index_p,
@@ -168,6 +170,40 @@ def test_the_sweep_matches_the_change_of_basis_loop():
                 error, ref = _sweep(reference_enumerate_index_p,
                                     Algebra(build(PrimeContext(p, wider))))
             assert [(x, c, s) for x, _, _, c, s in new] == [(x, c, s) for x, _, _, c, s in ref]
+
+
+def _reports_or_error(f, alg):
+    """(error type, message), or per report the symbol, U and B as
+    (val, unit, prec) each, closed and sub_s."""
+    try:
+        reports = f(alg)
+    except PadicLieError as error:
+        return type(error), str(error)
+    return [(r.xi.entries, _fields(r.u_matrix), _fields(r.b_matrix), r.closed, r.sub_s)
+            for r in reports]
+
+
+def test_the_sweep_matches_its_frozen_parent():
+    """Every report field for field, or the same error type and message,
+    against the sweep as it was before it formed A's lift, the residues and
+    the symbols once (tests/oracles.py parent_enumerate_index_p), on 600
+    seeded algebras at every p in {3, 5, 7, 11} and precision in {8, 16,
+    32}.  Diagonal matrices take the b_xi cross-check, and Bs occur whose
+    entries the sums cut below the window of a full-window A."""
+    seen = collections.Counter()
+    for p, precision, _, alg in _seeded_algebras(31, 600):
+        ref = _reports_or_error(parent_enumerate_index_p, alg)
+        assert _reports_or_error(enumerate_index_p, alg) == ref
+        seen[p, precision] += 1
+        if isinstance(ref, tuple):
+            seen["error"] += 1
+            continue
+        seen["diagonal"] += alg.matrix.is_diagonal()
+        full = all(x.prec == precision for row in alg.matrix.data for x in row)
+        seen["cut"] += full and any(prec < precision for report in ref
+                                    for _, _, prec in report[2])
+    assert len(seen) == 12 + 3, seen
+    assert seen["diagonal"] > 100 and seen["cut"] > 100 and seen["error"] > 0, seen
 
 
 def test_index_p_matrix_is_change_of_basis_scalar_for_scalar():
