@@ -127,23 +127,14 @@ def cmd_subalgebras(args):
     ctx = _context(args)
     alg = _algebra(args, ctx)
     reports = subalgebras.enumerate_index_p(alg)
-    # The symbols' U and B share most of their scalars (the identity's, the
-    # residues, A's shifted entries), so each scalar's literal is formed
-    # once, keyed by identity: the reports keep every key's scalar alive.
-    literals = {}
-
-    def rows(M):
-        return [[literals.get(id(x)) or literals.setdefault(id(x), x.to_literal()) for x in row]
-                for row in M.data]
-
     return {
         "count": len(reports),
         "subalgebras": [
             {
                 "xi": list(r.xi.entries),
                 "class": r.xi.class_index(),
-                "u": rows(r.u_matrix),
-                "b": rows(r.b_matrix),
+                "u": r.u_matrix.to_rows(),
+                "b": r.b_matrix.to_rows(),
                 "is_subalgebra": r.closed,
                 "sub_s_invariants": [_val_json(v) for v in r.sub_s] if r.sub_s else None,
             }

@@ -20,6 +20,8 @@ which is also the integrality test for a full-rank submodule to be a
 subalgebra, and then B is the structure matrix of the submodule.
 """
 
+import operator
+
 from .errors import Degenerate, InvalidParameters, NotSubalgebra
 from .normal_forms import IntSpan, Mat, lift
 from .padic_core import INF
@@ -169,9 +171,13 @@ def lcs_exponents(s, n):
 
     with saturating arithmetic so that INF entries stay INF.
     """
+    try:
+        n = operator.index(n)
+        s0, s1, s2 = s
+    except (TypeError, ValueError):
+        raise InvalidParameters(f"an integer n and three entries of s: n={n!r}, s={s!r}") from None
     if n < 0:
         raise InvalidParameters("the series starts at gamma_0 = L")
-    s0, s1, s2 = s
 
     def add(*terms):
         return INF if any(t == INF for t in terms) else sum(terms)

@@ -926,6 +926,8 @@ def cassels_move(D, i, j, u):
     ctx = D.ctx
     if not D.is_diagonal():
         raise NotDiagonal("Cassels move needs a diagonal matrix")
+    if i == j or not (0 <= i < D.nrows and 0 <= j < D.nrows):
+        raise InvalidParameters(f"a Cassels move takes two distinct indices in [0, {D.nrows})")
     di, dj = D[i, i], D[j, j]
     if di.is_zero() or dj.is_zero() or di.valuation() != dj.valuation():
         raise ValuationMismatch("entries must share a finite valuation")

@@ -127,6 +127,10 @@ class PrimeContext:
     """
 
     def __init__(self, p, precision=32):
+        try:
+            p, precision = operator.index(p), operator.index(precision)
+        except TypeError:
+            raise InvalidParameters(f"p and precision are integers: {p!r}, {precision!r}") from None
         if not _is_prime(p):
             raise InvalidParameters(f"{p} is not prime")
         if p == 2:

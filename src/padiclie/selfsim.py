@@ -444,9 +444,9 @@ def non_self_similarity_certificate(alg):
     Returns a dict with the NSS flag and the per-symbol key identity
     results; meaningful on a diagonal sorted basis of a decide-no form.
     Closure is decided in integers first (closed_symbols), and only the
-    closed symbols have their B built (IndexPMatrices, one for the sweep)
-    and the key identity checked.  More than SWEEP_BOUND symbols is refused
-    before any work.
+    closed symbols have their B built and the key identity checked, from
+    one IndexPMatrices.  More than SWEEP_BOUND symbols is refused before
+    any work.
     """
     refuse_large_sweep(alg.ctx.p)
     ok, witness = nss_condition(alg.matrix)
@@ -455,7 +455,7 @@ def non_self_similarity_certificate(alg):
     matrices = IndexPMatrices(alg.matrix)
     results = {}
     for xi in closed_symbols(alg.matrix):
-        results[xi.entries] = _key_identity(alg, xi, matrices.matrix(xi))
+        results[xi.entries] = _key_identity(matrices, xi, matrices.of_entries(xi.entries))
     return {"nss": True, "key_identity": results}
 
 

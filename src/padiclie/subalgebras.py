@@ -26,7 +26,7 @@ from itertools import chain, product
 
 from .errors import InvalidParameters, NotDiagonal, PathDisagreement, Record
 from .lattice import change_of_basis
-from .normal_forms import Mat, lift, smith_divisors, smith_divisors_of_lift
+from .normal_forms import Mat, lift, smith_divisors_of_lift
 from .padic_core import INF
 
 
@@ -67,22 +67,13 @@ class XiSymbol(Record):
         return t
 
     def u_matrix(self, ctx):
-        """Generator matrix of the submodule L^xi: the identity's scalars,
-        with p at (m, m) and the symbol's entries left of it in row m,
-        m = len(entries), one from_int each."""
+        """Generator matrix of the submodule L^xi: the identity but for row
+        m = len(entries), which holds the entries, one from_int each, then p."""
         t = self.entries_below(ctx.p)
-        one, zero = ctx.one(), ctx.zero()
-        identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-        return _u_matrix(ctx, identity, [ctx.from_int(x) for x in t], one.shift(1))
-
-
-def _u_matrix(ctx, identity, entries, p_scalar):
-    """U for the symbol whose entries are these scalars: the rows of
-    identity, row m = len(entries) holding the entries, then p_scalar."""
-    m = len(entries)
-    rows = list(identity)
-    rows[m] = (*entries, p_scalar, *identity[m][m + 1 :])
-    return Mat.of_rows(ctx, tuple(rows))
+        m = len(t)
+        rows = [list(row) for row in Mat.identity(ctx, 3).data]
+        rows[m][: m + 1] = [*map(ctx.from_int, t), ctx.one().shift(1)]
+        return Mat(ctx, rows)
 
 
 def all_symbols(p):
@@ -163,62 +154,65 @@ _CROSS = tuple(tuple((m, c) for c in range(3)) + tuple((r, m) for r in _OFF[m]) 
 
 
 class IndexPMatrices:
-    """B = adj(U) A adj(U)^T / p for the index-p symbols over one 3 x 3
-    structure matrix A, each from the symbol's own row and column
-    operations, equal to change_of_basis(Algebra(A), xi.u_matrix(ctx))
-    scalar for scalar.  One lives for one sweep.
+    """U, B = adj(U) A adj(U)^T / p and a closed B's Smith divisors for the
+    index-p symbols over one integral 3 x 3 structure matrix A, B equal to
+    change_of_basis(Algebra(A), U) scalar for scalar.  One lives for one
+    sweep, and a symbol is handed over as its entries t, each in [0, p).
 
-    det U = p, and adj(U) is diag(1, p, p), [[p,0,0],[-e,1,0],[0,0,p]] or
-    [[p,0,0],[0,p,0],[-e,-f,1]]: row m = len(xi.entries) of adj(U) is
-    (-t, 1, 0..) and every other row is p e_r.  So B is p A off row and
-    column m, row m is the axpy row of adj(U) A, column m the axpy of each
-    row, and B[m][m] the axpy of row m over p.  Each axpy sums in index
-    order, and an exact-zero term leaves the sum as it is, as Mat.__mul__
-    skips it; a factor 1 leaves a scalar's fields unchanged, and shifts
-    commute with every sum and product, so the scalars, and any
-    PrecisionLoss, are change_of_basis's own.
-
-    Every term but those of B[m][m] is a product (-t) A[k][c] of a symbol
-    entry t and an entry of A, and every entry off row and column m is
-    A[r][c].shift(1): both are formed once, on first use (the products
-    for each entry t in [1, p) the symbols bring), so a symbol pays its
-    sums and the at most two products of B[m][m], which read its own row
-    m.  For an integral A, B[m][m] is the only entry that can be
+    Row m = len(t) of adj(U) is (-t, 1, 0..) and every other row is p e_r.
+    So B is p A off row and column m, row m the axpy row of adj(U) A,
+    column m the axpy of each row, and B[m][m] the axpy of row m over p.
+    Each axpy sums in index order, and an exact-zero term leaves the sum as
+    it is, as Mat.__mul__ skips it (_axpy); shifts commute with every sum
+    and product, so the scalars, and any PrecisionLoss, are
+    change_of_basis's own.  B[m][m] is the only entry that can be
     fractional.
+
+    What no symbol owns is formed here: A's shifted entries, the products
+    (-t) A[k][c] for t in [1, p), U's residues from_int(t), and p lift(A)
+    with lift's (t, g) off each row and column m.  A symbol pays its sums,
+    the at most two products of B[m][m], and the lift of B's row and
+    column m.
     """
 
-    __slots__ = ("A", "ctx", "_shifted", "_products", "_lifted")
+    __slots__ = ("A", "ctx", "_shifted", "_products", "_residues", "_identity", "_p_scalar",
+                 "_lifted", "_bounds")
 
     def __init__(self, A):
         _require_3x3(A)
-        self.A = A
-        self.ctx = A.ctx
-        self._shifted = None
-        self._products = {}  # t -> (-t, its products with the rows of A)
-        self._lifted = None  # p lift(A), and lift's (t, g) off row and column m
+        ctx, data = A.ctx, A.data
+        self.A, self.ctx = A, ctx
+        self._shifted = tuple(tuple(x.shift(1) for x in row) for row in data)
+        residues = self._residues = [ctx.from_int(x) for x in range(ctx.p)]
+        # (-t, its products with the rows of A), at index t
+        self._products = [None] + [(-e, [[-e * x for x in row] for row in data])
+                                   for e in residues[1:]]
+        self._identity = Mat.identity(ctx, 3).data
+        self._p_scalar = ctx.one().shift(1)
+        R, _, _, _ = lift(A)
+        self._lifted = [[ctx.p * n for n in row] for row in R]
+        self._bounds = []
+        for off in _OFF:
+            block = [data[r][c] for r in off for c in off if data[r][c].val != INF]
+            self._bounds.append((min([x.val + x.prec for x in block], default=INF) + 1,
+                                 min([x.val for x in block], default=INF) + 1))
 
-    def _products_of(self, t):
-        """(-t, [[(-t) A[r][c]]]) for the entry t in [1, p), formed here."""
-        coef = -self.ctx.from_int(t)
-        found = self._products[t] = (coef, [[coef * x for x in row] for row in self.A.data])
-        return found
-
-    def matrix(self, xi):
-        """B for the symbol xi."""
-        return self.of_entries(xi.entries_below(self.ctx.p))
+    def u(self, t):
+        """U for the symbol t: the identity's rows, row m = len(t) holding
+        t's residues, then p."""
+        m = len(t)
+        rows = list(self._identity)
+        rows[m] = (*map(self._residues.__getitem__, t), self._p_scalar, *rows[m][m + 1 :])
+        return Mat.of_rows(self.ctx, tuple(rows))
 
     def of_entries(self, t):
-        """B for the symbol whose entries, each in [0, p), are t."""
+        """B for the symbol t."""
         A = self.A.data
-        shifted = self._shifted
-        if shifted is None:
-            shifted = self._shifted = tuple(tuple(x.shift(1) for x in row) for row in A)
         m = len(t)
         off = _OFF[m]
         Am = A[m]
         # the symbol's nonzero entries: a zero coefficient's terms are skipped
-        products = self._products
-        terms = [(k, products.get(e) or self._products_of(e)) for k, e in enumerate(t) if e]
+        terms = [(k, self._products[e]) for k, e in enumerate(t) if e]
         # row m of adj(U) A: column c sums (-t_k) A[k][c] over k < m, then
         # A[m][c]; column m: row r sums (-t_k) A[r][k] over k < m, then A[r][m]
         if not terms:
@@ -238,22 +232,17 @@ class IndexPMatrices:
         rows = [None, None, None]
         rows[m] = tuple(row_m)
         for r, x in zip(off, col):
-            a, b, c = shifted[r]
+            a, b, c = self._shifted[r]
             rows[r] = (x, b, c) if m == 0 else (a, x, c) if m == 1 else (a, b, x)
         return Mat.of_rows(self.ctx, tuple(rows))
 
-    def divisors(self, B, m):
-        """smith_divisors(B, INF) for a closed B = of_entries(t), m = len(t),
-        over an integral A: B is integral, and its lift is p lift(A) off row
-        and column m (those entries are A[r][c].shift(1)).  So A is lifted
-        once, and a symbol lifts the five entries of its row and column m
-        and folds them into lift's t and g."""
-        lifted = self._lifted
-        if lifted is None:
-            lifted = self._lifted = self._lift_off_cross()
-        pR, bounds = lifted
-        t, g = bounds[m]
-        R = [list(row) for row in pR]
+    def divisors(self, B, m, stop):
+        """smith_divisors(B, stop) for a closed B = of_entries(t), m = len(t):
+        B is integral and its lift is p lift(A) off row and column m, so only
+        the five entries of row and column m are lifted here and folded
+        into lift's t and g."""
+        t, g = self._bounds[m]
+        R = [list(row) for row in self._lifted]
         p, powers = self.ctx.p, self.ctx.p_powers
         data = B.data
         for r, c in _CROSS[m]:
@@ -268,19 +257,7 @@ class IndexPMatrices:
                 g = v
             if v + x.prec < t:
                 t = v + x.prec
-        return smith_divisors_of_lift(B, R, t, g, INF)
-
-    def _lift_off_cross(self):
-        """(p lift(A), [(t, g) for m = 0, 1, 2]), t and g lift's over the
-        entries A[r][c].shift(1), r != m and c != m."""
-        A, p = self.A.data, self.ctx.p
-        R, _, _, _ = lift(self.A)
-        bounds = []
-        for off in _OFF:
-            block = [A[r][c] for r in off for c in off if A[r][c].val != INF]
-            bounds.append((min([x.val + x.prec for x in block], default=INF) + 1,
-                           min([x.val for x in block], default=INF) + 1))
-        return [[p * n for n in row] for row in R], bounds
+        return smith_divisors_of_lift(B, R, t, g, stop)
 
 
 def _axpy(terms, last):
@@ -293,38 +270,16 @@ def _axpy(terms, last):
     return last if acc is None else acc + last
 
 
-def index_p_matrix(A, xi):
-    """change_of_basis(Algebra(A), xi.u_matrix(ctx)) from the symbol's own
-    row and column operations (IndexPMatrices), equal to it scalar for
-    scalar."""
-    return IndexPMatrices(A).matrix(xi)
-
-
 def enumerate_index_p(alg):
-    """Reports for every index-p submodule of the algebra.
-
-    What no symbol owns is formed once per sweep: the symbols, bound by
-    position; from_int(x) for x in [0, p), from which every U is built;
-    and A's lift.  b_matrix is the symbol's own
-    row and column operations on the structure matrix (IndexPMatrices, one
-    for the sweep); when the ambient matrix is diagonal it is cross-checked
-    against the closed form b_xi.  The structure matrix is integral, so
-    closure is read off B[m][m], m = len(xi.entries), and a closed B is
-    integral.  sub_s is B's Smith divisors, read off the minors of its lift
-    in integers; that lift is p lift(A) but for row and column m
-    (IndexPMatrices.divisors).  More than SWEEP_BOUND symbols is refused
-    before any work.
+    """Reports for every index-p submodule of the algebra, U and B from one
+    IndexPMatrices.  A diagonal A's B is cross-checked against the closed
+    form b_xi.  More than SWEEP_BOUND symbols is refused before any work.
     """
-    ctx = alg.ctx
-    p = ctx.p
+    p = alg.ctx.p
     refuse_large_sweep(p)
     A = alg.matrix
     diag = A.is_diagonal()
-    residues = [ctx.from_int(x) for x in range(p)]
     matrices = IndexPMatrices(A)
-    one, zero = ctx.one(), ctx.zero()
-    identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-    p_scalar = one.shift(1)
     reports = []
     for xi in all_symbols(p):
         t = xi.entries
@@ -333,9 +288,8 @@ def enumerate_index_p(alg):
             raise PathDisagreement("closed form disagrees with base change")
         m = len(t)
         closed = B.data[m][m].is_integral()
-        sub_s = matrices.divisors(B, m) if closed else None
-        U = _u_matrix(ctx, identity, [residues[x] for x in t], p_scalar)
-        reports.append(SubalgebraReport(xi, U, B, closed, sub_s))
+        sub_s = matrices.divisors(B, m, INF) if closed else None
+        reports.append(SubalgebraReport(xi, matrices.u(t), B, closed, sub_s))
     return reports
 
 
@@ -402,21 +356,22 @@ def nss_condition(A):
     return True, None
 
 
-def _key_identity(alg, xi, B):
-    """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi, A diagonal,
-    U = xi.u_matrix; B is the integral index_p_matrix(alg.matrix, xi).
+def _key_identity(matrices, xi, B):
+    """[M, M] + p^{s_i} M = p [L, L] + p^{s_i} L for M = L^xi, A =
+    matrices.A diagonal, U = xi.u_matrix; B is the integral
+    matrices.of_entries(xi.entries).
 
     The right side is diag(p^r_j) Z_p^3, r_j = min(s_j + 1, s_i).  The left
     side U (B Z_p^3 + p^{s_i} Z_p^3) lies in it iff row j of U B has
     valuation >= r_j, and is then equal to it iff its index, 1 + sum_k
-    min(d_k, s_i) for the Smith divisors d_k of B (smith_divisors, stopped
-    at s_i), is sum_j r_j.  U B = A adj(U)^T, so row j is a_j times column
+    min(d_k, s_i) for the Smith divisors d_k of B (matrices.divisors,
+    stopped at s_i), is sum_j r_j.  U B = A adj(U)^T, so row j is a_j times column
     j of adj(U), which IndexPMatrices describes for m = len(xi.entries):
     1 in row m for j = m, p in row j and -U[m, j] in row m for j < m, p
     alone for j > m.  Its least valuation is 0 where it holds a unit (j = m,
     or j < m and U[m, j] = t_j != 0, t the symbol's entries), else 1.
     """
-    s = [x.valuation() for x in alg.matrix.diagonal_entries()]
+    s = [x.valuation() for x in matrices.A.diagonal_entries()]
     si = s[xi.class_index()]
     r = [min(sj + 1, si) for sj in s]
     t = xi.entries
@@ -424,7 +379,7 @@ def _key_identity(alg, xi, B):
     least = [0 if j == m or (j < m and t[j]) else 1 for j in range(3)]
     if any(sj + c < rj for sj, c, rj in zip(s, least, r)):
         return False
-    divisors = smith_divisors(B, si)
+    divisors = matrices.divisors(B, m, si)
     return 1 + sum(min(d, si) for d in divisors) == sum(r)
 
 

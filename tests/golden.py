@@ -34,6 +34,8 @@ import hashlib
 import io
 import itertools
 import os
+import shlex
+import subprocess
 import sys
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -69,30 +71,60 @@ CANCELLING = (
     "8138676874209,2712892291480,10851569165563"
 )
 ORIGIN = ["--matrix", "1,0,0;0,3,0;0,0,-3"]
-# the edge commands of .github/workflows/tests.yml, in its order
+# The edge commands: (expected exit code, argv).  CI runs each as a fresh
+# process, in this order (check_fresh); edge/<i> pins its answer in process.
 EDGE = [
-    *([command, "--prime", "7", "--precision", "10", "--matrix=" + CANCELLING]
+    *((3, [command, "--prime", "7", "--precision", "10", "--matrix=" + CANCELLING])
       for command in ("classify", "eta", "selfsim", "report")),
-    ["selfsim", "--prime", "7", "--precision", "16",
-     "--matrix=64863,-454017,-461130;-454017,-1691261,668352;-461130,668352,1933334"],
-    ["classify", "--prime", "5", "--precision", "8",
-     "--matrix=-13372*p^1,107063*p^1,126306*p^1;107063*p^1,-26552*p^1,-137449*p^1;"
-     "126306*p^1,-137449*p^1,123087*p^1"],
-    ["named", "L4", "--prime", "3", "--s", "2,5"],
-    ["named", "sl2", "--prime", "3", "--k", "5"],
-    ["named", "dim2", "--prime", "101"],
-    ["named", "dim2", "--prime", "101", "--s", "1"],
-    ["named", "dim2", "--prime", "3", "--k", "2", "--s", "1"],
-    ["selftest", "--prime", "5", "--seed", "1"],
-    ["classify", "--prime", "5", "--matrix", "1,0,0;0,5,0;0,0,-5"],
-    ["endo", "check", "--prime", "3", *ORIGIN, "--domain", "1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,1",
-     "--phi", "1,0,0;0,1,0;0,0,1"],
-    ["lcs", "--prime", "3", *ORIGIN, "--depth", "3000000"],
-    ["endo", "chain", "--prime", "3", *ORIGIN, "--domain", "1,0,0;0,3,0;0,0,1",
-     "--phi", "1,0,0;0,3,0;0,0,1", "--depth", "100000"],
-    ["selftest", "--prime", "5", "--trials", "1000000"],
-    ["subalgebras", "--prime", "3", "--precision", "8",
-     "--matrix=162,-102,114;-102,150,-12;114,-12,123"],
+    # the certificate's hyperbolic cross-check reads the lifts, not the window: family 3,
+    # s = (0,4,4); (0,6,6) is edge/18
+    (0, ["selfsim", "--prime", "7", "--precision", "16",
+         "--matrix=64863,-454017,-461130;-454017,-1691261,668352;-461130,668352,1933334"]),
+    (3, ["classify", "--prime", "5", "--precision", "8",
+         "--matrix=-13372*p^1,107063*p^1,126306*p^1;107063*p^1,-26552*p^1,-137449*p^1;"
+         "126306*p^1,-137449*p^1,123087*p^1"]),
+    (2, ["named", "L4", "--prime", "3", "--s", "2,5"]),
+    (2, ["named", "sl2", "--prime", "3", "--k", "5"]),
+    (0, ["named", "dim2", "--prime", "101"]),
+    (0, ["named", "dim2", "--prime", "101", "--s", "1"]),
+    (0, ["named", "dim2", "--prime", "3", "--k", "2", "--s", "1"]),
+    (0, ["selftest", "--prime", "5", "--seed", "1"]),
+    (0, ["classify", "--prime", "5", "--matrix", "1,0,0;0,5,0;0,0,-5"]),
+    (2, ["endo", "check", "--prime", "3", *ORIGIN, "--domain", "1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,1",
+         "--phi", "1,0,0;0,1,0;0,0,1"]),
+    # work above the documented bounds is refused before it starts
+    (2, ["lcs", "--prime", "3", *ORIGIN, "--depth", "3000000"]),
+    (2, ["endo", "chain", "--prime", "3", *ORIGIN, "--domain", "1,0,0;0,3,0;0,0,1",
+         "--phi", "1,0,0;0,3,0;0,0,1", "--depth", "100000"]),
+    (2, ["selftest", "--prime", "5", "--trials", "1000000"]),
+    # every symbol closed, 20 entries of the Bs below 8 digits: Smith divisors off A's
+    # lift and B's row and column m
+    (0, ["subalgebras", "--prime", "3", "--precision", "8",
+         "--matrix=162,-102,114;-102,150,-12;114,-12,123"]),
+    (0, ["selfsim", "--prime", "5",
+         "--matrix=-140598,-46857,-140616;-46857,12,-93744;-140616,-93744,3"]),
+    (0, ["classify", "--prime", "3", "--precision", "16",
+         "--matrix=3894,-1950,-3876;-1950,3894,7764;-3876,7764,15576"]),
+    # the domain's rank and the law read the integer det of the lift: v(det) = 4 < t = 8
+    (0, ["endo", "check", "--prime", "3", "--precision", "8", "--matrix=81,0,0;0,81,0;0,0,81",
+         "--domain=532547,-57524,433165;945373,-403504,756890;-606154,52729,-527933",
+         "--phi=532547,-57524,433165;945373,-403504,756890;-606154,52729,-527933"]),
+    # the preimage reads its Smith pivots only below the valuation that decides it
+    (0, ["endo", "chain", "--prime", "3", "--precision", "16", "--matrix", "1,-20,0;-20,40,9;0,9,0",
+         "--domain", "0,0,-3;3,-36,0;3,-9,0", "--phi", "0,0,-9;0,3,-3;-9,1,10", "--depth", "2"]),
+    # the chain decides each term on the lifts' digits, not at precision/2:
+    # D_16 = diag(1, 3^16, 1), 16 < t = 32
+    (0, ["endo", "chain", "--prime", "3", "--matrix", "1,0,0;0,0,1;0,1,0",
+         "--domain", "1,0,0;0,3,0;0,0,1", "--phi", "1,0,0;0,1,0;0,0,3", "--depth", "15"]),
+    # the errors of canonical_form's read-off and of CanonicalForm's eps check
+    (5, ["classify", "--prime", "5", "--matrix", "1,2,0;3,1,0;0,0,1"]),
+    (5, ["classify", "--prime", "5", "--matrix", "1,0,0;0,0,0;0,0,1"]),
+    (2, ["named", "L2", "--prime", "5", "--s", "0,3", "--eps1", "2"]),
+    # SWEEP_BOUND: p = 139 (19,461 symbols) is taken, p = 149 (22,351) and 1009 refused
+    (2, ["subalgebras", "--prime", "1009", "--matrix", "1,0,0;0,1009,0;0,0,-1009"]),
+    (0, ["subalgebras", "--prime", "101", "--matrix", "1,0,0;0,101,0;0,0,-101"]),
+    (0, ["subalgebras", "--prime", "139", "--matrix", "1,0,0;0,139,0;0,0,-139"]),
+    (2, ["subalgebras", "--prime", "149", "--matrix", "1,0,0;0,149,0;0,0,-149"]),
 ]
 
 
@@ -156,7 +188,7 @@ def corpus():
     for seed in SEEDS:
         for i, cmd in enumerate(inputs.cli_inputs(seed)):
             yield f"cli/{seed}/{i:03d}", lambda argv=cmd["argv"]: run_cli(argv)
-    for i, argv in enumerate(EDGE):
+    for i, (_, argv) in enumerate(EDGE):
         yield f"edge/{i:02d}", lambda argv=argv: run_cli(argv)
     for name, argv in MALFORMED.items():
         yield f"malformed/{name}", lambda argv=argv: run_cli(argv)
@@ -167,6 +199,27 @@ def corpus():
         for cf in forms(p, precision):
             params = ",".join(map(str, cf.parameters))
             yield f"form/{p}/{precision}/{cf.family}/{params}", lambda cf=cf: answers(form_steps(cf))
+
+
+def check_fresh():
+    """Run every EDGE command as `python -m padiclie.cli` in a fresh process
+    on this checkout's src: 1 on the first wrong exit code, traceback or run
+    over 60 s, else 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(ROOT, "src"),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    for want, argv in EDGE:
+        command = [sys.executable, "-m", "padiclie.cli", *argv]
+        try:
+            run = subprocess.run(command, env=env, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.PIPE, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            print(f"padiclie {shlex.join(argv)} ran over 60 s")
+            return 1
+        if run.returncode != want or "Traceback" in run.stderr:
+            print(f"padiclie {shlex.join(argv)} exited {run.returncode}, expected {want}")
+            print(run.stderr)
+            return 1
+    return 0
 
 
 def digest(text):

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from padiclie import lattice, normal_forms
-from padiclie.errors import Degenerate, NotSubalgebra, PathDisagreement, PrecisionLoss
+from padiclie.errors import (
+    Degenerate,
+    InvalidParameters,
+    NotSubalgebra,
+    PathDisagreement,
+    PrecisionLoss,
+)
 from padiclie.lattice import (
     Algebra,
     change_of_basis,
@@ -314,6 +320,15 @@ def test_lcs_frozen_values():
     assert lcs_exponents((0, 1, 1), 2) == (1, 1, 1)
     # a flat shape never descends in slot 0
     assert lcs_exponents((0, 0, 1), 4) == (0, 0, 1)
+
+
+def test_lcs_exponents_refuse_an_s_without_three_entries():
+    """An s without three entries, or an n that is not an integer (2.5
+    answered (1.0, 1.0, 1.0)), is refused with InvalidParameters."""
+    for s, n in (((0, 1), 3), ((0, 1, 1, 1), 3), ((), 3), (3, 3), ((0, 1, 1), 2.5),
+                 ((0, 1, 1), "3")):
+        with pytest.raises(InvalidParameters, match="three entries"):
+            lcs_exponents(s, n)
 
 
 def test_lcs_by_bracket_spans():

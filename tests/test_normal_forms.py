@@ -451,6 +451,18 @@ def test_cassels_move_witness():
             assert before.square_class() == after.square_class()
 
 
+def test_cassels_move_takes_two_distinct_indices_in_range():
+    """(i, i) would return a D2 that V^T D V is not, an index past n raised
+    IndexError and a negative one wrapped around: each is refused."""
+    ctx = PrimeContext(5)
+    D = Mat.diagonal(ctx, [ctx.from_int(t) for t in (1, 2, 25)])
+    for i, j in ((0, 0), (1, 1), (0, 3), (3, 1), (-2, 0), (0, -2)):
+        with pytest.raises(InvalidParameters, match="distinct indices"):
+            cassels_move(D, i, j, ctx.rho)
+    D2, V = cassels_move(D, 0, 1, ctx.rho)
+    assert V.transpose() * D * V == D2
+
+
 def test_hnf_rejects_padding_rank_loss():
     ctx = PrimeContext(3)
     M = Mat.from_ints(ctx, [[1, 2, 3], [2, 4, 6], [0, 0, 0]])

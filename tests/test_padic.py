@@ -38,6 +38,15 @@ def test_context_validation():
         PrimeContext(5, precision=4)
 
 
+def test_context_takes_integer_p_and_precision():
+    """p and precision are read through operator.index: anything that is
+    not an integer is refused with InvalidParameters, not a TypeError."""
+    for args in ((3.0,), (7.5,), ("5",), (5, 16.0), (5, "16"), (None,)):
+        with pytest.raises(InvalidParameters, match="integers"):
+            PrimeContext(*args)
+    assert PrimeContext(True + 4, precision=False + 16) == PrimeContext(5, 16)
+
+
 def test_primality_matches_trial_division():
     assert all(_is_prime(n) == trial_division_is_prime(n) for n in range(-3, 10**5))
 

@@ -45,6 +45,7 @@ from oracles import (
     lattice_eq,
     morphism_law_mod,
     p_valuation,
+    reference_certificate,
     simple_ve_by_products,
 )
 
@@ -739,7 +740,7 @@ def test_certificate_scans_nss_once_and_builds_b_once_per_closed_symbol(monkeypa
     only, and never by the generic change_of_basis."""
     ctx = PrimeContext(3)
     scans = _counted(monkeypatch, subalgebras, "nss_condition")
-    builds = _counted(monkeypatch, subalgebras.IndexPMatrices, "matrix")
+    builds = _counted(monkeypatch, subalgebras.IndexPMatrices, "of_entries")
     changes = _counted(monkeypatch, lattice, "change_of_basis")
     for units, closed_count in (((3, ctx.rho * 9, ctx.rho * 27), 13), ((1, 3, ctx.rho * 9), 4)):
         alg = Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in units]))
@@ -751,3 +752,26 @@ def test_certificate_scans_nss_once_and_builds_b_once_per_closed_symbol(monkeypa
         del scans[:], builds[:], changes[:]
         assert non_self_similarity_certificate(alg) == expected
         assert (len(scans), len(builds), len(changes)) == (1, closed_count, 0)
+
+
+@pytest.mark.parametrize("p, counts", [(3, (13, 4)), (7, (57, 8))])
+def test_certificate_lifts_its_structure_matrix_once(monkeypatch, p, counts):
+    """The certificate reads each closed B's Smith divisors off one lift of
+    A and B's own row and column (IndexPMatrices.divisors, stopped at
+    s_i): it enters neither smith_divisors nor Mat.is_integral for a
+    symbol, and builds one B per closed symbol through of_entries."""
+    ctx = PrimeContext(p)
+    cases = ((p, ctx.rho * p**2, ctx.rho * p**3), (1, p, ctx.rho * p**2))
+    for units, count in zip(cases, counts):
+        alg = Algebra(Mat.diagonal(ctx, [ctx.from_int(t) for t in units]))
+        closed = [xi.entries for xi in subalgebras.closed_symbols(alg.matrix)]
+        expected = reference_certificate(alg)
+        with monkeypatch.context() as patch:
+            lifts = _counted(patch, normal_forms, "lift")
+            smith = _counted(patch, normal_forms, "smith_divisors")
+            integral = _counted(patch, Mat, "is_integral")
+            builds = _counted(patch, subalgebras.IndexPMatrices, "of_entries")
+            assert non_self_similarity_certificate(alg) == expected
+        assert [M for (M,) in lifts] == [alg.matrix]
+        assert (smith, integral) == ([], [])
+        assert [t for _, t in builds] == closed and len(closed) == count

@@ -331,7 +331,8 @@ def test_index_p2_matches_integer_closure_oracle(rows):
 
 def test_xi_symbol_takes_only_in_range_integer_entries():
     """A symbol stores a tuple of ints; an entry outside [0, p) is refused
-    where p is known, by u_matrix, index_p_matrix and b_xi alike."""
+    where p is known, by u_matrix, the entries a builder is handed and
+    b_xi alike."""
     with pytest.raises(InvalidParameters):
         XiSymbol((1.5,))
     with pytest.raises(InvalidParameters):
@@ -343,7 +344,8 @@ def test_xi_symbol_takes_only_in_range_integer_entries():
     A = Mat.diagonal(ctx, [ctx.from_int(t) for t in (1, 3, -3)])
     for entries in ((5,), (3,), (-1,), (0, 3), (2, -1)):
         xi = XiSymbol(entries)
-        for call in (lambda: xi.u_matrix(ctx), lambda: subalgebras.index_p_matrix(A, xi),
+        for call in (lambda: xi.u_matrix(ctx),
+                     lambda: subalgebras.IndexPMatrices(A).of_entries(xi.entries_below(ctx.p)),
                      lambda: b_xi(A, xi)):
             with pytest.raises(InvalidParameters, match=r"outside \[0, 3\)"):
                 call()
@@ -355,7 +357,7 @@ def test_index_p_questions_refuse_anything_but_3x3():
               parse_matrix("1,0;0,3;0,0", ctx),
               Mat.diagonal(ctx, [ctx.one()] * 4)):
         for call in (lambda: b_xi(A, XiSymbol((1,))), lambda: nss_condition(A),
-                     lambda: subalgebras.index_p_matrix(A, XiSymbol((1,)))):
+                     lambda: subalgebras.IndexPMatrices(A)):
             with pytest.raises(InvalidParameters, match="3 x 3"):
                 call()
 
@@ -392,18 +394,19 @@ def _calls(monkeypatch, owner, name):
 ])
 def test_a_sweep_lifts_its_structure_matrix_once(monkeypatch, p, precision, literal, closed):
     """A sweep lifts the structure matrix once and reads each closed B's
-    Smith divisors off that lift and B's own row and column: it never
-    enters smith_divisors or Mat.is_integral for a symbol.  One table of p
-    residues serves every U: from_int runs p times for it and p - 1 times
-    for the products (-t) A."""
+    Smith divisors off that lift and B's own row and column
+    (IndexPMatrices.divisors): it never enters smith_divisors or
+    Mat.is_integral for a symbol.  One table of p residues serves every U
+    and the products (-t) A: from_int runs p times."""
     ctx = PrimeContext(p, precision)
     alg = Algebra(parse_matrix(literal, ctx))
     lifts = _calls(monkeypatch, subalgebras, "lift")
     smith = _calls(monkeypatch, normal_forms, "smith_divisors")
-    smith += _calls(monkeypatch, subalgebras, "smith_divisors")
+    divisors = _calls(monkeypatch, subalgebras.IndexPMatrices, "divisors")
     integral = _calls(monkeypatch, Mat, "is_integral")
     ints = _calls(monkeypatch, PrimeContext, "from_int")
     assert sum(r.closed for r in enumerate_index_p(alg)) == closed
     assert [M for (M,) in lifts] == [alg.matrix]
     assert (smith, integral) == ([], [])
-    assert len(ints) <= 2 * p - 1
+    assert len(divisors) == closed
+    assert len(ints) == p

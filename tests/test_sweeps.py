@@ -22,11 +22,11 @@ from padiclie.padic_core import INF, PrimeContext
 from padiclie.selfsim import non_self_similarity_certificate
 from padiclie.subalgebras import (
     SWEEP_BOUND,
+    IndexPMatrices,
     XiSymbol,
     all_symbols,
     closed_symbols,
     enumerate_index_p,
-    index_p_matrix,
     nss_condition,
 )
 
@@ -214,9 +214,10 @@ def test_index_p_matrix_is_change_of_basis_scalar_for_scalar():
         if p > 5:
             continue
         A = alg.matrix
+        matrices = IndexPMatrices(A)
         for xi in all_symbols(p):
             error, ref = _outcome(change_of_basis, alg, xi.u_matrix(A.ctx))
-            new_error, new = _outcome(index_p_matrix, A, xi)
+            new_error, new = _outcome(matrices.of_entries, xi.entries)
             assert new_error is error
             if error is None:
                 assert _fields(new) == _fields(ref)
@@ -473,23 +474,26 @@ def test_the_integer_chain_matches_the_windowed_chain():
 
 
 def _closed_bs(rng, count):
-    """(p, precision, alg, xi, B) for every closed symbol xi of count
-    seeded algebras at p = 3, 5, 7 whose B = index_p_matrix the window
-    builds, then of count diagonal forms (_diagonal_forms).  The axpy's
-    cancellation leaves some entries of B fewer digits than the window."""
+    """(p, precision, alg, matrices, xi, B) for every closed symbol xi of
+    count seeded algebras at p = 3, 5, 7 whose B = matrices.of_entries the
+    window builds, then of count diagonal forms (_diagonal_forms), matrices
+    the IndexPMatrices over alg.matrix.  The axpy's cancellation leaves
+    some entries of B fewer digits than the window."""
     algebras = ((p, precision, alg) for p, precision, _, alg in _seeded_algebras(30, 3 * count)
                 if p <= 7)
     diagonals = ((p, rng.choice(PRECISIONS), d) for p, d in _diagonal_forms(rng, count))
     for p, precision, alg in itertools.islice(algebras, count):
+        matrices = IndexPMatrices(alg.matrix)
         for xi in all_symbols(p):
-            error, B = _outcome(index_p_matrix, alg.matrix, xi)
+            error, B = _outcome(matrices.of_entries, xi.entries)
             if error is None and B.is_integral():
-                yield p, precision, alg, xi, B
+                yield p, precision, alg, matrices, xi, B
     for p, precision, d in diagonals:
         ctx = PrimeContext(p, precision)
         A = Mat.diagonal(ctx, [ctx.from_int(x) for x in d])
+        matrices = IndexPMatrices(A)
         for xi in closed_symbols(A):
-            yield p, precision, Algebra(A), xi, index_p_matrix(A, xi)
+            yield p, precision, Algebra(A), matrices, xi, matrices.of_entries(xi.entries)
 
 
 def test_the_divisors_from_minors_match_the_smith_elimination():
@@ -497,12 +501,14 @@ def test_the_divisors_from_minors_match_the_smith_elimination():
     p = 3, 5, 7: the sweep's sub_s is the divisors of the frozen Smith
     elimination, and with a stop, those below it and INF for the rest,
     where that elimination answers; where it raises PrecisionLoss, an
-    answer or PrecisionLoss.  On the diagonal forms the key identity
-    agrees with the 3 x 6 Hermite forms by the same rule.  Some B hold an
-    entry whose digits the axpy's cancellation cut below the window."""
+    answer or PrecisionLoss.  The builder's divisors, read off A's lift
+    and B's row and column m, are smith_divisors' at every stop.  On the
+    diagonal forms the key identity agrees with the 3 x 6 Hermite forms by
+    the same rule.  Some B hold an entry whose digits the axpy's
+    cancellation cut below the window."""
     rng = random.Random(31)
     cut = compared = identities = 0
-    for p, precision, alg, xi, B in _closed_bs(rng, 300):
+    for p, precision, alg, matrices, xi, B in _closed_bs(rng, 300):
         cut += any(not x.is_zero() and x.prec < precision for row in B.data for x in row)
         error, ref = _outcome(reference_snf, B)
         new_error, new = _outcome(smith_divisors, B, INF)
@@ -512,10 +518,13 @@ def test_the_divisors_from_minors_match_the_smith_elimination():
             assert (new_error, new) == (error, ref and ref[0])
             stop = rng.randrange(1, 1 + max((d for d in new if d != INF), default=0) + 1)
             assert smith_divisors(B, stop) == tuple(d if d < stop else INF for d in new)
+            for at in (stop, INF):
+                assert (_outcome(matrices.divisors, B, len(xi.entries), at)
+                        == _outcome(smith_divisors, B, at))
             compared += 1
         if alg.matrix.is_diagonal():
             error, ref = _outcome(reference_key_identity, alg, xi, xi.u_matrix(alg.ctx), B)
-            new_error, new = _outcome(subalgebras._key_identity, alg, xi, B)
+            new_error, new = _outcome(subalgebras._key_identity, matrices, xi, B)
             if error is PrecisionLoss:
                 assert new_error in (None, PrecisionLoss)
             else:
@@ -557,11 +566,12 @@ def test_the_key_identity_matches_the_3x6_hermite_forms():
 
             def identity_by(route, xi=xi):
                 def run(ctx):
-                    A = Mat.diagonal(ctx, [ctx.from_int(x) for x in d])
-                    return route(Algebra(A), xi, index_p_matrix(A, xi))
+                    matrices = IndexPMatrices(Mat.diagonal(ctx, [ctx.from_int(x) for x in d]))
+                    return route(matrices, xi, matrices.of_entries(xi.entries))
                 return run
 
-            def reference(alg, xi, B):
+            def reference(matrices, xi, B):
+                alg = Algebra(matrices.A)
                 return reference_key_identity(alg, xi, xi.u_matrix(alg.ctx), B)
 
             ref, new = _against_the_reference(
@@ -588,8 +598,9 @@ def test_the_key_identity_says_no_where_the_3x6_forms_differ():
         for precision in (32, 16, 8):
             ctx = PrimeContext(p, precision)
             A = Mat.diagonal(ctx, [ctx.from_int(x) for x in d])
-            U, B = xi.u_matrix(ctx), index_p_matrix(A, xi)
+            matrices = IndexPMatrices(A)
+            U, B = xi.u_matrix(ctx), matrices.of_entries(xi.entries)
             if precision == 32:
                 assert d == (9, 6, 27) or not nss_condition(A)[0]
                 assert reference_key_identity(Algebra(A), xi, U, B) is False
-            assert subalgebras._key_identity(Algebra(A), xi, B) is False
+            assert subalgebras._key_identity(matrices, xi, B) is False
