@@ -58,12 +58,17 @@ READS = {
 
 
 def named_algebra(ctx, name, k=None, s=None, eps=None, n=None):
-    """Construct a catalog lattice in its traditional basis.  A k, n, s or
-    eps (with an entry not None) that the name does not read raises InvalidParameters."""
+    """Construct a catalog lattice in its traditional basis.  eps is the
+    pair (eps1, eps2), an entry None or 0 where unset.  A k, n, s or eps
+    bit that the name does not read raises InvalidParameters."""
     _need(name in NAMED, f"unknown catalog name {name!r}")
-    reads = {flag.rstrip("12") for flag in READS.get(name, ())}  # eps1, eps2: eps
-    eps_set = eps is not None and any(e is not None for e in eps)
-    for option, value in (("k", k), ("n", n), ("s", s), ("eps", eps_set or None)):
+    try:
+        eps1, eps2 = (None, None) if eps is None else eps
+    except (TypeError, ValueError):
+        raise InvalidParameters(f"eps is a pair (eps1, eps2), got {eps!r}") from None
+    reads = READS.get(name, ())
+    for option, value in (("k", k), ("n", n), ("s", s), ("eps1", eps1 or None),
+                          ("eps2", eps2 or None)):
         _need(value is None or option in reads, f"{name} does not read {option}")
     p = ctx.p
     if name == "sl2":
@@ -90,7 +95,7 @@ def named_algebra(ctx, name, k=None, s=None, eps=None, n=None):
         m, odd = divmod(k, 2)
         U = Mat.p_power_diagonal(ctx, (m, m, m + 1) if odd else (m, m, m))
         return Algebra(change_of_basis(base, U))
-    return Algebra(_canonical_named(ctx, name, s, eps))  # L1-L4
+    return Algebra(_canonical_named(ctx, name, s, (eps1, eps2)))  # L1-L4
 
 
 def _need(cond, msg):
@@ -106,8 +111,7 @@ def _canonical_named(ctx, name, s, eps):
     order = " < ".join(f"s{i}" for i in free)
     ok = s is not None and len(s) == len(free) and 0 <= s[0] and list(s) == sorted(set(s))
     _need(ok, f"{name} needs 0 <= {order}" if len(free) > 1 else f"{name} needs {order} >= 0")
-    eps = eps or (0, 0)
-    params = (*s, *(eps[j] for j in eps_slots))
+    params = (*s, *(eps[j] or 0 for j in eps_slots))
     return CanonicalForm.from_parameters(family, params, ctx.p, ctx).matrix()
 
 

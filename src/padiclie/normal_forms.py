@@ -25,8 +25,7 @@ cassels_move shuffles a unit between two diagonal entries of equal
 valuation without leaving the congruence class.  Every "does span N lie
 in span M" question is IntSpan's, in integers: the entries are lifted
 (lift), and adj(M) N = 0 mod p^v(det M) decides it while v(det M) stays
-below the digits the entries hold.  Span solves M^{-1} N in the window for
-the constructions that need the coordinates themselves.
+below the digits the entries hold.
 """
 
 import math
@@ -37,11 +36,10 @@ from .errors import (
     InvalidParameters,
     NotDiagonal,
     NotSymmetric,
-    PathDisagreement,
     PrecisionLoss,
     ValuationMismatch,
 )
-from .padic_core import INF, legendre_class, parse_scalar, sqrt_mod_p
+from .padic_core import INF, PadicScalar, legendre_class, parse_scalar, sqrt_mod_p
 
 
 class Mat:
@@ -219,9 +217,9 @@ def hnf_columns(M):
     ordered by pivot row, zero columns trailing.  Pivots are pure powers
     of p; entries right of a pivot in its row are canonical integer
     residues mod the pivot.  Two generator matrices span the same lattice
-    iff their forms are literally equal.  For a full-rank M of index p,
-    _index_p_hermite(Span(M)) gives the same H scalar for scalar without
-    the reduction.
+    iff their forms are literally equal.  For M of index p, given as
+    {x : a.x = 0 mod p}, _index_p_hermite(ctx, a) gives the same H scalar
+    for scalar without the reduction.
 
     It is int_hermite on M's lift, pivots below t, the digits the lift
     holds.  Below full rank, where a block had none, that counts as 0 when
@@ -277,44 +275,18 @@ def int_hermite(R, p, t):
     return H, len(cols)
 
 
-class Span:
-    """The column span of a square, full-rank M in the window: one adjugate
-    and the det read off it, for the constructions that need M^{-1} N.
-    Whether N lies in span M is IntSpan's question, not this one's."""
+def _index_p_hermite(ctx, a):
+    """hnf_columns(M)[0] for the lattice M = {x : a.x = 0 mod p} of index p,
+    a a row of integer residues mod p, not all 0.
 
-    __slots__ = ("adj", "d_inv")
-
-    def __init__(self, M):
-        # det M from adj's column 0 in int_det's order: the same scalar
-        self.adj = adj = M.adjugate()
-        terms = [x * y for x, y in zip(M.row(0), adj.col(0))]
-        d = sum(terms[1:], terms[0])
-        if d.is_zero():
-            raise Degenerate("matrix is singular")
-        self.d_inv = d.inv()
-
-    def solve(self, N):
-        """M^{-1} N, exactly, over Q_p; no membership is decided."""
-        return (self.adj * N).scale(self.d_inv)
-
-
-def _index_p_hermite(span):
-    """hnf_columns(M)[0] for an integral M of index p, read off span = Span(M).
-
-    v(det M) = 1, so adj M has rank 1 mod p, and span M = {x : a.x = 0 mod p}
-    for a row a of adj M that is nonzero mod p.  The Hermite form is the
-    identity except in row k = min{t : a_t != 0 mod p}, which holds p at
-    (k, k) and the residue of -a_b/a_k mod p at (k, b) for b > k.  These
-    are the exact zero, pure p-powers and from_int residues, the very
-    scalars hnf_columns builds, so the two forms agree scalar for scalar.
+    The Hermite form is the identity except in row k = min{t : a_t != 0},
+    which holds p at (k, k) and the residue of -a_b/a_k mod p at (k, b) for
+    b > k.  These are the exact zero, pure p-powers and from_int residues,
+    the very scalars hnf_columns builds, so the two forms agree scalar for
+    scalar.
     """
-    if span.d_inv.valuation() != -1:
-        raise PathDisagreement("Hermite read-off needs a lattice of index p")
-    ctx = span.adj.ctx
     p = ctx.p
-    residues = ([x.residue_mod(1) for x in row] for row in span.adj.data)
-    a = next(row for row in residues if any(row))
-    k = next(t for t, x in enumerate(a) if x)
+    k = next(t for t, x in enumerate(a) if x % p)
     q = pow(-a[k], -1, p)  # -1/a_k mod p
     H = [list(row) for row in Mat.identity(ctx, len(a)).data]
     H[k] = H[k][:k] + [ctx.one().shift(1)] + [ctx.from_int(x * q % p) for x in a[k + 1 :]]
@@ -926,12 +898,16 @@ def cassels_move(D, i, j, u):
     ctx = D.ctx
     if not D.is_diagonal():
         raise NotDiagonal("Cassels move needs a diagonal matrix")
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise InvalidParameters(f"a Cassels move takes integer indices, got {i!r}, {j!r}") from None
     if i == j or not (0 <= i < D.nrows and 0 <= j < D.nrows):
         raise InvalidParameters(f"a Cassels move takes two distinct indices in [0, {D.nrows})")
     di, dj = D[i, i], D[j, j]
     if di.is_zero() or dj.is_zero() or di.valuation() != dj.valuation():
         raise ValuationMismatch("entries must share a finite valuation")
-    if isinstance(u, int):
+    if not isinstance(u, PadicScalar):
         u = ctx.from_int(u)
     if not u.is_unit():
         raise InvalidParameters("moved factor must be a unit")

@@ -13,9 +13,9 @@ Exact zero is the distinguished scalar with valuation +infinity.
 """
 
 import math
-import operator
 import re
 from itertools import accumulate, repeat
+from operator import index, mul
 
 from .errors import (
     DenominatorZero,
@@ -128,7 +128,7 @@ class PrimeContext:
 
     def __init__(self, p, precision=32):
         try:
-            p, precision = operator.index(p), operator.index(precision)
+            p, precision = index(p), index(precision)
         except TypeError:
             raise InvalidParameters(f"p and precision are integers: {p!r}, {precision!r}") from None
         if not _is_prime(p):
@@ -143,7 +143,7 @@ class PrimeContext:
         self.precision = precision
         self.modulus = p**precision
         # p**k for 0 <= k <= precision: the moduli of every scalar operation.
-        self.p_powers = tuple(accumulate(repeat(p, precision), operator.mul, initial=1))
+        self.p_powers = tuple(accumulate(repeat(p, precision), mul, initial=1))
         self._zero = PadicScalar(self, INF, None, precision)
         self.delta = ((p - 1) // 2) % 2
         r = 2
@@ -174,6 +174,10 @@ class PrimeContext:
 
     def from_int(self, n):
         """The exact scalar n: from_rational(n, 1) without inverting a denominator."""
+        try:
+            n = index(n)
+        except TypeError:
+            raise InvalidParameters(f"from_int takes an integer, got {n!r}") from None
         if n == 0:
             return self._zero
         p = self.p

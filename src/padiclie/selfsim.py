@@ -56,7 +56,6 @@ from .lattice import (
 from .normal_forms import (
     IntSpan,
     Mat,
-    Span,
     _index_p_hermite,
     bounded_lift,
     cassels_move,
@@ -138,11 +137,11 @@ def _bracket_law(S, domain, phi):
 
     The brackets of the column pairs of U = domain are B = S compound(U)
     (in dimension 3, A cof(U)), and the domain is closed iff they lie in
-    span U: the containment test, which also gives X = adj B = det U^{-1} B
-    (IntSpan's adj and det).  The law, phi applied to the coordinates
-    U^{-1} B equal to the brackets S compound(F) of phi's columns F, then
-    reads F X = det S compound(F), and it fails iff some entry of the
-    difference is nonzero below that entry's own error bound.
+    span U: the containment test (_closure), which also gives X = adj B =
+    det U^{-1} B (IntSpan's adj and det).  The law, phi applied to the
+    coordinates U^{-1} B equal to the brackets S compound(F) of phi's
+    columns F, then reads F X = det S compound(F), and it fails iff some
+    entry of the difference is nonzero below that entry's own error bound.
 
     Every entry has its own bound, carried through each sum and product
     from the digits its inputs hold, as PadicScalar carries them
@@ -154,17 +153,8 @@ def _bracket_law(S, domain, phi):
     (lattice.compound_bounds).  An entry divisible by p to the least of
     these is divisible by p to its own bound, and so is not refuted.
     """
-    span = IntSpan(domain)
-    p, U = span.p, span.R
-    RS, t_s, g_s, _ = lift(S)
-    C = compound(U)
-    B = int_mul(RS, C)
-    t_c = span.t_R + span.g_R  # a minor of U
-    t_b = product_bound(t_s, g_s, t_c, least_valuation(C, t_c, p))
-    X = span.adj_solve(B, t_b)
-    if X is None:
-        raise NotSubalgebra("domain of a virtual endomorphism must be a subalgebra")
-    d = span.det
+    span, RS, X = _closure(S, domain)
+    p, d = span.p, span.det
     F = lift(phi)[0]
     diff = [[x - d * y for x, y in zip(lrow, rrow)]
             for lrow, rrow in zip(int_mul(F, X), int_mul(RS, compound(F)))]
@@ -176,6 +166,21 @@ def _bracket_law(S, domain, phi):
                 if x and not zero_below(x, p, span.e + min(map(operator.add, vs, col))):
                     return _law_by_entries(S, domain, phi)
     return True
+
+
+def _closure(S, domain):
+    """_bracket_law's containment test: (IntSpan(domain), S's lifted rows,
+    X = adj B) when the brackets B = S compound(U) of the column pairs of
+    U = domain lie in span U, else NotSubalgebra."""
+    span = IntSpan(domain)
+    RS, t_s, g_s, _ = lift(S)
+    C = compound(span.R)
+    t_c = span.t_R + span.g_R  # a minor of U
+    t_b = product_bound(t_s, g_s, t_c, least_valuation(C, t_c, span.p))
+    X = span.adj_solve(int_mul(RS, C), t_b)
+    if X is None:
+        raise NotSubalgebra("domain of a virtual endomorphism must be a subalgebra")
+    return span, RS, X
 
 
 def _law_by_entries(S, domain, phi):
@@ -285,7 +290,7 @@ def invariant_ideal_search(ve, bound):
         raise InvalidParameters("search bound must be >= 0")
     if bound > DEPTH_BOUND:
         raise InvalidParameters(f"search bound must be <= {DEPTH_BOUND}")
-    induced_algebra(ve.ambient, ve.domain)  # NotSubalgebra when the domain is open
+    _closure(ve.ambient.matrix, ve.domain)  # NotSubalgebra when the domain is open
     d_bound = _domain_chain(ve.domain, ve.phi, bound)[-1]
     return _invariant_ideal(ve.ambient.matrix, ve.domain, ve.phi, d_bound, bound)
 
@@ -430,11 +435,14 @@ def construct_simple_ve(alg):
     # V^T A V, since adj(adj X) = det(X) X and det(adj X) = det(X)^2 in 3x3
     _check_hyperbolic(Vt, alg.matrix)
     W = Vt.adjugate()
-    # rewrite phi on the Hermite domain basis: columns of domain expressed
-    # in the prepared basis, mapped through the prepared phi
-    span = Span(W.shift_columns((0, 1, 0)))
-    domain = _index_p_hermite(span)
-    phi = W.shift_columns((0, 0, 1)) * span.solve(domain)
+    # d = det V^T in int_det's order.  adj(W) = d V^T, so for a unit d the
+    # prepared domain W diag(1, p, 1) is {x : (V^T x)_1 = 0 mod p}, and phi,
+    # W diag(1, 1, p) on its coordinates, is W diag(1, 1/p, p) V^T domain / d
+    d = functools.reduce(operator.add, map(operator.mul, Vt.row(0), W.col(0)))
+    if not d.is_unit():
+        raise PathDisagreement("the preparation's witness V is not unimodular")
+    domain = _index_p_hermite(alg.ctx, [x.residue_mod(1) for x in Vt.row(1)])
+    phi = (W.shift_columns((0, -1, 1)) * (Vt * domain)).scale(d.inv())
     return _certificate(alg, domain, phi)
 
 

@@ -125,6 +125,9 @@ EDGE = [
     (0, ["subalgebras", "--prime", "101", "--matrix", "1,0,0;0,101,0;0,0,-101"]),
     (0, ["subalgebras", "--prime", "139", "--matrix", "1,0,0;0,139,0;0,0,-139"]),
     (2, ["subalgebras", "--prime", "149", "--matrix", "1,0,0;0,149,0;0,0,-149"]),
+    # the certificate's window: phi's product cancels through its digits at precision 16
+    (3, ["selfsim", "--prime", "3", "--precision", "16",
+         "--matrix=-11662,1458,-1456;1458,4374,2916;-1456,2916,1460"]),
 ]
 
 

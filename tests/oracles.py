@@ -32,12 +32,15 @@ elimination that updates its witnesses as it goes, the domain chain through the 
 loop and selftest's random draws, as the references their rewrites must
 match.  The windowed membership test Span.coordinates, with lattice_contains,
 is_ideal and the bracket law that read it, is frozen last, the reference
-for the integer containment test.  A certificate's morphism law is also
-read mod p^k on its integer rows alone (morphism_law_mod), the law the
-benchmark's checker reads.  The index-p sweep is frozen a second time as
-it stood before a sweep formed A's lift, the residues and the symbols
-once (parent_enumerate_index_p), with the scalar sum and literal it ran
-on (parent_add, parent_to_literal).
+for the integer containment test, with the windowed span Span whose solve
+these references and the product chain use, and the certificate's
+windowed route through it (span_certificate), the reference the
+certificate read off V^T must keep every answer and digit of.  A
+certificate's morphism law is also read mod p^k on its integer rows
+alone (morphism_law_mod), the law the benchmark's checker reads.  The
+index-p sweep is frozen a second time as it stood before a sweep formed
+A's lift, the residues and the symbols once (parent_enumerate_index_p),
+with the scalar sum and literal it ran on (parent_add, parent_to_literal).
 """
 
 from fractions import Fraction
@@ -56,12 +59,12 @@ from padiclie.errors import (
 from padiclie.lattice import induced_algebra
 from padiclie.normal_forms import (
     Mat,
-    Span,
     cassels_move,
     congruent_diagonalize,
     lattice_contains,
 )
 from padiclie.padic_core import INF, PadicScalar
+from padiclie.selfsim import _check_hyperbolic, _prepare_hyperbolic
 from padiclie.subalgebras import (
     SubalgebraReport,
     XiSymbol,
@@ -1074,6 +1077,59 @@ def reference_random_unimodular(rng, ctx):
         d = M.det()
         if not d.is_zero() and d.valuation() == 0:
             return M
+
+
+class Span:
+    """The column span of a square, full-rank M in the window, as the
+    package kept it: one adjugate and the det read off it, M^{-1} N solved
+    in the window."""
+
+    __slots__ = ("adj", "d_inv")
+
+    def __init__(self, M):
+        # det M from adj's column 0 in int_det's order: the same scalar
+        self.adj = adj = M.adjugate()
+        terms = [x * y for x, y in zip(M.row(0), adj.col(0))]
+        d = sum(terms[1:], terms[0])
+        if d.is_zero():
+            raise Degenerate("matrix is singular")
+        self.d_inv = d.inv()
+
+    def solve(self, N):
+        """M^{-1} N, exactly, over Q_p; no membership is decided."""
+        return (self.adj * N).scale(self.d_inv)
+
+
+def span_index_p_hermite(span):
+    """The Hermite form of an index-p span read off Span's adjugate, as
+    the package read it: the identity but in row k, the first nonzero
+    entry of a row a of adj M nonzero mod p, which holds p at (k, k) and
+    -a_b/a_k mod p at (k, b) for b > k."""
+    if span.d_inv.valuation() != -1:
+        raise PathDisagreement("Hermite read-off needs a lattice of index p")
+    ctx = span.adj.ctx
+    p = ctx.p
+    residues = ([x.residue_mod(1) for x in row] for row in span.adj.data)
+    a = next(row for row in residues if any(row))
+    k = next(t for t, x in enumerate(a) if x)
+    q = pow(-a[k], -1, p)
+    H = [list(row) for row in Mat.identity(ctx, len(a)).data]
+    H[k] = H[k][:k] + [ctx.one().shift(1)] + [ctx.from_int(x * q % p) for x in a[k + 1 :]]
+    return Mat(ctx, H)
+
+
+def span_certificate(alg):
+    """(domain, phi) of construct_simple_ve as the package built them off
+    the literal hyperbolic shape: Span of the prepared domain W diag(1, p, 1),
+    W = adj(V^T), the Hermite form read off its adjugate, and phi the
+    prepared map on the solve."""
+    D, V = congruent_diagonalize(alg.matrix)
+    Vt = _prepare_hyperbolic(alg, D, V)
+    _check_hyperbolic(Vt, alg.matrix)
+    W = Vt.adjugate()
+    span = Span(W.shift_columns((0, 1, 0)))
+    domain = span_index_p_hermite(span)
+    return domain, W.shift_columns((0, 0, 1)) * span.solve(domain)
 
 
 def reference_span_coordinates(M, N):

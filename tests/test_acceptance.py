@@ -15,6 +15,7 @@ import time
 import pytest
 
 from oracles import (
+    Span,
     is_lie,
     jacobiator,
     jacobiator_direct,
@@ -25,7 +26,7 @@ from oracles import (
 from padiclie.classify import CanonicalForm, canonical_form, eta, is_isomorphic
 from padiclie.errors import NotLie
 from padiclie.lattice import Algebra, change_of_basis, index_exponent
-from padiclie.normal_forms import Mat, Span, hnf_columns, snf
+from padiclie.normal_forms import Mat, hnf_columns, snf
 from padiclie.padic_core import PrimeContext
 from padiclie.selfsim import (
     construct_simple_ve,

@@ -114,6 +114,23 @@ def test_named_parameter_validation():
         named_algebra(ctx, "sl1_delta", n=2)
 
 
+def test_named_refuses_an_eps_bit_the_family_does_not_carry():
+    """L2 carries eps1 only and L3 eps2 only: a set bit in the other slot
+    is refused, as the CLI refuses its flag; None or 0 there is unset."""
+    ctx = PrimeContext(5)
+    with pytest.raises(InvalidParameters, match="L2 does not read eps2"):
+        named_algebra(ctx, "L2", s=(0, 1), eps=(0, 1))
+    with pytest.raises(InvalidParameters, match="L3 does not read eps1"):
+        named_algebra(ctx, "L3", s=(0, 1), eps=(1, 0))
+    with pytest.raises(InvalidParameters, match="eps is a pair"):
+        named_algebra(ctx, "L1", s=(0, 1, 2), eps=(1,))
+    for name, s, eps, want in (("L2", (0, 1), (1, None), (1, None)),
+                               ("L2", (0, 1), (None, None), (0, None)),
+                               ("L3", (0, 1), (0, 1), (None, 1)),
+                               ("L1", (0, 1, 2), (None, 1), (0, 1))):
+        assert canonical_form(named_algebra(ctx, name, s=s, eps=eps)).eps == want
+
+
 def test_parameters_name_the_form_and_its_group():
     """parameters, the catalog names L1-L4 and the group name agree on every
     small form: the free s-values first, then the eps bits present."""

@@ -499,7 +499,7 @@ def test_stdout_closed_by_its_reader_exits_1_quietly(argv):
 YES = ["--prime", "3", "--matrix", "1,1,0;1,4,3;0,3,0"]  # decide-yes, family 3
 ENDO_ARGS = ["--prime", "3", "--matrix", "1,0,0;0,0,1;0,1,0", "--domain", "1,0,0;0,3,0;0,0,1",
              "--phi", "1,0,0;0,1,0;0,0,3"]
-CERTIFICATE = {"Span": 1, "_congruent_elimination": 1}
+CERTIFICATE = {"_congruent_elimination": 1}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -527,11 +527,10 @@ def test_only_the_decide_yes_certificate_runs_a_windowed_elimination(
         monkeypatch, capsys, argv, expected):
     """Every subcommand takes its forms, preimages, Smith divisors and
     Jordan data in integers: none runs snf, and only selfsim's decide-yes
-    certificate on a non-hyperbolic matrix runs Span (either binding) and
-    _congruent_elimination, once each."""
+    certificate on a non-hyperbolic matrix runs _congruent_elimination,
+    once."""
     runs = collections.Counter()
-    for module, name in ((normal_forms, "snf"), (normal_forms, "Span"), (selfsim, "Span"),
-                         (normal_forms, "_congruent_elimination")):
+    for module, name in ((normal_forms, "snf"), (normal_forms, "_congruent_elimination")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, name=name, original=original:
                             runs.update([name]) or original(*args))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from padiclie import cli, normal_forms
+from padiclie import cli, normal_forms, selfsim
 from padiclie.catalog import group_report
 from padiclie.classify import canonical_form, eta
 from padiclie.errors import (
@@ -20,7 +20,6 @@ from padiclie.errors import (
 from padiclie.lattice import Algebra
 from padiclie.normal_forms import (
     Mat,
-    Span,
     _index_p_hermite,
     cassels_move,
     congruent_diagonalize,
@@ -34,6 +33,7 @@ from padiclie.selfsim import construct_simple_ve, sigma_bounds
 from padiclie.subalgebras import enumerate_sublattices
 
 from oracles import (
+    Span,
     canonical_diagonal,
     canonical_of_diagonal,
     int_contains,
@@ -238,18 +238,32 @@ def test_index_p_hermite_equals_hnf_columns():
                 lattices = lattices[: p + 1] + rng.sample(lattices[p + 1 :], 400)
                 conjugates = 1
             for H in lattices:
-                assert _scalars(_index_p_hermite(Span(H))) == _scalars(H)
+                assert _scalars(_index_p_hermite(ctx, _defining_row(H))) == _scalars(H)
                 for _ in range(conjugates):
                     M = H * random_unimodular(rng, ctx)
-                    assert _scalars(_index_p_hermite(Span(M))) == _scalars(hnf_columns(M)[0])
+                    assert (_scalars(_index_p_hermite(ctx, _defining_row(M)))
+                            == _scalars(hnf_columns(M)[0]))
 
 
-@pytest.mark.parametrize("exponents", [(0, 0, 0), (0, 1, 1), (0, 0, 2), (1, 1, 1)])
-def test_index_p_hermite_refuses_any_other_index(exponents):
+def _defining_row(M):
+    """The row of adj M nonzero mod p: span M = {x : a.x = 0 mod p} for M
+    of index p."""
+    rows = ([x.residue_mod(1) for x in row] for row in M.adjugate().data)
+    return next(row for row in rows if any(row))
+
+
+@pytest.mark.parametrize("exponents", [(0, 0, 1), (0, 1, 1), (0, 0, 2), (1, 1, 1)])
+def test_index_p_hermite_refuses_any_other_index(monkeypatch, exponents):
+    """The certificate's domain W diag(1, p, 1), W = adj(V^T), has index
+    p^(2 v(det V^T) + 1): a witness V^T scaled by diag(p^exponents) still
+    passes the hyperbolic check, and the read-off refuses it."""
     ctx = PrimeContext(5)
-    M = Mat.p_power_diagonal(ctx, exponents) * random_unimodular(random.Random(7), ctx)
-    with pytest.raises(PathDisagreement, match="needs a lattice of index p"):
-        _index_p_hermite(Span(M))
+    scale = Mat.p_power_diagonal(ctx, exponents)
+    prepare = selfsim._prepare_hyperbolic
+    monkeypatch.setattr(selfsim, "_prepare_hyperbolic", lambda *args: scale * prepare(*args))
+    alg = Algebra(Mat.from_ints(ctx, [[1, 1, 0], [1, 6, 5], [0, 5, 0]]))
+    with pytest.raises(PathDisagreement, match="not unimodular"):
+        construct_simple_ve(alg)
 
 
 def _product_or_error(f):
@@ -461,6 +475,20 @@ def test_cassels_move_takes_two_distinct_indices_in_range():
             cassels_move(D, i, j, ctx.rho)
     D2, V = cassels_move(D, 0, 1, ctx.rho)
     assert V.transpose() * D * V == D2
+
+
+def test_cassels_move_takes_integer_indices_and_an_integer_unit():
+    """Indices and a unit given as a float or a string are refused with
+    InvalidParameters, not a TypeError."""
+    ctx = PrimeContext(5)
+    D = Mat.diagonal(ctx, [ctx.from_int(t) for t in (1, 2, 25)])
+    for i, j in ((0.0, 1), (0, 1.0), ("0", 1)):
+        with pytest.raises(InvalidParameters, match="integer indices"):
+            cassels_move(D, i, j, 2)
+    for u in (2.0, "2"):
+        with pytest.raises(InvalidParameters, match="takes an integer"):
+            cassels_move(D, 0, 1, u)
+    assert cassels_move(D, 0, 1, 2) == cassels_move(D, 0, 1, ctx.from_int(2))
 
 
 def test_hnf_rejects_padding_rank_loss():

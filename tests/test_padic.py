@@ -309,6 +309,16 @@ def test_from_int_equals_from_rational_over_one():
                 assert x.ctx is ctx
 
 
+def test_from_int_takes_an_integer():
+    """n is read through operator.index: a float or a string is refused
+    with InvalidParameters, not kept as a unit."""
+    ctx = PrimeContext(5)
+    for n in (2.5, 3.0, "7", None):
+        with pytest.raises(InvalidParameters, match="takes an integer"):
+            ctx.from_int(n)
+    assert _fields(ctx.from_int(True)) == _fields(ctx.from_int(1))
+
+
 def _fields(x):
     return x.val, x.unit, x.prec
 

@@ -20,7 +20,7 @@ from padiclie.errors import (
 )
 from padiclie.lattice import Algebra, change_of_basis, index_exponent
 from padiclie.normal_forms import Mat, hnf_columns, parse_matrix
-from padiclie.padic_core import INF, PrimeContext
+from padiclie.padic_core import INF, PadicScalar, PrimeContext
 from padiclie.selfsim import (
     CONJECTURED_INFINITE,
     VirtualEndomorphism,
@@ -36,6 +36,7 @@ from padiclie.selfsim import (
     witness_subalgebra,
 )
 from oracles import (
+    Span,
     canonical_diagonal,
     int_det,
     int_rows_mod,
@@ -47,6 +48,8 @@ from oracles import (
     p_valuation,
     reference_certificate,
     simple_ve_by_products,
+    span_certificate,
+    span_index_p_hermite,
 )
 
 
@@ -455,7 +458,7 @@ def test_one_diagonalization_per_certificate_and_group_report(monkeypatch):
     int_dets = _counted(monkeypatch, normal_forms, "int_det")
     ve = construct_simple_ve(alg)
     assert len(diagonalizations) == 1
-    # Span reads its det off its adjugate, and the domain is of full rank by
+    # det V^T is read off its adjugate, and the domain is of full rank by
     # construction: the certificate's one IntSpan is is_morphism's
     assert (len(dets), len(int_dets)) == (0, 0)
     gr = group_report(alg)
@@ -506,14 +509,18 @@ def test_one_eta_per_analysis(monkeypatch):
 
 
 def test_certificate_runs_two_matrix_products(monkeypatch):
-    """Off the literal hyperbolic shape: one in the Span solve and one for
-    phi.  The V^T A V cross-check multiplies the lifts in integers."""
+    """Off the literal hyperbolic shape: V^T domain, and W diag(1, 1/p, p)
+    times that for phi.  The V^T A V cross-check multiplies the lifts in
+    integers, and W = adj(V^T) is the one adjugate: phi needs no inverse
+    of W diag(1, p, 1)."""
     ctx = PrimeContext(5)
     alg = Algebra(Mat.from_ints(ctx, [[1, 1, 0], [1, 6, 5], [0, 5, 0]]))
     products = _counted(monkeypatch, Mat, "__mul__")
     int_products = _counted(monkeypatch, normal_forms, "int_mul")
+    adjugates = _counted(monkeypatch, Mat, "adjugate")
     ve = construct_simple_ve(alg)
     assert (len(products), len(int_products)) == (2, 2)
+    assert len(adjugates) == 1
     assert is_morphism(ve)
 
 
@@ -610,6 +617,95 @@ def test_certificates_at_the_default_window_hold_the_integer_law():
         domain, phi = (int_rows_mod(M, p, k + 1) for M in (ve.domain, ve.phi))
         assert p_valuation(int_det(domain), p) == 1
         assert morphism_law_mod(A, domain, phi, p, k)
+
+
+def _cut(ctx, x, k):
+    """x known to k digits only."""
+    return x if x.is_zero() or k >= x.prec else PadicScalar(ctx, x.val, x.unit % ctx.p**k, k)
+
+
+def _degraded(ctx, A, cuts):
+    """Mat of the symmetric integer rows A, entry (i, j) and its mirror cut
+    to cuts[i, j] digits."""
+    rows = [list(row) for row in Mat.from_ints(ctx, A).data]
+    for (i, j), k in cuts.items():
+        rows[i][j] = rows[j][i] = _cut(ctx, rows[i][j], k)
+    return Mat(ctx, rows)
+
+
+def test_a_degraded_input_the_windowed_solve_refused_now_answers():
+    """Family 3, s = (2, 6, 6) at p = 11, five entries cut to 18-30 of the
+    32 digits: the windowed route (Span of the prepared domain) reads its
+    Hermite form and then loses the solve's digits; the read-off of V^T
+    answers with a morphism of index p."""
+    ctx = PrimeContext(11, 32)
+    A = [[121, 3543243, -3543122], [3543243, -1771440, -3543122],
+         [-3543122, -3543122, 8857805]]
+    alg = Algebra(_degraded(ctx, A, {(0, 0): 24, (0, 1): 18, (1, 1): 24, (1, 2): 25,
+                                    (2, 2): 30}))
+    D, V = normal_forms.congruent_diagonalize(alg.matrix)
+    W = selfsim._prepare_hyperbolic(alg, D, V).adjugate()
+    span = Span(W.shift_columns((0, 1, 0)))
+    domain = span_index_p_hermite(span)
+    with pytest.raises(PrecisionLoss, match="cancellation exhausted the precision window"):
+        span.solve(domain)
+    ve = construct_simple_ve(alg)
+    assert _scalars(ve.domain) == _scalars(domain)
+    assert ve.index_exponent() == 1
+    assert is_morphism(ve)
+
+
+def test_the_certificate_keeps_every_answer_and_digit_of_the_windowed_route():
+    """Seeded decide-yes orbit representatives U^T D U off the literal
+    hyperbolic shape, at p in {3, 5, 7, 11, 13, 31} and precision in
+    {8, 16, 32, 64}, 30% with entries cut to fewer digits: every answer of
+    the windowed route (span_certificate) is kept, with the same values
+    and no entry holding fewer digits, and is_morphism holds on every
+    answer."""
+    rng = random.Random(33)
+    answered = gained = 0
+    for _ in range(600):
+        p, precision = rng.choice((3, 5, 7, 11, 13, 31)), rng.choice((8, 16, 32, 64))
+        family = rng.choice((2, 3, 4))
+        s0 = rng.randint(0, 3)
+        s1 = s0 + rng.randint(1, 8)
+        s, eps = {2: ((s0, s0, s1), (0, None)), 3: ((s0, s1, s1), (None, 0)),
+                  4: ((s0, s0, s0), (None, None))}[family]
+        d = canonical_diagonal(family, s, eps, p)
+        U = [[0]]
+        while int_det(U) % p == 0:
+            U = [[rng.randrange(-3, 4) for _ in range(3)] for _ in range(3)]
+        A = [[sum(U[r][i] * d[r] * U[r][j] for r in range(3)) for j in range(3)]
+             for i in range(3)]
+        cuts = {}
+        if rng.random() < 0.3:
+            cuts = {(i, j): rng.randint(precision // 2 - 2, precision - 1)
+                    for i in range(3) for j in range(i, 3) if rng.random() < 0.5}
+        alg = Algebra(_degraded(PrimeContext(p, precision), A, cuts))
+        if selfsim._is_hyperbolic(alg.matrix):
+            continue
+        try:
+            old = span_certificate(alg)
+        except (PrecisionLoss, Degenerate):
+            old = None
+        try:
+            ve = construct_simple_ve(alg)
+        except (PrecisionLoss, Degenerate):
+            assert old is None
+            continue
+        assert is_morphism(ve)
+        answered += 1
+        if old is None:
+            gained += 1
+            continue
+        for X, Y in zip(old, (ve.domain, ve.phi)):
+            for x, y in zip(_entries(X), _entries(Y)):
+                assert x == y and y.prec >= x.prec
+    assert (answered, gained) == (467, 1)
+
+
+def _entries(M):
+    return [x for row in M.data for x in row]
 
 
 def test_no_hyperbolic_pair_after_the_cassels_move_is_a_path_disagreement(monkeypatch):
