@@ -300,8 +300,9 @@ def _random_unimodular(rng, ctx):
             return rows
 
 
-@functools.cache  # one parser per process; parse_args leaves it unchanged
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser():
+    """The top parser, and the subcommand parsers by name."""
     ap = argparse.ArgumentParser(
         prog="padiclie",
         description="classification and self-similarity of 3-dimensional Lie lattices over Z_p",
@@ -344,7 +345,7 @@ def build_parser():
     p_self = sub.add_parser("selftest", parents=[shared], help="randomized invariants on a seed")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--trials", type=int, default=25)
-    return ap
+    return ap, sub.choices
 
 
 HANDLERS = {
@@ -375,11 +376,26 @@ def _join_matrix_values(argv):
     return out
 
 
+def _parse(argv):
+    """The top parser's parse_args(argv) in one parse: an argv that starts
+    with a subcommand goes to that subcommand's parser, and what it leaves
+    the top parser refuses, as argparse's subparser action has it refused.
+    Any other argv (--help, none, an unknown command) the top parser reads."""
+    ap, commands = build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        ap.error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None):
-    ap = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(_join_matrix_values(argv))
+        args = _parse(_join_matrix_values(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

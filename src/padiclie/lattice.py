@@ -23,7 +23,7 @@ subalgebra, and then B is the structure matrix of the submodule.
 import operator
 
 from .errors import Degenerate, InvalidParameters, NotSubalgebra
-from .normal_forms import IntSpan, Mat, lift
+from .normal_forms import Mat, int_span, lift
 from .padic_core import INF
 
 # The pairs (a, b) whose brackets [e_a, e_b] are the columns of a structure
@@ -133,7 +133,7 @@ def is_ideal(S, J):
     its columns are those of J scaled by p^m, and S's lift scales them by
     p^(S's m): they are tested against p^(S's m) span p^m J.
     """
-    span = IntSpan(J)
+    span = int_span(J)
     RS, u, _, m = lift(S)
     return span.adj_solve(ad_images(RS, span.R), min(span.t_R, u), m) is not None
 
@@ -144,7 +144,7 @@ def index_exponent(U):
     Read off the integer det of U's lift by IntSpan, so its Degenerate and
     PrecisionLoss rules are the ones every lattice question follows.
     """
-    span = IntSpan(U)
+    span = int_span(U)
     return span.delta - U.nrows * span.m
 
 

@@ -18,8 +18,8 @@ power of p.  The three workhorses here are
                    ascending, for the callers that consume D and V: the
                    read-off's pivot plan replayed on the scalars.
 
-Each Mat keeps the first success of both, an immutable value that later
-calls share, and never a failure.
+Each Mat keeps the first success of both, and of int_span (its IntSpan),
+an immutable value that later calls share, and never a failure.
 
 cassels_move shuffles a unit between two diagonal entries of equal
 valuation without leaving the congruence class.  Every "does span N lie
@@ -45,7 +45,7 @@ from .padic_core import INF, PadicScalar, legendre_class, parse_scalar, sqrt_mod
 class Mat:
     """Immutable dense matrix of PadicScalar entries."""
 
-    __slots__ = ("ctx", "nrows", "ncols", "data", "_congruent", "_valuations")
+    __slots__ = ("ctx", "nrows", "ncols", "data", "_congruent", "_valuations", "_span")
 
     def __init__(self, ctx, rows):
         self.ctx = ctx
@@ -57,6 +57,7 @@ class Mat:
                 raise InvalidParameters("ragged matrix")
         self._congruent = None  # congruent_diagonalize's (D, V), once it succeeded
         self._valuations = None  # congruent_valuations' (s, chi), once it succeeded
+        self._span = None  # int_span's IntSpan, once it succeeded
 
     # -- constructors -------------------------------------------------------
 
@@ -70,7 +71,7 @@ class Mat:
         given: no copy and no shape check."""
         M = cls.__new__(cls)
         M.ctx, M.data, M.nrows, M.ncols = ctx, data, len(data), len(data[0])
-        M._congruent = M._valuations = None
+        M._congruent = M._valuations = M._span = None
         return M
 
     @classmethod
@@ -546,11 +547,21 @@ class IntSpan:
         return self.adj_solve(S, u, m - self.m) is not None
 
 
+def int_span(M):
+    """IntSpan(M).  The first success is kept on the object M, and every
+    later call returns it, so that the questions of one command about one
+    domain share its lift, det and adjugate; an error is not kept, and is
+    raised again on every call."""
+    if M._span is None:
+        M._span = IntSpan(M)
+    return M._span
+
+
 def lattice_contains(M, N):
     """Column span of the full-rank M contains column span of N."""
     if N.nrows != M.nrows:
         raise InvalidParameters("shape mismatch in lattice containment")
-    return IntSpan(M).contains(N)
+    return int_span(M).contains(N)
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +762,8 @@ def _congruent_read_off(A):
         raise Degenerate("matrix is degenerate")
     t -= m  # on A's own scale, as s is
     n, p, data = A.nrows, ctx.p, A.data
-    exact = holds_half_window((x for row in data for x in row), ctx)
     # the upper triangle, mirrored: mirrored entries may hold different digits
-    B = [[R[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    B = [[r[i] for r in R[:i]] + R[i][i:] for i in range(n)]
     # w[i][j] = v(B[i][j]), for the block's entries; mirrored entries share val
     w = [[x.val + m for x in row] for row in data]
     s, chi, plan = [], [], []
@@ -778,21 +788,29 @@ def _congruent_read_off(A):
                 B[oi][r] += B[oj][r]
             piv, v, partner = oi, ov, oj
         elif v == INF:
-            if exact:
+            if holds_half_window((x for row in data for x in row), ctx):
                 raise Degenerate("matrix is degenerate")
             raise PrecisionLoss(f"a block cancelled to zero within the {t} digits of the entries")
         plan.append((piv, partner))
-        B[k], B[piv] = B[piv], B[k]
-        for r in range(k, n):
-            row = B[r]
-            row[k], row[piv] = row[piv], row[k]
+        if piv != k:
+            B[k], B[piv] = B[piv], B[k]
+            for r in range(k, n):
+                row = B[r]
+                row[k], row[piv] = row[piv], row[k]
         b = B[k]
         d = b[k]
         for i in range(k + 1, n):
             bi, row, wi = b[i], B[i], w[i]
             for j in range(i, n):
                 x = row[j] = B[j][i] = d * row[j] - bi * b[j]
-                wi[j] = w[j][i] = p_valuation(x, p) if x else INF
+                if x:  # p_valuation(x, p), inline
+                    e = 0
+                    while not x % p:
+                        x //= p
+                        e += 1
+                else:
+                    e = INF
+                wi[j] = w[j][i] = e
         s.append(v - vc - m)
         cc = (legendre_class(d // p**v, p) + cc) % 2
         chi.append(cc)

@@ -392,13 +392,17 @@ class PadicScalar:
             return (self.ctx.p, "zero")
         if self.prec < self.ctx.precision:
             raise PrecisionLoss("key of a precision-degraded scalar")
-        return (self.ctx.p, self.val, self.unit)
+        return (self.ctx.p, self.val, self.unit % self.ctx.modulus)
 
     # -- printing ----------------------------------------------------------
 
+    # The constructor keeps the unit as given, which may exceed p^prec; the
+    # readers below reduce it, so that equal scalars lift, print and key alike.
+
     def _symmetric_unit(self):
         mod = self.ctx.p_powers[self.prec]
-        return self.unit - mod if self.unit > mod // 2 else self.unit
+        u = self.unit % mod
+        return u - mod if u > mod // 2 else u
 
     def to_literal(self):
         """Literal in the input grammar, the unit as its symmetric residue
@@ -406,8 +410,9 @@ class PadicScalar:
         v = self.val
         if v == INF:
             return "0"
-        ctx, u = self.ctx, self.unit
+        ctx = self.ctx
         mod = ctx.p_powers[self.prec]
+        u = self.unit % mod
         if u > mod // 2:
             u -= mod
         if v >= 0:

@@ -65,6 +65,7 @@ from .normal_forms import (
     int_hermite,
     int_kernel,
     int_mul,
+    int_span,
     least_valuation,
     lift,
     p_valuation,
@@ -111,7 +112,7 @@ class VirtualEndomorphism(Record):
 
     def __init__(self, ambient, domain, phi):
         try:
-            IntSpan(domain)  # the rank, read off the integer det of the lift
+            int_span(domain)  # the rank, read off the integer det of the lift
         except Degenerate:
             raise Degenerate("domain must have full rank") from None
         if not domain.is_integral() or not phi.is_integral():
@@ -172,7 +173,7 @@ def _closure(S, domain):
     """_bracket_law's containment test: (IntSpan(domain), S's lifted rows,
     X = adj B) when the brackets B = S compound(U) of the column pairs of
     U = domain lie in span U, else NotSubalgebra."""
-    span = IntSpan(domain)
+    span = int_span(domain)
     RS, t_s, g_s, _ = lift(S)
     C = compound(span.R)
     t_c = span.t_R + span.g_R  # a minor of U
@@ -205,7 +206,7 @@ def _invariance(domain, phi):
     Hermite form of the lattice itself, so F X has the error bound of F and
     of the domain's adj.
     """
-    inside = IntSpan(domain)
+    inside = int_span(domain)
     F, t_f, _, _ = lift(phi)
 
     def invariant(D):
@@ -239,7 +240,7 @@ def _domain_chain(domain, phi, depth):
     e_U + e < t_u + min k.
     """
     p = domain.ctx.p
-    span = IntSpan(domain)
+    span = int_span(domain)
     F, t_f, _, _ = lift(phi)
     terms = [[[int(i == j) for j in range(len(span.R))] for i in range(len(span.R))]]
     for _ in range(depth):

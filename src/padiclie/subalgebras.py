@@ -251,7 +251,8 @@ class IndexPMatrices:
             if v == INF:
                 R[r][c] = 0
                 continue
-            u, mod = x.unit, powers[x.prec]  # lift's symmetric residue of the unit
+            mod = powers[x.prec]
+            u = x.unit % mod  # lift's symmetric residue of the unit
             R[r][c] = (u - mod if u > mod // 2 else u) * p**v
             if v < g:
                 g = v

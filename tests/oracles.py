@@ -41,6 +41,9 @@ alone (morphism_law_mod), the law the benchmark's checker reads.  The
 index-p sweep is frozen a second time as it stood before a sweep formed
 A's lift, the residues and the symbols once (parent_enumerate_index_p),
 with the scalar sum and literal it ran on (parent_add, parent_to_literal).
+The integer read-off of the Jordan data is frozen as it stood before its
+elimination was trimmed (parent_congruent_read_off), on this module's own
+p_valuation, the same loop as the package's.
 """
 
 from fractions import Fraction
@@ -61,9 +64,11 @@ from padiclie.normal_forms import (
     Mat,
     cassels_move,
     congruent_diagonalize,
+    holds_half_window,
     lattice_contains,
+    lift,
 )
-from padiclie.padic_core import INF, PadicScalar
+from padiclie.padic_core import INF, PadicScalar, legendre_class
 from padiclie.selfsim import _check_hyperbolic, _prepare_hyperbolic
 from padiclie.subalgebras import (
     SubalgebraReport,
@@ -1319,3 +1324,72 @@ def parent_enumerate_index_p(alg):
         sub_s = parent_smith_divisors(B, INF) if closed else None
         reports.append(SubalgebraReport(xi, parent_u_matrix(xi, ctx), B, closed, sub_s))
     return reports
+
+
+def parent_congruent_read_off(A):
+    """normal_forms._congruent_read_off as it was: the mirrored lift built
+    with min and max, holds_half_window taken before the elimination, and
+    each updated entry's valuation by a call to p_valuation."""
+    ctx = A.ctx
+    if A.nrows != A.ncols:
+        raise InvalidParameters("congruence requires a square matrix")
+    if not A.is_symmetric():
+        raise NotSymmetric("matrix is not symmetric")
+    R, t, g, m = lift(A)
+    if g == INF:
+        raise Degenerate("matrix is degenerate")
+    t -= m  # on A's own scale, as s is
+    n, p, data = A.nrows, ctx.p, A.data
+    exact = holds_half_window((x for row in data for x in row), ctx)
+    # the upper triangle, mirrored: mirrored entries may hold different digits
+    B = [[R[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    # w[i][j] = v(B[i][j]), for the block's entries; mirrored entries share val
+    w = [[x.val + m for x in row] for row in data]
+    s, chi, plan = [], [], []
+    vc = cc = 0  # the valuation and unit square class of c_k
+    for k in range(n):
+        piv, v = k, w[k][k]
+        for i in range(k + 1, n):
+            if w[i][i] < v:
+                piv, v = i, w[i][i]
+        oi = oj = partner = None
+        ov = INF
+        for i in range(k, n):
+            for j in range(i + 1, n):
+                if w[i][j] < ov:
+                    oi, oj, ov = i, j, w[i][j]
+        if ov < v:
+            # surface a diagonal pivot; 2 is a unit, so the new (i, i)
+            # entry has valuation ov
+            for r in range(k, n):
+                B[r][oi] += B[r][oj]
+            for r in range(k, n):
+                B[oi][r] += B[oj][r]
+            piv, v, partner = oi, ov, oj
+        elif v == INF:
+            if exact:
+                raise Degenerate("matrix is degenerate")
+            raise PrecisionLoss(f"a block cancelled to zero within the {t} digits of the entries")
+        plan.append((piv, partner))
+        B[k], B[piv] = B[piv], B[k]
+        for r in range(k, n):
+            row = B[r]
+            row[k], row[piv] = row[piv], row[k]
+        b = B[k]
+        d = b[k]
+        for i in range(k + 1, n):
+            bi, row, wi = b[i], B[i], w[i]
+            for j in range(i, n):
+                x = row[j] = B[j][i] = d * row[j] - bi * b[j]
+                wi[j] = w[j][i] = p_valuation(x, p) if x else INF
+        s.append(v - vc - m)
+        cc = (legendre_class(d // p**v, p) + cc) % 2
+        chi.append(cc)
+        vc += v
+    for v in s:
+        ctx.guard_decidable(v)
+        if v >= t:
+            raise PrecisionLoss(f"valuation {v} not below {t}, the digits the entries carry")
+    return (tuple(s), tuple(chi)), tuple(plan)
+
+

@@ -1,5 +1,6 @@
 """Canonical forms and eta: round trips, orbit invariance, dual routes."""
 
+import collections
 import itertools
 import random
 
@@ -23,7 +24,13 @@ from padiclie.errors import (
     PrecisionLoss,
 )
 from padiclie.lattice import Algebra, change_of_basis, induced_algebra
-from padiclie.normal_forms import Mat, congruent_diagonalize, congruent_valuations, parse_matrix
+from padiclie.normal_forms import (
+    Mat,
+    _congruent_read_off,
+    congruent_diagonalize,
+    congruent_valuations,
+    parse_matrix,
+)
 from padiclie.padic_core import PadicScalar, PrimeContext
 from padiclie.subalgebras import enumerate_sublattices
 
@@ -32,6 +39,7 @@ from oracles import (
     canonical_of_diagonal,
     eta_of_diagonal,
     int_det,
+    parent_congruent_read_off,
     rational_congruent_diagonal,
     scanned_canonical_check,
     scanned_canonical_data,
@@ -583,6 +591,91 @@ def test_the_replayed_pivot_plan_matches_the_windowed_pivot_search():
                     outcomes["window"] += 1
     assert outcomes["agreed"] >= 200 and outcomes["read-off"] >= 200, outcomes
     assert outcomes["window"] > 0, outcomes
+
+
+def _symmetric_orbit(rng, p, S):
+    """V^T S V in integers for the symmetric integer S, V with entries in
+    [-2, 2] and det a unit mod p."""
+    while True:
+        V = [[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]
+        if int_det(V) % p:
+            break
+    SV = [[sum(S[i][k] * V[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return [[sum(V[k][i] * SV[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _read_off_draw(rng, ctx, kind):
+    """A Mat of one kind: an orbit representative of a diagonal, singular
+    one time in five, or of a hyperbolic block (its pivot surfaces); held
+    whole, as num/den, or with each entry cut to 1 to precision digits,
+    the two copies of an off-diagonal entry sometimes cut apart; or moved
+    off symmetry by p^j in one lower entry."""
+    p, precision = ctx.p, ctx.precision
+
+    def entry():
+        return rng.choice((1, -1)) * rng.randrange(1, p) * p ** rng.randrange(precision // 2 + 3)
+
+    if rng.random() < 0.3:
+        b = entry()
+        S = [[entry(), 0, 0], [0, 0, b], [0, b, 0]]
+    else:
+        S = [[entry() if i == j else 0 for j in range(3)] for i in range(3)]
+    if rng.random() < 0.2:
+        k = rng.randrange(3)
+        S[k] = [0, 0, 0]
+        for row in S:
+            row[k] = 0
+    rows = _symmetric_orbit(rng, p, S)
+    if kind == "num/den":
+        k = rng.randrange(4)
+        return parse_matrix(";".join(",".join(f"{x}/{p**k}" for x in row) for row in rows), ctx)
+    full = Mat.from_ints(ctx, rows)
+    if kind == "whole":
+        return full
+    if kind == "non-symmetric":
+        rows[2][rng.randrange(2)] += p ** rng.randrange(precision)
+        return Mat.from_ints(ctx, rows)
+
+    def cut(x, n):
+        return x if x.is_zero() else PadicScalar(ctx, x.val, x.unit % p**n, n)
+
+    short = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            n = rng.randrange(1, precision + 1)
+            short[i][j] = short[j][i] = cut(full[i, j], n)
+            if i != j and rng.random() < 0.3:
+                short[j][i] = cut(full[i, j], rng.randrange(n, precision + 1))
+    return Mat(ctx, short)
+
+
+def test_the_read_off_matches_its_frozen_parent():
+    """_congruent_read_off, its elimination trimmed, against the read-off it
+    was (tests/oracles.py parent_congruent_read_off) on 3,600 seeded
+    matrices at p in {3, 5, 7, 101} and precision in {8, 16, 32}: whole,
+    num/den, cut to fewer digits, or not symmetric; singular ones, blocks
+    that cancel in the window, and hyperbolic blocks among them.  The same
+    (s, chi) and pivot plan, or the same error type and message."""
+    rng = random.Random(34)
+    seen = collections.Counter()
+    kinds = ("whole", "num/den", "short", "short", "non-symmetric")
+    for p in (3, 5, 7, 101):
+        for precision in (8, 16, 32):
+            ctx = PrimeContext(p, precision)
+            for trial in range(300):
+                A = _read_off_draw(rng, ctx, kinds[trial % len(kinds)])
+                want = _settled(parent_congruent_read_off, A)
+                assert _settled(_congruent_read_off, A) == want, (p, precision, A)
+                error = want[0]
+                if error is None:
+                    seen["answered"] += 1
+                elif error[0] is PrecisionLoss:  # a cancelled block, past t, or the guard
+                    seen["block" if "block" in error[1] else "not below t"
+                         if "not below" in error[1] else "guard"] += 1
+                else:
+                    seen[error[0].__name__] += 1
+    assert sum(seen.values()) == 3600 and len(seen) == 6, seen
+    assert min(seen.values()) >= 150, seen
 
 
 def test_a_singular_lift_is_degenerate_only_when_the_entries_hold_half_the_window():

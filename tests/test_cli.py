@@ -439,7 +439,8 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
 
 def test_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys):
     """Every argv gives the same exit code, stdout and stderr through the
-    shared parser, in either order, as through a parser built for it."""
+    shared parser and its dispatch to one subcommand parser, in either
+    order, as a top parser built for it gives, parsing the argv itself."""
     argvs = [
         *readme_commands(),
         *MALFORMED.values(),
@@ -448,18 +449,75 @@ def test_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys):
         ["frobnicate", "--prime", "3"],
         ["classify", "--matrix", "1,0,0;0,3,0;0,0,-3"],
         ["classify", "--prime", "5", "--matrix", "1,0,0;0,0,2;0,2,0", "--pretty"],
+        ["classify", "--prime", "5", "--matrix=1,0,0;0,5,0;0,0,-5", "--bogus", "1"],
+        ["--prime", "3", "classify", "--matrix", "1,0,0;0,3,0;0,0,-3"],
+        [],
+        ["endo", "frob"],
     ]
 
     def outcome(argv):
         code = main(list(argv))
         return (code, *capsys.readouterr())
 
+    fresh_parser = cli.build_parser.__wrapped__
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        # no subcommand parser to dispatch to: the top parser reads every argv
+        patch.setattr(cli, "build_parser", lambda: (fresh_parser()[0], {}))
         fresh = [outcome(argv) for argv in argvs]
     assert {code for code, _, _ in fresh} == {0, 2}
     assert [outcome(argv) for argv in argvs] == fresh
     assert [outcome(argv) for argv in reversed(argvs)] == fresh[::-1]
+
+
+def test_a_subcommand_is_parsed_once(monkeypatch, capsys):
+    """A command line that starts with a subcommand makes one
+    parse_known_args call, its subcommand parser's; the top parser would
+    make a second."""
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv, prog in (
+        (["classify", "--prime", "5", "--matrix", "1,0,0;0,5,0;0,0,-5"], "padiclie classify"),
+        (["endo", "check", *ENDO, *CERT], "padiclie endo"),
+        (["named", "sl2_sylow", "--prime", "5"], "padiclie named"),
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [prog]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["endo", "check", *ENDO, *CERT], 1),
+    (["endo", "chain", *ENDO, *CERT, "--depth", "3"], 1),
+    (["endo", "search", *ENDO, *CERT, "--search-bound", "2"], None),
+    (["selfsim", *ENDO], 1),
+], ids=["endo-check", "endo-chain", "endo-search", "selfsim-yes"])
+def test_a_command_builds_one_span_per_domain(monkeypatch, capsys, argv, spans):
+    """Every integer span a command reads of a given matrix is built once
+    (normal_forms.int_span keeps it on the Mat): endo check's __init__,
+    bracket law and index all read the domain's one span.  spans, where
+    given, is the number of spans built of matrices not known exact (the
+    chain's exact terms each have their own)."""
+    built = collections.Counter()
+    init = normal_forms.IntSpan.__init__
+
+    def counting(self, M, exact=False):
+        built[M.to_literal(), exact] += 1
+        init(self, M, exact)
+
+    monkeypatch.setattr(normal_forms.IntSpan, "__init__", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    inexact = [n for (_, exact), n in built.items() if not exact]
+    assert inexact and set(inexact) == {1}, built
+    if spans is not None:
+        assert sum(inexact) == spans, built
 
 
 def test_import_loads_every_module_and_none_of_the_heavy_stdlib():

@@ -18,6 +18,7 @@ from padiclie.padic_core import (
     legendre_class,
     parse_scalar,
 )
+from padiclie.normal_forms import Mat, lift
 
 from oracles import (
     inverse_mod,
@@ -283,6 +284,29 @@ def test_key_requires_full_precision():
     with pytest.raises(PrecisionLoss):
         PadicScalar(ctx, 0, 1, 5).key()
     assert ctx.from_int(10).key() is not None
+
+
+def test_equal_scalars_lift_print_and_key_alike():
+    """The constructor keeps a unit past p^prec as given; such a scalar
+    equals its reduced twin, and lifts, prints and keys as the twin does."""
+    ctx = PrimeContext(7)
+    wide, twin = PadicScalar(ctx, 0, 5764777, 3), PadicScalar(ctx, 0, 5764777 % 7**3, 3)
+    assert wide == twin
+    assert lift(Mat(ctx, [[wide]]))[0] == lift(Mat(ctx, [[twin]]))[0] == [[-24]]
+    assert wide.to_literal() == twin.to_literal() == "-24*p^0"
+    rng = random.Random(34)
+    for p in (3, 5, 101):
+        ctx = PrimeContext(p, 8)
+        for _ in range(200):
+            prec, val = rng.randrange(1, 9), rng.randrange(-3, 4)
+            unit = rng.choice([u for u in range(1, 4 * p) if u % p]) + p**prec * rng.randrange(1, 50)
+            wide, twin = PadicScalar(ctx, val, unit, prec), PadicScalar(ctx, val, unit % p**prec, prec)
+            assert wide == twin
+            assert lift(Mat(ctx, [[wide]]))[0] == lift(Mat(ctx, [[twin]]))[0]
+            assert wide.to_literal() == twin.to_literal() == parent_to_literal(twin)
+            assert wide._symmetric_unit() == twin._symmetric_unit()
+            if prec == ctx.precision:
+                assert wide.key() == twin.key()
 
 
 def test_inf_is_zero_valuation_marker():
